@@ -1,11 +1,14 @@
 """Two-stage construction, persistence, and runtime edge loading."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from magsearch import (Dataset, FormatError, MetricKind, UsageError,
                        brute_force_topk, build_mag, build_stage1, build_stage2,
                        load_index, materialize, ndg_select, save_index)
+from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.index import index_to_bytes, ip_quota
 
 
@@ -160,6 +163,27 @@ class TestPersistence:
         a = build_mag(ds, K=10, K1=5, K2=5, ls=20, seed=9)
         b = build_mag(ds, K=10, K1=5, K2=5, ls=20, seed=9)
         assert index_to_bytes(a) == index_to_bytes(b)
+
+
+class TestPinnedBuild:
+    """Two fixed small builds whose index bytes and materialized adjacency
+    must not move under refactoring. The heavytail build is one where the
+    K2 cap drops reverse dominator copies during mirroring."""
+
+    @pytest.mark.parametrize("kind,kw,index_sha,adjacency_sha", [
+        ("gaussian", {},
+         "1fb2b08396ee49622890a48f7c2cc25bdb6ce12208014c85dd2346280f89cf9b",
+         "296023176f15670b09a8b3b0eeb8d75584e039137e6c83746a3fa683caf03ce2"),
+        ("heavytail", {"sigma_log": 0.5},
+         "ef606bab3441df999057d6e908b3740d118344d80304feef31a927400cea1722",
+         "76a3cc07eee4f98d6852e2b8ddc4f8dca220aa74e5a9c1f83118448ab93cc6b5"),
+    ])
+    def test_sha256(self, kind, kw, index_sha, adjacency_sha):
+        data = generate_synthetic(SyntheticSpec(kind, n=300, dim=8, seed=8, **kw))
+        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2, passes=2)
+        graph = materialize(index, R=10, alpha=0.5)
+        assert hashlib.sha256(index_to_bytes(index)).hexdigest() == index_sha
+        assert hashlib.sha256(graph.adjacency.tobytes()).hexdigest() == adjacency_sha
 
 
 class TestValidate:
