@@ -18,8 +18,8 @@ print("self-dominators of {a=(2,0), b=(0,2), c=(0.9,0.9)}:",
       ms.self_dominator_set(toy), "(c is dominated: <c,a>=1.8 > <c,c>=1.62)")
 
 ndg = build_exact_ndg(toy)
-print("edges:", {i: row.tolist() for i, row in enumerate(ndg.ip)})
-print("strongly connected:", count_strong_components(ndg.ip, toy.n) == 1)
+print("edges:", {i: row.tolist() for i, row in enumerate(ndg)})
+print("strongly connected:", count_strong_components(ndg) == 1)
 
 # the same properties on random data
 rng = np.random.default_rng(4)
@@ -28,7 +28,7 @@ census = set(ms.self_dominator_set(data).tolist())
 ndg = build_exact_ndg(data)
 print(f"\nrandom n=300 d=6: {len(census)} self-dominators "
       f"({len(census) / 3:.0f}% of points)")
-print("strongly connected:", count_strong_components(ndg.ip, data.n) == 1)
+print("strongly connected:", count_strong_components(ndg) == 1)
 
 base = data.data.astype(np.float64)
 ids = np.arange(data.n)

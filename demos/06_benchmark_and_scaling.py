@@ -6,9 +6,9 @@ reports computations at a matched recall target as the dataset grows.
 """
 
 import magsearch as ms
-from magsearch.bench import (SyntheticSpec, generate_synthetic,
-                             records_to_csv, run_benchmark,
-                             run_scaling_study, scale_records_to_csv)
+from magsearch.bench import (SCALE_CSV_HEADER, SyntheticSpec,
+                             generate_synthetic, records_to_csv, run_benchmark,
+                             run_scaling_study)
 
 data = generate_synthetic(SyntheticSpec("gaussian", n=2000, dim=16, seed=0))
 queries = generate_synthetic(SyntheticSpec("gaussian", n=50, dim=16, seed=1))
@@ -23,6 +23,6 @@ print("scaling: distance computations at recall >= 0.95 (this takes a minute)")
 scale = run_scaling_study([500, 2000, 8000], dim=16, K=24, K1=12, K2=12,
                           build_ls=48, R=20, alpha=0.5, k=10, n_queries=50,
                           target=0.95, seed=0, workers=2, passes=3)
-print(scale_records_to_csv(scale, {"demo": "scaling"}))
+print(records_to_csv(scale, {"demo": "scaling"}, SCALE_CSV_HEADER))
 ratio = scale[-1].dist_comps / scale[0].dist_comps
 print(f"16x more data costs {ratio:.1f}x the distance computations")

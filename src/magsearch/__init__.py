@@ -12,7 +12,7 @@ from .bench import (BenchRecord, ScaleRecord, SyntheticSpec, VerifyLimits,
                     VerifyReport, bench_one, find_ls_for_recall,
                     generate_synthetic, recall_at_k, run_benchmark,
                     run_queries, run_scaling_study, verify_suite)
-from .construction import (EdgeList, KnnGraph, build_exact_knn,
+from .construction import (CsrEdges, KnnGraph, build_exact_knn,
                            build_exact_ndg, build_nndescent_knn,
                            count_strong_components, knn_recall, mrng_prune,
                            ndg_select)

@@ -13,7 +13,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,28 +86,24 @@ def recall_at_k(results: list[np.ndarray], gt: GroundTruth, k: int) -> float:
 
 def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
                 ls: int, k: int, m: int = 0, seed: int = 0,
-                metric: MetricKind = MetricKind.INNER_PRODUCT,
-                threads: int = 1) -> list[SearchResult]:
+                metric: MetricKind = MetricKind.INNER_PRODUCT) -> list[SearchResult]:
     """Search the whole panel; per-query seeds derive from (seed, query id).
 
     m > 0 uses the metric-switch search (IP target); m = 0 runs plain
-    greedy search under ``metric``. Output order and content do not
-    depend on the thread count.
+    greedy search under ``metric``.
     """
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:
         raise UsageError("the metric switch targets inner product; use m=0 for l2")
 
-    def one(qid: int) -> SearchResult:
+    results = []
+    for qid in range(queries.n):
         params = SearchParams(ls=ls, k=k, m=m, seed=(seed, qid))
         q = queries.vector(qid)
         if m > 0:
-            return anms_search(graph, dataset, q, params)
-        return greedy_search(graph, dataset, q, params, metric)
-
-    if threads <= 1:
-        return [one(i) for i in range(queries.n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(queries.n)))
+            results.append(anms_search(graph, dataset, q, params))
+        else:
+            results.append(greedy_search(graph, dataset, q, params, metric))
+    return results
 
 
 @dataclass
@@ -129,14 +124,13 @@ class BenchRecord:
 
 def bench_one(graph: SearchGraph, dataset: Dataset, queries: Dataset,
               gt: GroundTruth, ls: int, k: int, m: int, seed: int,
-              threads: int = 1, reps: int = 3) -> BenchRecord:
+              reps: int = 3) -> BenchRecord:
     """One measured point: recall/counters from the first rep, QPS from all reps."""
     times = []
     results = None
     for _ in range(max(1, reps)):
         t0 = time.perf_counter()
-        out = run_queries(graph, dataset, queries, ls=ls, k=k, m=m, seed=seed,
-                          threads=threads)
+        out = run_queries(graph, dataset, queries, ls=ls, k=k, m=m, seed=seed)
         times.append(time.perf_counter() - t0)
         if results is None:
             results = out
@@ -150,7 +144,7 @@ def bench_one(graph: SearchGraph, dataset: Dataset, queries: Dataset,
 
 def run_benchmark(index: MagIndex, dataset: Dataset, queries: Dataset,
                   gt: GroundTruth, ls_list: list[int], R: int, alpha: float,
-                  m: int = 0, k: int = 100, seed: int = 0, threads: int = 1,
+                  m: int = 0, k: int = 100, seed: int = 0,
                   reps: int = 3) -> list[BenchRecord]:
     """Recall/QPS sweep over pool sizes on one materialized graph."""
     if queries.dim != dataset.dim:
@@ -159,15 +153,20 @@ def run_benchmark(index: MagIndex, dataset: Dataset, queries: Dataset,
         raise UsageError("ground truth does not cover the query panel")
     graph = materialize(index, R=R, alpha=alpha)
     return [bench_one(graph, dataset, queries, gt, ls=ls, k=k, m=m, seed=seed,
-                      threads=threads, reps=reps)
+                      reps=reps)
             for ls in ls_list]
 
 
-def records_to_csv(records: list[BenchRecord], config: dict | None = None) -> str:
-    lines = []
-    if config is not None:
-        lines.append("# " + json.dumps(config, sort_keys=True))
-    lines.append(BENCH_CSV_HEADER)
+def config_line(config: dict) -> str:
+    """The ``#``-prefixed JSON line that opens a CSV output."""
+    return "# " + json.dumps(config, sort_keys=True, default=str)
+
+
+def records_to_csv(records: list, config: dict | None = None,
+                   header: str = BENCH_CSV_HEADER) -> str:
+    """CSV text: the config line when given, the header, one row per record."""
+    lines = [] if config is None else [config_line(config)]
+    lines.append(header)
     lines.extend(r.csv_row() for r in records)
     return "\n".join(lines) + "\n"
 
@@ -232,15 +231,6 @@ def run_scaling_study(sizes: list[int], dim: int, K: int, K1: int, K2: int,
     return out
 
 
-def scale_records_to_csv(records: list[ScaleRecord], config: dict | None = None) -> str:
-    lines = []
-    if config is not None:
-        lines.append("# " + json.dumps(config, sort_keys=True))
-    lines.append(SCALE_CSV_HEADER)
-    lines.extend(r.csv_row() for r in records)
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class VerifyLimits:
     max_n_exact: int = 2000      # exact dominator-graph checks gate
@@ -289,7 +279,7 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
     if dataset.n <= limits.max_n_exact:
         n = dataset.n
         ndg = build_exact_ndg(dataset)
-        scc = count_strong_components(ndg.ip, n)
+        scc = count_strong_components(ndg)
         report.add("ndg-strong-connectivity", scc == 1, f"components={scc}")
 
         base = dataset.data.astype(np.float64)

@@ -12,9 +12,9 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .bench import (SyntheticSpec, VerifyLimits, generate_synthetic,
-                    records_to_csv, run_benchmark, run_scaling_study,
-                    scale_records_to_csv, verify_suite)
+from .bench import (SCALE_CSV_HEADER, SyntheticSpec, VerifyLimits, config_line,
+                    generate_synthetic, records_to_csv, run_benchmark,
+                    run_scaling_study, verify_suite)
 from .errors import FormatError, UsageError
 from .index import build_mag, load_index, materialize, save_index
 from .io import (compute_ground_truth, load_ground_truth, read_fvecs,
@@ -27,13 +27,17 @@ def _metric(name: str) -> MetricKind:
     return MetricKind.INNER_PRODUCT if name == "ip" else MetricKind.EUCLIDEAN
 
 
-def _echo_config(args: argparse.Namespace, out) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    print("# " + json.dumps(cfg, sort_keys=True, default=str), file=out)
+def _config(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
-def _open_out(path: str | None):
-    return open(path, "w") if path else sys.stdout
+def _write_out(path: str | None, text: str) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_gen(args) -> int:
@@ -58,26 +62,21 @@ def cmd_gt(args) -> int:
 def cmd_stats(args) -> int:
     data = read_fvecs(args.data)
     report = compute_stats(data, n_clusters=args.clusters, seed=args.seed)
-    out = _open_out(args.out)
-    try:
-        if args.format == "json":
-            print(json.dumps({
-                "cv": report.cv, "dbi_euclidean": report.dbi_euclidean,
-                "dbi_cosine": report.dbi_cosine,
-                "self_dominator_fraction": report.self_dominator_fraction,
-                "n_clusters": report.n_clusters,
-                "hint": tuning_hint(report)}, sort_keys=True), file=out)
-        else:
-            _echo_config(args, out)
-            print("cv,dbi_euclidean,dbi_cosine,self_dominator_fraction,n_clusters",
-                  file=out)
-            print(f"{report.cv:.6f},{report.dbi_euclidean:.6f},"
-                  f"{report.dbi_cosine:.6f},{report.self_dominator_fraction:.6f},"
-                  f"{report.n_clusters}", file=out)
-            print(f"# hint: {tuning_hint(report)}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.format == "json":
+        lines = [json.dumps({
+            "cv": report.cv, "dbi_euclidean": report.dbi_euclidean,
+            "dbi_cosine": report.dbi_cosine,
+            "self_dominator_fraction": report.self_dominator_fraction,
+            "n_clusters": report.n_clusters,
+            "hint": tuning_hint(report)}, sort_keys=True)]
+    else:
+        lines = [config_line(_config(args)),
+                 "cv,dbi_euclidean,dbi_cosine,self_dominator_fraction,n_clusters",
+                 f"{report.cv:.6f},{report.dbi_euclidean:.6f},"
+                 f"{report.dbi_cosine:.6f},{report.self_dominator_fraction:.6f},"
+                 f"{report.n_clusters}",
+                 f"# hint: {tuning_hint(report)}"]
+    _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -101,18 +100,12 @@ def cmd_search(args) -> int:
         raise UsageError("--m applies to the ip metric; use --m 0 with l2")
     graph = materialize(index, R=args.R, alpha=args.alpha)
     results = bench_mod.run_queries(graph, data, queries, ls=args.ls, k=args.k,
-                                    m=args.m, seed=args.seed, metric=metric,
-                                    threads=args.threads)
-    out = _open_out(args.out)
-    try:
-        _echo_config(args, out)
-        print("query,ids,dist_comps,hops", file=out)
-        for qid, res in enumerate(results):
-            ids = " ".join(str(int(v)) for v in res.ids)
-            print(f"{qid},{ids},{res.stats.dist_comps},{res.stats.hops}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                                    m=args.m, seed=args.seed, metric=metric)
+    lines = [config_line(_config(args)), "query,ids,dist_comps,hops"]
+    for qid, res in enumerate(results):
+        ids = " ".join(str(int(v)) for v in res.ids)
+        lines.append(f"{qid},{ids},{res.stats.dist_comps},{res.stats.hops}")
+    _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -124,15 +117,8 @@ def cmd_bench(args) -> int:
     ls_list = [int(v) for v in args.ls.split(",")]
     records = run_benchmark(index, data, queries, gt, ls_list=ls_list, R=args.R,
                             alpha=args.alpha, m=args.m, k=args.k, seed=args.seed,
-                            threads=args.threads, reps=args.reps)
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    text = records_to_csv(records, cfg)
-    out = _open_out(args.out)
-    try:
-        out.write(text)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                            reps=args.reps)
+    _write_out(args.out, records_to_csv(records, _config(args)))
     return 0
 
 
@@ -144,14 +130,7 @@ def cmd_scale(args) -> int:
                                 n_queries=args.queries, target=args.target,
                                 seed=args.seed, workers=args.workers,
                                 passes=args.passes)
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    text = scale_records_to_csv(records, cfg)
-    out = _open_out(args.out)
-    try:
-        out.write(text)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_out(args.out, records_to_csv(records, _config(args), SCALE_CSV_HEADER))
     return 0
 
 
@@ -228,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metric", choices=["ip", "l2"], default="ip")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -243,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)

@@ -21,10 +21,11 @@ than kernel speed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import UsageError
@@ -32,6 +33,8 @@ from .metrics import Dataset
 
 EXACT_NDG_MAX_N = 20000  # quadratic; exists to verify dominator structure, not to index
 _GRAM_PATH_MAX = 512     # candidate counts up to this use one gram matrix per node
+
+_RowRule = Callable[[int, np.ndarray], np.ndarray]  # (node, merged row) -> kept row
 
 
 @dataclass
@@ -59,16 +62,44 @@ class KnnGraph:
                 raise UsageError(f"node {i} row not sorted by (distance, id)")
 
 
-@dataclass
-class EdgeList:
-    """Per-node neighbor ids split by edge kind."""
+@dataclass(frozen=True)
+class CsrEdges:
+    """Per-node neighbor ids stored flat: row i is ids[offsets[i]:offsets[i + 1]]."""
 
-    euclid: list[np.ndarray]  # ascending distance, ties by id
-    ip: list[np.ndarray]      # descending inner product with the node, ties by id
+    offsets: np.ndarray  # (n + 1,) int64, non-decreasing from 0 to len(ids)
+    ids: np.ndarray      # (offsets[-1],) int32
+
+    @classmethod
+    def from_rows(cls, rows: list[np.ndarray]) -> CsrEdges:
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=offsets[1:])
+        ids = np.concatenate([np.empty(0, dtype=np.int32), *rows]).astype(np.int32)
+        return cls(offsets=offsets, ids=ids)
+
+    @classmethod
+    def empty(cls, n: int) -> CsrEdges:
+        return cls(offsets=np.zeros(n + 1, dtype=np.int64),
+                   ids=np.empty(0, dtype=np.int32))
 
     @property
     def n(self) -> int:
-        return len(self.euclid)
+        return len(self.offsets) - 1
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def sources(self) -> np.ndarray:
+        """The owning node of every entry of ``ids``."""
+        return np.repeat(np.arange(self.n, dtype=np.int32), self.lengths())
+
+    def copy(self) -> CsrEdges:
+        return CsrEdges(offsets=self.offsets.copy(), ids=self.ids.copy())
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.ids[self.offsets[i]:self.offsets[i + 1]]
+
+    def __iter__(self):
+        return (self[i] for i in range(self.n))
 
 
 def _pairwise_sq(block: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -248,7 +279,7 @@ def ndg_select(node: int, candidate_ids: np.ndarray, dataset: Dataset,
     return _ndg_select_base(node, candidate_ids, dataset.data.astype(np.float64), K2)
 
 
-def build_exact_ndg(dataset: Dataset) -> EdgeList:
+def build_exact_ndg(dataset: Dataset) -> CsrEdges:
     """Full dominator graph with unbounded acceptance, symmetrized.
 
     Quadratic scan; gated to small n because it exists to verify the
@@ -272,35 +303,42 @@ def build_exact_ndg(dataset: Dataset) -> EdgeList:
         best_cross[start:stop] = cross.max(axis=1)
     weak_dominator = self_dots >= best_cross
 
-    adj: list[set[int]] = [set() for _ in range(n)]
     ids = np.arange(n)
+    rows = []
     for i in range(n):
         ips = base @ base[i]
         others = ids[ids != i]
         order = others[np.lexsort((others, -ips[others]))]
-        accepted = order[(np.arange(len(order)) == 0) | weak_dominator[order]]
-        for j in accepted:
-            adj[i].add(int(j))
-            adj[int(j)].add(i)
-
-    ip_lists = []
-    for i in range(n):
-        nbrs = np.asarray(sorted(adj[i]), dtype=np.int64)
-        if len(nbrs):
-            ips = base[nbrs] @ base[i]
-            nbrs = nbrs[np.lexsort((nbrs, -ips))]
-        ip_lists.append(nbrs.astype(np.int32))
-    return EdgeList(euclid=[np.empty(0, dtype=np.int32) for _ in range(n)],
-                    ip=ip_lists)
+        rows.append(order[(np.arange(len(order)) == 0) | weak_dominator[order]])
+    return _merge_reverse(CsrEdges.from_rows(rows), _by_inner_product(base))
 
 
-def count_strong_components(neighbor_lists: list[np.ndarray], n: int) -> int:
+def _merge_reverse(edges: CsrEdges, rule: _RowRule) -> CsrEdges:
+    """Unite every row with the reverse copies of the edges that point at it.
+
+    ``rule(node, merged)`` then orders (and may cap) each merged row, which
+    it receives ascending by id with no self-loop.
+    """
+    n = edges.n
+    out_src, out_dst = edges.sources().astype(np.int64), edges.ids.astype(np.int64)
+    src = np.concatenate((out_src, out_dst))
+    dst = np.concatenate((out_dst, out_src))
+    pairs = np.unique((src * n + dst)[src != dst])
+    merged = CsrEdges(offsets=np.searchsorted(pairs // n, np.arange(n + 1)),
+                      ids=(pairs % n).astype(np.int32))
+    return CsrEdges.from_rows([rule(i, merged[i]) for i in range(n)])
+
+
+def _by_inner_product(base: np.ndarray, cap: int | None = None) -> _RowRule:
+    """Row rule for ``_merge_reverse``: descending <node, .> (ties by id), first cap."""
+    def rule(node: int, merged: np.ndarray) -> np.ndarray:
+        return merged[np.lexsort((merged, -(base[merged] @ base[node])))][:cap]
+    return rule
+
+
+def count_strong_components(edges: CsrEdges) -> int:
     """Number of strongly connected components of a directed adjacency."""
-    src = np.concatenate([np.full(len(row), i, dtype=np.int64)
-                          for i, row in enumerate(neighbor_lists)] or
-                         [np.empty(0, dtype=np.int64)])
-    dst = np.concatenate([row.astype(np.int64) for row in neighbor_lists] or
-                         [np.empty(0, dtype=np.int64)])
-    mat = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    mat = csr_matrix((np.ones(len(edges.ids)), edges.ids, edges.offsets),
+                     shape=(edges.n, edges.n))
     count, _ = connected_components(mat, directed=True, connection="strong")
     return int(count)

@@ -7,6 +7,10 @@ stores at most K2 IP-oriented edges alongside. At query time ``materialize``
 loads ceil(alpha * R) IP edges first and fills the remaining out-degree
 budget with Euclidean edges.
 
+In memory each edge family is one ``CsrEdges`` pair (n + 1 offsets, flat
+int32 ids); ``materialize`` is the only step that pads them into a
+``SearchGraph``. The file keeps a per-node layout.
+
 File format (little-endian): magic ``MAG1``; u32 fields version=1, n, dim,
 K1, K2; per node u32 n_euc, u32 n_ip, then that many u32 ids (Euclidean
 edges first); n bytes of self-dominator flags; u32 metadata byte length;
@@ -23,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (_mrng_prune_base, _ndg_select_base, build_exact_knn,
+from .construction import (CsrEdges, _by_inner_product, _merge_reverse,
+                           _mrng_prune_base, _ndg_select_base, build_exact_knn,
                            build_nndescent_knn)
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
@@ -43,37 +48,38 @@ class MagIndex:
     dim: int
     K1: int
     K2: int
-    euclid: list[np.ndarray]            # ascending distance order, <= K1 each
-    ip: list[np.ndarray]                # descending inner product order, <= K2 each
+    euclid: CsrEdges                    # rows in ascending distance order, <= K1 each
+    ip: CsrEdges                        # rows in descending inner product order, <= K2 each
     self_dominator: np.ndarray          # (n,) bool
     metadata: dict = field(default_factory=dict)
 
     def validate(self, dataset: Dataset | None = None,
                  check_census: bool = True) -> None:
-        if len(self.euclid) != self.n or len(self.ip) != self.n:
-            raise UsageError("edge list length does not match n")
-        for i in range(self.n):
-            for kind, edges, cap in (("euclid", self.euclid[i], self.K1),
-                                     ("ip", self.ip[i], self.K2)):
-                if len(edges) > cap:
-                    raise UsageError(f"node {i}: {kind} edges exceed cap {cap}")
-                if (edges == i).any():
-                    raise UsageError(f"node {i}: self-loop in {kind} edges")
-                if ((edges < 0) | (edges >= self.n)).any():
-                    raise UsageError(f"node {i}: {kind} edge id out of range")
-                if len(np.unique(edges)) != len(edges):
-                    raise UsageError(f"node {i}: duplicate {kind} edges")
+        for kind, edges, cap in (("euclid", self.euclid, self.K1),
+                                 ("ip", self.ip, self.K2)):
+            if edges.n != self.n:
+                raise UsageError("edge list length does not match n")
+            src, ids = edges.sources(), edges.ids
+            order = np.lexsort((ids, src))
+            repeated = (np.diff(src[order]) == 0) & (np.diff(ids[order]) == 0)
+            checks = ((np.flatnonzero(edges.lengths() > cap),
+                       f"{kind} edges exceed cap {cap}"),
+                      (src[ids == src], f"self-loop in {kind} edges"),
+                      (src[(ids < 0) | (ids >= self.n)], f"{kind} edge id out of range"),
+                      (src[order][1:][repeated], f"duplicate {kind} edges"))
+            for bad, what in checks:
+                if len(bad):
+                    raise UsageError(f"node {bad[0]}: {what}")
         if dataset is not None:
             base = dataset.data.astype(np.float64)
-            for i in range(self.n):
-                e = self.euclid[i]
-                if len(e) > 1:
-                    diff = base[e] - base[i]
-                    d2 = np.einsum("ij,ij->i", diff, diff)
-                    keys = list(zip(d2, e))
-                    if keys != sorted(keys):
-                        raise UsageError(f"node {i}: euclid edges not in "
-                                         "(distance, id) order")
+            src, ids = self.euclid.sources(), self.euclid.ids
+            diff = base[ids] - base[src]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            descending = (d2[1:] < d2[:-1]) | ((d2[1:] == d2[:-1]) & (ids[1:] < ids[:-1]))
+            bad = src[1:][(src[1:] == src[:-1]) & descending]
+            if len(bad):
+                raise UsageError(f"node {bad[0]}: euclid edges not in "
+                                 "(distance, id) order")
             if check_census and self.n <= CENSUS_MAX_N:
                 census = np.zeros(self.n, dtype=bool)
                 census[self_dominator_set(dataset)] = True
@@ -81,7 +87,7 @@ class MagIndex:
                     raise UsageError("self-dominator flags disagree with the census")
 
 
-def _mirror_euclid(kept: list[np.ndarray], base: np.ndarray, K1: int) -> list[np.ndarray]:
+def _mirror_euclid(kept: CsrEdges, base: np.ndarray, K1: int) -> CsrEdges:
     """Add reverse edges, then re-prune any node whose list exceeds K1.
 
     Pruned-graph edges are conceptually undirected; without the reverse
@@ -89,34 +95,21 @@ def _mirror_euclid(kept: list[np.ndarray], base: np.ndarray, K1: int) -> list[np
     zero in-degree and become unreachable. Overflow is resolved with the
     same occlusion rule, which keeps far-but-unshadowed arrivals alive.
     """
-    n = len(kept)
-    arrivals: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(kept):
-        for j in row.tolist():
-            arrivals[j].append(i)
-    out = []
-    for i in range(n):
-        merged = np.unique(np.concatenate((kept[i], np.asarray(arrivals[i],
-                                                               dtype=np.int32))))
-        merged = merged[merged != i].astype(np.int64)
+    def rule(i: int, merged: np.ndarray) -> np.ndarray:
         diff = base[merged] - base[i]
         d2 = np.einsum("ij,ij->i", diff, diff)
         order = np.lexsort((merged, d2))
         merged, d2 = merged[order], d2[order]
         if len(merged) > K1:
-            out.append(_mrng_prune_base(i, merged, d2, base, K1))
-        else:
-            out.append(merged.astype(np.int32))
-    return out
+            return _mrng_prune_base(i, merged, d2, base, K1)
+        return merged
+    return _merge_reverse(kept, rule)
 
 
 def build_stage1(dataset: Dataset, K: int, K1: int, knn_mode: str = "exact",
-                 seed: int = 0, nndescent_iters: int = 10,
-                 mirror: bool = True) -> MagIndex:
-    """Euclidean-pruned edges from a K-NN graph; IP edge lists stay empty.
-
-    mirror=True (default) symmetrizes the pruned edges under the K1 cap.
-    """
+                 seed: int = 0, nndescent_iters: int = 10) -> MagIndex:
+    """Euclidean-pruned edges from a K-NN graph, symmetrized under the K1
+    cap; IP edge lists stay empty."""
     n = dataset.n
     if not 1 <= K1 <= K or not K < n:
         raise UsageError(f"need 1 <= K1 <= K < n, got K1={K1}, K={K}, n={n}")
@@ -128,19 +121,17 @@ def build_stage1(dataset: Dataset, K: int, K1: int, knn_mode: str = "exact",
         raise UsageError(f"knn_mode must be 'exact' or 'nndescent', got {knn_mode!r}")
 
     base = dataset.data.astype(np.float64)
-    euclid = [_mrng_prune_base(i, knn.neighbors[i], knn.dists[i], base, K1)
-              for i in range(n)]
-    if mirror:
-        euclid = _mirror_euclid(euclid, base, K1)
+    kept = CsrEdges.from_rows([_mrng_prune_base(i, knn.neighbors[i], knn.dists[i],
+                                                base, K1) for i in range(n)])
+    euclid = _mirror_euclid(kept, base, K1)
     flags = np.zeros(n, dtype=bool)
     if n <= CENSUS_MAX_N:
         flags[self_dominator_set(dataset)] = True
     meta = {"stage": 1, "K": K, "K1": K1, "K2": 0, "knn_mode": knn_mode,
-            "seed": seed, "mirror": mirror,
+            "seed": seed, "mirror": True,
             "nndescent_iters": nndescent_iters if knn_mode == "nndescent" else 0}
     return MagIndex(n=n, dim=dataset.dim, K1=K1, K2=0, euclid=euclid,
-                    ip=[np.empty(0, dtype=np.int32) for _ in range(n)],
-                    self_dominator=flags, metadata=meta)
+                    ip=CsrEdges.empty(n), self_dominator=flags, metadata=meta)
 
 
 # module globals for worker processes (set once per worker by _stage2_init)
@@ -149,40 +140,28 @@ _S2_DATASET: Dataset | None = None
 _S2_ARGS: tuple | None = None
 
 
-def _stage2_init(adjacency, counts, data, ip_adj, ip_counts, K2, ls, seed, passno):
+def _stage2_init(adjacency, counts, data, accepted, K2, ls, seed, passno):
     global _S2_GRAPH, _S2_DATASET, _S2_ARGS
     _S2_GRAPH = SearchGraph(R=adjacency.shape[1], alpha=0.0,
                             adjacency=adjacency, counts=counts)
     _S2_DATASET = Dataset(data)
-    _S2_ARGS = (ip_adj, ip_counts, K2, ls, seed, passno)
-
-
-def _pack_edges(edge_lists: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged edge lists into a padded matrix (for cheap 2-hop gathers)."""
-    n = len(edge_lists)
-    mat = np.full((n, max(1, width)), -1, dtype=np.int32)
-    counts = np.zeros(n, dtype=np.int32)
-    for i, row in enumerate(edge_lists):
-        mat[i, :len(row)] = row
-        counts[i] = len(row)
-    return mat, counts
+    _S2_ARGS = (accepted, K2, ls, seed, passno)
 
 
 def _stage2_node(node: int, graph: SearchGraph, dataset: Dataset, base64: np.ndarray,
-                 ip_adj: np.ndarray | None, ip_counts: np.ndarray | None,
-                 K2: int, ls: int, seed: int, passno: int) -> tuple[np.ndarray, bool]:
+                 accepted: CsrEdges | None, K2: int, ls: int, seed: int,
+                 passno: int) -> tuple[np.ndarray, bool]:
     """MIP search from one node, then dominator selection over the survivors.
 
     Search entries: the node, its current graph neighbors, the 2-hop
-    frontier of its provisional IP edges (empty on the first sweep), and a
-    seeded random fill. The pool keeps the best ls of them.
+    frontier of the previous sweep's accepted IP edges (none on the first
+    sweep), and a seeded random fill. The pool keeps the best ls of them.
     """
     rng = np.random.default_rng([seed, passno, node])
     seeds = [node] + graph.neighbors(node).tolist()
-    if ip_adj is not None:
-        direct = ip_adj[node, :ip_counts[node]]
-        hop2 = ip_adj[direct].ravel()
-        seeds += hop2[hop2 >= 0].tolist()
+    if accepted is not None:
+        for direct in accepted[node]:
+            seeds += accepted[direct].tolist()
     fill = rng.choice(dataset.n, size=min(ls, dataset.n), replace=False).tolist()
     params = SearchParams(ls=ls, k=min(ls, dataset.n), seed=0,
                           entry_ids=tuple(seeds + fill))
@@ -198,22 +177,19 @@ def _stage2_node(node: int, graph: SearchGraph, dataset: Dataset, base64: np.nda
 def _stage2_chunk(bounds: tuple[int, int]) -> list[tuple[np.ndarray, bool]]:
     start, stop = bounds
     base64 = _S2_DATASET.data.astype(np.float64)
-    ip_adj, ip_counts, K2, ls, seed, passno = _S2_ARGS
-    return [_stage2_node(i, _S2_GRAPH, _S2_DATASET, base64, ip_adj, ip_counts,
+    accepted, K2, ls, seed, passno = _S2_ARGS
+    return [_stage2_node(i, _S2_GRAPH, _S2_DATASET, base64, accepted,
                          K2, ls, seed, passno)
             for i in range(start, stop)]
 
 
 def _stage2_sweep(graph: SearchGraph, dataset: Dataset,
-                  ip_lists: list[np.ndarray] | None, K2: int, ls: int,
+                  accepted: CsrEdges | None, K2: int, ls: int,
                   seed: int, passno: int, workers: int) -> list[tuple[np.ndarray, bool]]:
     n = dataset.n
-    ip_adj = ip_counts = None
-    if ip_lists is not None:
-        ip_adj, ip_counts = _pack_edges(ip_lists, K2)
     if workers <= 1:
         base64 = dataset.data.astype(np.float64)
-        return [_stage2_node(i, graph, dataset, base64, ip_adj, ip_counts,
+        return [_stage2_node(i, graph, dataset, base64, accepted,
                              K2, ls, seed, passno)
                 for i in range(n)]
     chunk = max(256, math.ceil(n / (workers * 4)))
@@ -222,13 +198,13 @@ def _stage2_sweep(graph: SearchGraph, dataset: Dataset,
     with ProcessPoolExecutor(
             max_workers=workers, initializer=_stage2_init,
             initargs=(graph.adjacency, graph.counts, dataset.data,
-                      ip_adj, ip_counts, K2, ls, seed, passno)) as pool:
+                      accepted, K2, ls, seed, passno)) as pool:
         for part in pool.map(_stage2_chunk, bounds):
             results.extend(part)
     return results
 
 
-def _mirror_ip(accepted: list[np.ndarray], base: np.ndarray, K2: int) -> list[np.ndarray]:
+def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
     """Merge the reverse copy of every dominator edge into its target's list,
     then keep each node's K2 best by descending inner product (ties by id).
 
@@ -236,20 +212,7 @@ def _mirror_ip(accepted: list[np.ndarray], base: np.ndarray, K2: int) -> list[np
     On heavy-tailed norms the edges point at a few high-norm hubs, so most
     nodes keep no IP in-edge (9,029 of 10,000 on the acceptance c07 panel).
     """
-    n = len(accepted)
-    arrivals: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(accepted):
-        for j in row.tolist():
-            arrivals[j].append(i)
-    out = []
-    for i in range(n):
-        merged = np.unique(np.concatenate((accepted[i],
-                                           np.asarray(arrivals[i], dtype=np.int32))))
-        merged = merged[merged != i].astype(np.int64)
-        ips = base[merged] @ base[i]
-        order = np.lexsort((merged, -ips))
-        out.append(merged[order][:K2].astype(np.int32))
-    return out
+    return _merge_reverse(accepted, _by_inner_product(base, K2))
 
 
 def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
@@ -263,8 +226,9 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     over the provisional graph including the previous sweep's IP edges,
     which sharply improves candidate quality at bounded search budgets
     (with ls = n one sweep is already exact). mirror=True adds the reverse
-    copy of every selected edge under the K2 cap. K2=0 leaves the index
-    unchanged apart from metadata. Results are independent of ``workers``.
+    copy of every selected edge under the K2 cap; metadata records the flag.
+    K2=0 leaves the index unchanged apart from metadata. Results are
+    independent of ``workers``.
     """
     if stage1.n != dataset.n or stage1.dim != dataset.dim:
         raise UsageError("stage-1 index does not match the dataset")
@@ -274,11 +238,10 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
         raise UsageError(f"passes must be >= 1, got {passes}")
     meta = dict(stage1.metadata)
     meta.update({"stage": 2, "K2": K2, "stage2_ls": ls, "stage2_seed": seed,
-                 "stage2_passes": passes})
+                 "stage2_passes": passes, "mirror": mirror})
     if K2 == 0:
         return MagIndex(n=stage1.n, dim=stage1.dim, K1=stage1.K1, K2=0,
-                        euclid=[e.copy() for e in stage1.euclid],
-                        ip=[np.empty(0, dtype=np.int32) for _ in range(stage1.n)],
+                        euclid=stage1.euclid.copy(), ip=CsrEdges.empty(stage1.n),
                         self_dominator=stage1.self_dominator.copy(), metadata=meta)
     if ls < K2:
         raise UsageError(f"search budget ls={ls} must be >= K2={K2}")
@@ -286,15 +249,13 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     n = stage1.n
     base64 = dataset.data.astype(np.float64)
     current = stage1
-    ip_lists: list[np.ndarray] | None = None
-    results: list[tuple[np.ndarray, bool]] = []
-    ip_edges: list[np.ndarray] = []
+    accepted: CsrEdges | None = None
     for passno in range(1, passes + 1):
         graph = materialize(current, R=max(1, current.K1 + current.K2), alpha=1.0)
-        results = _stage2_sweep(graph, dataset, ip_lists, K2, ls, seed, passno,
+        results = _stage2_sweep(graph, dataset, accepted, K2, ls, seed, passno,
                                 workers)
-        ip_lists = [edges for edges, _ in results]
-        ip_edges = _mirror_ip(ip_lists, base64, K2) if mirror else ip_lists
+        accepted = CsrEdges.from_rows([edges for edges, _ in results])
+        ip_edges = _mirror_ip(accepted, base64, K2) if mirror else accepted
         current = MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
                            euclid=stage1.euclid, ip=ip_edges,
                            self_dominator=stage1.self_dominator, metadata=meta)
@@ -304,26 +265,24 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     else:
         flags = np.fromiter((top for _, top in results), dtype=bool, count=n)
     return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
-                    euclid=[e.copy() for e in stage1.euclid], ip=ip_edges,
+                    euclid=stage1.euclid.copy(), ip=ip_edges,
                     self_dominator=flags, metadata=meta)
 
 
 def build_mag(dataset: Dataset, K: int, K1: int, K2: int, ls: int,
               knn_mode: str = "exact", seed: int = 0, workers: int = 1,
-              nndescent_iters: int = 10, passes: int = 3,
-              mirror: bool = True) -> MagIndex:
+              nndescent_iters: int = 10, passes: int = 3) -> MagIndex:
     """Convenience wrapper: stage 1 then stage 2."""
     stage1 = build_stage1(dataset, K, K1, knn_mode=knn_mode, seed=seed,
-                          nndescent_iters=nndescent_iters, mirror=mirror)
+                          nndescent_iters=nndescent_iters)
     return build_stage2(stage1, dataset, K2, ls, seed=seed, workers=workers,
-                        passes=passes, mirror=mirror)
+                        passes=passes)
 
 
 def index_to_bytes(index: MagIndex) -> bytes:
     parts = [MAGIC, struct.pack("<5I", VERSION, index.n, index.dim,
                                 index.K1, index.K2)]
-    for i in range(index.n):
-        e, p = index.euclid[i], index.ip[i]
+    for e, p in zip(index.euclid, index.ip):
         parts.append(struct.pack("<2I", len(e), len(p)))
         parts.append(e.astype("<u4").tobytes())
         parts.append(p.astype("<u4").tobytes())
@@ -369,8 +328,8 @@ def load_index(path: str) -> MagIndex:
     euclid, ip = [], []
     for _ in range(n):
         n_euc, n_ip = (int(v) for v in r.u32(2))
-        euclid.append(r.u32(n_euc).astype(np.int32))
-        ip.append(r.u32(n_ip).astype(np.int32))
+        euclid.append(r.u32(n_euc))
+        ip.append(r.u32(n_ip))
     flags = np.frombuffer(r.take(n), dtype=np.uint8).astype(bool)
     blob_len = int(r.u32(1)[0])
     blob = r.take(blob_len)
@@ -380,8 +339,8 @@ def load_index(path: str) -> MagIndex:
         metadata = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad metadata block: {exc}") from exc
-    index = MagIndex(n=n, dim=dim, K1=K1, K2=K2, euclid=euclid, ip=ip,
-                     self_dominator=flags, metadata=metadata)
+    index = MagIndex(n=n, dim=dim, K1=K1, K2=K2, euclid=CsrEdges.from_rows(euclid),
+                     ip=CsrEdges.from_rows(ip), self_dominator=flags, metadata=metadata)
     index.validate()
     return index
 

@@ -131,8 +131,7 @@ def scaling_records():
 def test_c01_dominator_graph_connectivity(theorem1_runs):
     """Exact dominator graph strongly connected on 20/20 runs in < 10 s."""
     datasets, ndgs, _, _, build_seconds = theorem1_runs
-    connected = sum(count_strong_components(ndg.ip, ds.n) == 1
-                    for ds, ndg in zip(datasets, ndgs))
+    connected = sum(count_strong_components(ndg) == 1 for ndg in ndgs)
     ok = connected == 20 and build_seconds < 10.0
     _report(1, "dominator-graph connectivity", ok,
             f"connected {connected}/20, build {build_seconds:.2f}s")
@@ -360,8 +359,8 @@ def test_c11_determinism():
     index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2, passes=2)
     graph = materialize(index, R=10, alpha=0.5)
     queries = generate_synthetic(SyntheticSpec("gaussian", n=25, dim=8, seed=9))
-    runs = [run_queries(graph, data, queries, ls=32, k=5, m=4, seed=3,
-                        threads=t) for t in (1, 1, 4)]
+    runs = [run_queries(graph, data, queries, ls=32, k=5, m=4, seed=3)
+            for _ in range(3)]
     sigs = [[(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in run]
             for run in runs]
     if not (sigs[0] == sigs[1] == sigs[2]):

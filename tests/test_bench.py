@@ -1,15 +1,17 @@
 """Synthetic generators, recall measurement, benchmark records, verify suite."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from magsearch import (Dataset, GroundTruth, MetricKind, UsageError,
                        build_mag, coefficient_of_variation,
                        compute_ground_truth, davies_bouldin,
-                       generate_synthetic, kmeans, materialize, recall_at_k,
+                       generate_synthetic, kmeans, recall_at_k,
                        run_benchmark, verify_suite)
 from magsearch.bench import (BENCH_CSV_HEADER, SyntheticSpec, VerifyLimits,
-                             records_to_csv, run_queries)
+                             records_to_csv)
 
 
 class TestRecallAtK:
@@ -89,14 +91,6 @@ class TestBenchmark:
         for lo, hi in zip(recalls, recalls[1:]):
             assert hi >= lo - 0.005
 
-    def test_thread_count_does_not_change_results(self, bench_setup):
-        data, queries, gt, index = bench_setup
-        graph = materialize(index, R=12, alpha=0.5)
-        a = run_queries(graph, data, queries, ls=32, k=10, seed=9, threads=1)
-        b = run_queries(graph, data, queries, ls=32, k=10, seed=9, threads=4)
-        assert [r.ids.tolist() for r in a] == [r.ids.tolist() for r in b]
-        assert [r.stats.dist_comps for r in a] == [r.stats.dist_comps for r in b]
-
     def test_qps_positive_and_counters_exact(self, bench_setup):
         data, queries, gt, index = bench_setup
         records = run_benchmark(index, data, queries, gt, ls_list=[16],
@@ -104,6 +98,21 @@ class TestBenchmark:
         rec = records[0]
         assert rec.qps > 0
         assert rec.dist_comps > 0 and rec.hops > 0
+
+
+@pytest.mark.parametrize("module,name", [
+    ("magsearch.index", "build_exact_knn"),
+    ("magsearch.index", "self_dominator_set"),
+    ("magsearch.index", "greedy_search"),
+    ("magsearch.index", "materialize"),
+    ("magsearch.bench", "greedy_search"),
+    ("magsearch.bench", "anms_search"),
+    ("magsearch.search", "score_batch"),
+])
+def test_traced_call_sites_exist(module, name):
+    # perfbench's per-layer trace rebinds these module attributes and
+    # silently skips a missing one, which would read as a zero layer time
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 class TestVerifySuite:
@@ -118,7 +127,7 @@ class TestVerifySuite:
     def test_detects_injected_self_loop(self):
         data = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=1))
         index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1, passes=1)
-        index.euclid[5] = np.array([5], dtype=np.int32)
+        index.euclid.ids[index.euclid.offsets[5]] = 5
         report = verify_suite(dataset=data, index=index,
                               limits=VerifyLimits(max_n_exact=0))
         failing = [c for c in report.checks if not c.passed]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from magsearch import (Dataset, MetricKind, UsageError, brute_force_topk,
-                       build_exact_knn, build_exact_ndg, build_nndescent_knn,
-                       knn_recall, mrng_prune, ndg_select,
+from magsearch import (CsrEdges, Dataset, MetricKind, UsageError,
+                       brute_force_topk, build_exact_knn, build_exact_ndg,
+                       build_nndescent_knn, knn_recall, mrng_prune, ndg_select,
                        count_strong_components, self_dominator_set)
 
 
@@ -161,9 +161,9 @@ class TestExactNdg:
     def test_three_point_structure(self):
         ds = Dataset.from_array([[2, 0], [0, 2], [0.9, 0.9]])
         ndg = build_exact_ndg(ds)
-        assert count_strong_components(ndg.ip, 3) == 1
+        assert count_strong_components(ndg) == 1
         # every node ends up linked to both self-dominators {0, 1}
-        for i, row in enumerate(ndg.ip):
+        for i, row in enumerate(ndg):
             expected = {0, 1} - {i}
             assert expected <= set(row.tolist())
 
@@ -171,7 +171,7 @@ class TestExactNdg:
         ndg = build_exact_ndg(small_gaussian)
         base = small_gaussian.data.astype(np.float64)
         for i in (0, 50, 150):
-            row = ndg.ip[i]
+            row = ndg[i]
             ips = base[row] @ base[i]
             keys = list(zip(-ips, row))
             assert keys == sorted(keys)
@@ -200,5 +200,5 @@ class TestStrongComponents:
                  np.array([0], np.int32)]
         chain = [np.array([1], np.int32), np.array([2], np.int32),
                  np.array([], np.int32)]
-        assert count_strong_components(cycle, 3) == 1
-        assert count_strong_components(chain, 3) == 3
+        assert count_strong_components(CsrEdges.from_rows(cycle)) == 1
+        assert count_strong_components(CsrEdges.from_rows(chain)) == 3

@@ -71,6 +71,14 @@ class TestStage2:
             order = others[np.lexsort((others, -ips[others]))]
             assert idx.ip[i].tolist() == ndg_select(i, order, ds, 6).tolist()
 
+    def test_mirror_flag_recorded_by_stage2(self, rng):
+        ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
+        stage1 = build_stage1(ds, K=8, K1=4)
+        on = build_stage2(stage1, ds, K2=4, ls=16, passes=1)
+        off = build_stage2(stage1, ds, K2=4, ls=16, passes=1, mirror=False)
+        assert on.metadata["mirror"] is True
+        assert off.metadata["mirror"] is False
+
     def test_k2_zero_identity(self, rng):
         ds = Dataset(rng.standard_normal((150, 6)).astype(np.float32))
         stage1 = build_stage1(ds, K=12, K1=6, seed=1)
@@ -191,7 +199,7 @@ class TestValidate:
         data, index = built
         import copy
         broken = copy.deepcopy(index)
-        broken.euclid[3] = np.array([3], dtype=np.int32)
+        broken.euclid.ids[broken.euclid.offsets[3]] = 3
         with pytest.raises(UsageError, match="self-loop"):
             broken.validate()
 
@@ -199,7 +207,7 @@ class TestValidate:
         import copy
         _, index = built
         broken = copy.deepcopy(index)
-        broken.ip[0] = np.array([10 ** 6], dtype=np.int32)
+        broken.ip.ids[broken.ip.offsets[0]] = 10 ** 6
         with pytest.raises(UsageError, match="range"):
             broken.validate()
 
