@@ -24,7 +24,7 @@ from .index import MagIndex, build_mag, index_to_bytes, load_index, materialize
 from .io import GroundTruth, compute_ground_truth
 from .metrics import Dataset, MetricKind
 from .search import (SearchGraph, SearchParams, SearchResult, anms_search,
-                     greedy_search, verify_scaling_duality)
+                     greedy_search, lockstep_search, verify_scaling_duality)
 from .stats import dominator_probability, dominator_probability_mc, self_dominator_set
 
 BENCH_CSV_HEADER = "ls,alpha,m,R,recall,qps,dist_comps,hops"
@@ -90,20 +90,11 @@ def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
     """Search the whole panel; per-query seeds derive from (seed, query id).
 
     m > 0 uses the metric-switch search (IP target); m = 0 runs plain
-    greedy search under ``metric``.
+    greedy search under ``metric``. The queries run in lockstep blocks
+    (``search.lockstep_search``), with the results of one search per query.
     """
-    if m > 0 and metric is not MetricKind.INNER_PRODUCT:
-        raise UsageError("the metric switch targets inner product; use m=0 for l2")
-
-    results = []
-    for qid in range(queries.n):
-        params = SearchParams(ls=ls, k=k, m=m, seed=(seed, qid))
-        q = queries.vector(qid)
-        if m > 0:
-            results.append(anms_search(graph, dataset, q, params))
-        else:
-            results.append(greedy_search(graph, dataset, q, params, metric))
-    return results
+    return lockstep_search(graph, dataset, queries.data, ls=ls, k=k, m=m,
+                           seed=seed, metric=metric)
 
 
 @dataclass

@@ -16,10 +16,10 @@ from .bench import (SCALE_CSV_HEADER, SyntheticSpec, VerifyLimits, config_line,
                     generate_synthetic, records_to_csv, run_benchmark,
                     run_scaling_study, verify_suite)
 from .errors import FormatError, UsageError
-from .index import build_mag, load_index, materialize, save_index
+from .index import MagIndex, build_mag, load_index, materialize, save_index
 from .io import (compute_ground_truth, load_ground_truth, read_fvecs,
                  save_ground_truth, write_fvecs)
-from .metrics import MetricKind
+from .metrics import Dataset, MetricKind
 from .stats import compute_stats, tuning_hint
 
 
@@ -38,6 +38,15 @@ def _write_out(path: str | None, text: str) -> None:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _load_matching_index(path: str, data: Dataset) -> MagIndex:
+    """Load an index and check that it was built on data of this shape."""
+    index = load_index(path)
+    if (index.n, index.dim) != (data.n, data.dim):
+        raise UsageError(f"index has {index.n} vectors of dim {index.dim}, "
+                         f"but the data file has {data.n} of dim {data.dim}")
+    return index
 
 
 def cmd_gen(args) -> int:
@@ -92,8 +101,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_search(args) -> int:
-    index = load_index(args.index)
     data = read_fvecs(args.data)
+    index = _load_matching_index(args.index, data)
     queries = read_fvecs(args.queries)
     metric = _metric(args.metric)
     if args.m > 0 and metric is not MetricKind.INNER_PRODUCT:
@@ -110,8 +119,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    index = load_index(args.index)
     data = read_fvecs(args.data)
+    index = _load_matching_index(args.index, data)
     queries = read_fvecs(args.queries)
     gt = load_ground_truth(args.gt)
     ls_list = [int(v) for v in args.ls.split(",")]

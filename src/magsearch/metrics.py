@@ -1,9 +1,9 @@
 """Vector storage and the two similarity kernels everything else builds on.
 
 Vectors live in float32, row-major. Runtime scoring accumulates in float32
-(BLAS order, which must agree with sequential accumulation within 1e-4
-relative); oracle and construction paths may request float64 accumulation
-via ``high_precision``.
+(``np.vecdot`` order, which must agree with sequential accumulation within
+1e-4 relative); oracle and construction paths may request float64
+accumulation via ``high_precision``.
 
 Ordering convention: inner product, larger is better; squared Euclidean
 distance, smaller is better. All ties everywhere break toward the lower
@@ -121,13 +121,20 @@ def is_better(metric: MetricKind, score_a: float, id_a: int,
 
 def score_batch(metric: MetricKind, q: np.ndarray, block: np.ndarray,
                 high_precision: bool = False) -> np.ndarray:
-    """Score every row of ``block`` against q; float64 when high_precision."""
+    """Score every row of ``block`` against q; float64 when high_precision.
+
+    q is one vector, or one per row: it broadcasts against ``block`` over
+    every axis but the last, so a (B, R, d) block takes a (B, 1, d) q.
+    ``np.vecdot`` scores each row on its own, so a row's score does not
+    depend on how many rows share the call. BLAS ``rows @ q`` does not
+    promise that, and the lockstep search relies on it.
+    """
     dtype = np.float64 if high_precision else np.float32
     qv = np.asarray(q, dtype=dtype)
     rows = np.asarray(block, dtype=dtype)
-    if rows.shape[-1] != qv.shape[0]:
-        raise UsageError(f"dimension mismatch: {rows.shape[-1]} vs {qv.shape[0]}")
+    if rows.shape[-1] != qv.shape[-1]:
+        raise UsageError(f"dimension mismatch: {rows.shape[-1]} vs {qv.shape[-1]}")
     if metric is MetricKind.INNER_PRODUCT:
-        return rows @ qv
+        return np.vecdot(rows, qv)
     diff = rows - qv
-    return np.einsum("ij,ij->i", diff, diff)
+    return np.vecdot(diff, diff)

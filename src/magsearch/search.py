@@ -248,16 +248,20 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
             pool.check_invariants()
 
 
-def _check_query(graph: SearchGraph, dataset: Dataset, q, params: SearchParams) -> np.ndarray:
+def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
+                 ndim: int = 1) -> np.ndarray:
+    """q as float32 with ndim axes: one query (1) or a panel (2)."""
     if graph.n == 0:
         raise UsageError("empty graph")
     if graph.n != dataset.n:
         raise UsageError(f"graph has {graph.n} nodes but dataset has {dataset.n}")
     qv = np.asarray(q, dtype=np.float32)
-    if qv.ndim != 1 or qv.shape[0] != dataset.dim:
+    if qv.ndim != ndim or qv.shape[-1] != dataset.dim:
         raise UsageError(f"query shape {qv.shape} does not match dim {dataset.dim}")
-    if params.k > dataset.n:
-        raise UsageError(f"k={params.k} exceeds n={dataset.n}")
+    if not np.isfinite(qv).all():
+        raise UsageError("query contains NaN or Inf values")
+    if k > dataset.n:
+        raise UsageError(f"k={k} exceeds n={dataset.n}")
     return qv
 
 
@@ -265,7 +269,7 @@ def greedy_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
                   metric: MetricKind, high_precision: bool = False,
                   record_trace: bool = False, debug: bool = False) -> SearchResult:
     """Single-metric beam search: expand best-unvisited until pool exhaustion."""
-    qv = _check_query(graph, dataset, q, params)
+    qv = _check_query(graph, dataset, q, params.k)
     pool, seen, stats = _init_state(graph, dataset, qv, params, metric, high_precision)
     trace: list[int] | None = [] if record_trace else None
     _expand_loop(pool, graph, dataset, qv, metric, seen, stats,
@@ -287,7 +291,7 @@ def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
         return greedy_search(graph, dataset, q, params, MetricKind.INNER_PRODUCT,
                              high_precision=high_precision,
                              record_trace=record_trace, debug=debug)
-    qv = _check_query(graph, dataset, q, params)
+    qv = _check_query(graph, dataset, q, params.k)
     pool, seen, stats = _init_state(graph, dataset, qv, params,
                                     MetricKind.EUCLIDEAN, high_precision)
     trace: list[int] | None = [] if record_trace else None
@@ -306,6 +310,142 @@ def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
                  high_precision=high_precision, trace=trace, debug=debug)
     out = pool.ids_best_first()[:params.k]
     return SearchResult(ids=out, stats=stats, trace=trace)
+
+
+# Bytes that one block of the lockstep engine may hold. The block size
+# derives from the shapes (_block_size), so its (B, n) seen masks stay under
+# this budget whatever the panel size.
+_BLOCK_BYTES = 1 << 24
+_NO_KEY = np.uint64(2 ** 64 - 1)  # sorts after every real pool key
+
+
+def _pool_keys(metric: MetricKind, scores: np.ndarray, ids: np.ndarray,
+               visited: np.ndarray | np.uint64 = np.uint64(0)) -> np.ndarray:
+    """uint64 keys that sort ascending in the pool's (score, id) order.
+
+    The high 32 bits are the float32 score, negated when larger is better
+    and with -0.0 folded into 0.0, mapped to unsigned bits that order as the
+    floats do. The low 32 bits are ``id << 1 | visited``. Scores must not be
+    NaN, which is why queries must be finite.
+    """
+    s = (-scores if metric.larger_is_better else scores) + np.float32(0.0)
+    bits = s.astype(np.float32, copy=False).view(np.uint32)
+    bits = bits ^ ((bits >> np.uint32(31)) * np.uint32(0x7FFFFFFF)
+                   | np.uint32(0x80000000))
+    return ((bits.astype(np.uint64) << np.uint64(32))
+            | (ids.astype(np.uint64) << np.uint64(1)) | visited)
+
+
+def _key_ids(keys: np.ndarray) -> np.ndarray:
+    return ((keys & np.uint64(0xFFFFFFFF)) >> np.uint64(1)).astype(np.intp)
+
+
+def _block_size(n: int, width: int, dim: int) -> int:
+    """Queries per block: each holds an n-byte seen mask, ``width`` uint64
+    pool keys, and at seeding a (width, dim) float32 gather and its L2
+    difference."""
+    return max(1, _BLOCK_BYTES // (n + 8 * width * (dim + 1)))
+
+
+def _lockstep_expand(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
+                     keys: np.ndarray, seen: np.ndarray, comps: np.ndarray,
+                     hops: np.ndarray, metric: MetricKind,
+                     max_expansions: int | None = None) -> None:
+    """``_expand_loop`` for a block of queries, one expansion each per step.
+
+    keys is the (B, L) sorted pools, seen the (B, n) masks, comps and hops
+    the (B,) counters; all are updated in place. A query leaves the step
+    loop when its pool has no unvisited entry or after max_expansions.
+    """
+    width, R = keys.shape[1], graph.adjacency.shape[1]
+    live = np.arange(len(keys))
+    step = 0
+    while max_expansions is None or step < max_expansions:
+        unvisited = (keys[live] & np.uint64(1)) == 0
+        open_ = unvisited.any(axis=1)
+        live, unvisited = live[open_], unvisited[open_]
+        if not live.size:
+            break
+        best = unvisited.argmax(axis=1)
+        keys[live, best] |= np.uint64(1)
+        node = _key_ids(keys[live, best])
+        hops[live] += 1
+        step += 1
+        valid = np.arange(R) < graph.counts[node][:, None]
+        nbrs = np.where(valid, graph.adjacency[node], 0)
+        fresh = valid & ~seen[live[:, None], nbrs]
+        # assign only the fresh cells: a padded cell reads node 0 as well
+        who, col = np.nonzero(fresh)
+        vid = nbrs[who, col]
+        qid = live[who]
+        seen[qid, vid] = True
+        comps[live] += fresh.sum(axis=1)
+        new = _pool_keys(metric, score_batch(metric, qs[qid], data[vid]), vid)
+        # pools are full from seeding on: a key no better than the worst
+        # entry cannot get in
+        better = new < keys[qid, width - 1]
+        cand = np.full(nbrs.shape, _NO_KEY)
+        cand[who[better], col[better]] = new[better]
+        touched = np.unique(who[better])
+        rows = live[touched]
+        keys[rows] = np.sort(np.concatenate((keys[rows], cand[touched]), axis=1),
+                             axis=1)[:, :width]
+
+
+def _lockstep_block(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
+                    ls: int, k: int, m: int, seeds: list,
+                    metric: MetricKind) -> list[SearchResult]:
+    """One block of ``lockstep_search``; query i is seeded with seeds[i]."""
+    nq, n = len(qs), graph.n
+    entries = np.stack([np.random.default_rng(s).choice(n, size=min(ls, n),
+                                                        replace=False)
+                        for s in seeds])
+    seen = np.zeros((nq, n), dtype=bool)
+    seen[np.arange(nq)[:, None], entries] = True
+    comps = np.full(nq, entries.shape[1], dtype=np.int64)
+    hops = np.zeros(nq, dtype=np.int64)
+    first = MetricKind.EUCLIDEAN if m > 0 else metric
+    keys = np.sort(_pool_keys(first, score_batch(first, qs[:, None], data[entries]),
+                              entries), axis=1)
+    if m > 0:  # metric is inner product here
+        _lockstep_expand(graph, data, qs, keys, seen, comps, hops, first,
+                         max_expansions=m)
+        ids = _key_ids(keys)
+        scores = score_batch(metric, qs[:, None], data[ids])
+        keys = np.sort(_pool_keys(metric, scores, ids, keys & np.uint64(1)),
+                       axis=1)
+        comps += keys.shape[1]
+    _lockstep_expand(graph, data, qs, keys, seen, comps, hops, metric)
+    ids = _key_ids(keys[:, :k]).astype(np.int32)
+    return [SearchResult(ids=row, stats=SearchStats(dist_comps=c, hops=h))
+            for row, c, h in zip(ids, comps.tolist(), hops.tolist())]
+
+
+def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
+                    k: int, m: int = 0, seed: int = 0,
+                    metric: MetricKind = MetricKind.INNER_PRODUCT
+                    ) -> list[SearchResult]:
+    """Search a (nq, dim) panel; query i is seeded at random with (seed, i).
+
+    Query i gets the ids, dist_comps and hops that ``anms_search`` (m > 0)
+    or ``greedy_search`` under ``metric`` (m = 0) give it alone with
+    ``SearchParams(ls, k, m, seed=(seed, i))``. Blocks of queries advance
+    in lockstep, one expansion per query per step: one neighbour gather,
+    one seen-mask lookup, one ``score_batch`` call and one sort of the
+    block's pools, held as ``_pool_keys``.
+    """
+    SearchParams(ls=ls, k=k, m=m)  # checks ls, k and m
+    if m > 0 and metric is not MetricKind.INNER_PRODUCT:
+        raise UsageError("the metric switch targets inner product; use m=0 for l2")
+    qs = _check_query(graph, dataset, queries, k, ndim=2)
+    block = _block_size(graph.n, min(ls, graph.n), dataset.dim)
+    results: list[SearchResult] = []
+    for start in range(0, len(qs), block):
+        stop = min(start + block, len(qs))
+        results.extend(_lockstep_block(
+            graph, dataset.data, qs[start:stop], ls, k, m,
+            [(seed, qid) for qid in range(start, stop)], metric))
+    return results
 
 
 @dataclass

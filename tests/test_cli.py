@@ -70,6 +70,36 @@ def test_search_rejects_m_with_l2(workspace):
                  "--k", "5", "--m", "3", "--metric", "l2"]) == 2
 
 
+def test_index_must_match_the_data(tmp_path, capsys):
+    # an index built on 400 vectors of d=8, run against 400 vectors of d=16
+    base8, base16 = str(tmp_path / "b8.fvecs"), str(tmp_path / "b16.fvecs")
+    base500, q16 = str(tmp_path / "b500.fvecs"), str(tmp_path / "q16.fvecs")
+    q8, gt, index = (str(tmp_path / "q8.fvecs"), str(tmp_path / "gt.ivecs"),
+                     str(tmp_path / "i.mag"))
+    for path, n, dim in ((base8, 400, 8), (base16, 400, 16), (base500, 500, 8),
+                         (q16, 5, 16), (q8, 5, 8)):
+        assert main(["gen", "--n", str(n), "--dim", str(dim), "--seed", "1",
+                     "--out", path]) == 0
+    assert main(["build", "--data", base8, "--K", "12", "--K1", "6", "--K2", "6",
+                 "--ls", "24", "--passes", "1", "--out", index]) == 0
+    assert main(["gt", "--data", base8, "--queries", q8, "--k", "5",
+                 "--out", gt]) == 0
+    capsys.readouterr()
+    search = ["search", "--index", index, "--R", "10", "--alpha", "0.5",
+              "--ls", "16", "--k", "5"]
+    bench = ["bench", "--index", index, "--gt", gt, "--ls", "16", "--R", "10",
+             "--alpha", "0.5", "--k", "5", "--reps", "1"]
+    for argv in (search + ["--data", base16, "--queries", q16],
+                 search + ["--data", base500, "--queries", q8],
+                 bench + ["--data", base16, "--queries", q16],
+                 bench + ["--data", base500, "--queries", q8]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "index has 400 vectors of dim 8" in captured.err
+    assert main(search + ["--data", base8, "--queries", q8]) == 0
+
+
 def test_stats_json(workspace, capsys):
     root, base, _ = workspace
     assert main(["stats", "--data", base, "--clusters", "8", "--seed", "0",

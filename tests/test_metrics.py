@@ -70,6 +70,30 @@ class TestKernels:
         assert out.dtype == np.float64
 
 
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("high_precision", [False, True])
+    @pytest.mark.parametrize("d", [7, 16, 100])
+    def test_row_score_independent_of_batch(self, rng, metric, high_precision, d):
+        # the lockstep search scores a row alone, in a 2-D block or in a
+        # (B, R, d) batch, and needs the same bits from each
+        B, R = 6, 9
+        dtype = np.float64 if high_precision else np.float32
+        block = rng.standard_normal((B, R, d)).astype(dtype)
+        qs = rng.standard_normal((B, d)).astype(dtype)
+        batch = score_batch(metric, qs[:, None], block, high_precision)
+        flat = score_batch(metric, np.repeat(qs, R, axis=0),
+                           block.reshape(B * R, d), high_precision)
+        assert batch.shape == (B, R)
+        assert batch.dtype == dtype
+        assert np.array_equal(flat, batch.ravel())
+        for b in range(B):
+            rows = score_batch(metric, qs[b], block[b], high_precision)
+            assert np.array_equal(rows, batch[b])
+            for r in range(R):
+                alone = score_batch(metric, qs[b], block[b, r:r + 1], high_precision)
+                assert alone[0] == batch[b, r]
+
+
 class TestScoreAndComparator:
     def test_score_dispatch(self):
         assert score(MetricKind.INNER_PRODUCT, [1, 1], [2, 0]) == 2.0

@@ -10,6 +10,8 @@ from magsearch import (CandidatePool, Dataset, EntryPolicy, MetricKind,
                        euclidean_medoid, greedy_search, materialize,
                        recall_at_k, verify_scaling_duality)
 from magsearch.bench import run_queries
+from magsearch.metrics import sort_key
+from magsearch.search import lockstep_search
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +167,17 @@ class TestGreedySearch:
                           SearchParams(ls=8, k=2, entry_ids=(data.n + 5,)),
                           MetricKind.INNER_PRODUCT)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, searchable, bad):
+        data, graph = searchable
+        q = np.ones(8, np.float32)
+        q[3] = bad
+        with pytest.raises(UsageError, match="NaN or Inf"):
+            greedy_search(graph, data, q, SearchParams(ls=8, k=2),
+                          MetricKind.INNER_PRODUCT)
+        with pytest.raises(UsageError, match="NaN or Inf"):
+            anms_search(graph, data, q, SearchParams(ls=8, k=2, m=3))
+
 
 class TestMedoid:
     def test_hand_value(self):
@@ -234,6 +247,159 @@ class TestRecallBehavior:
         gt = compute_ground_truth(data, queries, 10, MetricKind.INNER_PRODUCT)
         results = run_queries(graph, data, queries, ls=data.n, k=10, seed=0)
         assert recall_at_k([r.ids for r in results], gt, 10) == 1.0
+
+
+def random_graph(n, R, seed):
+    """Rows of 1..R distinct non-self neighbours, padded with -1; node 0 is
+    a neighbour of every third node, so a padded row also lists node 0."""
+    rng = np.random.default_rng(seed)
+    adj = np.full((n, R), -1, dtype=np.int32)
+    counts = rng.integers(1, R + 1, size=n).astype(np.int32)
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        row = rng.choice(others, size=counts[i], replace=False)
+        if i % 3 == 1 and 0 not in row:
+            row[-1] = 0
+        adj[i, :counts[i]] = row
+    return SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
+
+
+def assert_matches_scalar(graph, data, queries, ls, k, m=0, seed=0,
+                          metric=MetricKind.INNER_PRODUCT):
+    """lockstep_search gives each query the ids and counters of its own
+    greedy_search (m = 0) or anms_search (m > 0) call."""
+    got = lockstep_search(graph, data, queries.data, ls=ls, k=k, m=m, seed=seed,
+                          metric=metric)
+    assert len(got) == queries.n
+    for qid, res in enumerate(got):
+        params = SearchParams(ls=ls, k=k, m=m, seed=(seed, qid))
+        q = queries.vector(qid)
+        want = (anms_search(graph, data, q, params) if m
+                else greedy_search(graph, data, q, params, metric))
+        assert res.ids.tolist() == want.ids.tolist(), qid
+        assert (res.stats.dist_comps, res.stats.hops) == \
+            (want.stats.dist_comps, want.stats.hops), qid
+    return got
+
+
+class TestLockstep:
+    """The lockstep engine against the per-query search, its oracle."""
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_pool_keys_sort_as_score_id_tuples(self, rng, metric):
+        scores = rng.standard_normal(300).astype(np.float32)
+        special = np.float32([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf])
+        scores[:40] = rng.choice(special, 40)
+        ids = rng.permutation(10_000)[:300]
+        keys = search_mod._pool_keys(metric, scores, ids)
+        want = sorted(zip(scores.tolist(), ids.tolist()),
+                      key=lambda t: sort_key(metric, *t))
+        assert search_mod._key_ids(np.sort(keys)).tolist() == [i for _, i in want]
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        rng = np.random.default_rng(41)
+        return Dataset(rng.standard_normal((40, 8)).astype(np.float32))
+
+    @pytest.mark.parametrize("ls", [10, 16, 40])
+    def test_ip(self, searchable, panel, ls):
+        data, graph = searchable
+        assert_matches_scalar(graph, data, panel, ls=ls, k=10, seed=2)
+
+    @pytest.mark.parametrize("m", [1, 5, 20])
+    def test_metric_switch(self, searchable, panel, m):
+        data, graph = searchable
+        assert_matches_scalar(graph, data, panel, ls=24, k=10, m=m, seed=3)
+
+    def test_switch_after_every_search_ends(self, searchable, panel):
+        data, graph = searchable
+        m = 10 ** 6
+        got = assert_matches_scalar(graph, data, panel, ls=24, k=10, m=m, seed=4)
+        assert max(r.stats.hops for r in got) < m
+
+    def test_l2(self, searchable, panel):
+        data, graph = searchable
+        assert_matches_scalar(graph, data, panel, ls=20, k=10, seed=5,
+                              metric=MetricKind.EUCLIDEAN)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_saturated_pool_is_exact(self, searchable, panel, metric):
+        data, graph = searchable
+        got = assert_matches_scalar(graph, data, panel, ls=data.n, k=10, seed=6,
+                                    metric=metric)
+        for qid, res in enumerate(got):
+            oracle = brute_force_topk(data, panel.vector(qid), 10, metric)
+            assert res.ids.tolist() == oracle.tolist()
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_pool_larger_than_n(self, searchable, panel, m):
+        data, graph = searchable
+        assert_matches_scalar(graph, data, panel, ls=data.n + 50, k=10, m=m, seed=7)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_padded_rows_that_list_node_zero(self, rng, m):
+        data = Dataset(rng.standard_normal((90, 6)).astype(np.float32))
+        queries = Dataset(rng.standard_normal((60, 6)).astype(np.float32))
+        graph = random_graph(90, 7, seed=8)
+        assert (graph.counts < 7).any() and (graph.adjacency == 0).any()
+        assert_matches_scalar(graph, data, queries, ls=6, k=4, m=m, seed=9)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_duplicate_vectors_tie_by_id(self, rng, metric):
+        unique = rng.standard_normal((20, 5)).astype(np.float32)
+        data = Dataset(np.ascontiguousarray(np.repeat(unique, 4, axis=0)))
+        queries = Dataset(rng.standard_normal((30, 5)).astype(np.float32))
+        graph = random_graph(80, 10, seed=10)
+        got = assert_matches_scalar(graph, data, queries, ls=12, k=8, seed=11,
+                                    metric=metric)
+        # some result holds two ids of one vector, so the tie decided it
+        assert any(len(np.unique(data.data[r.ids], axis=0)) < len(r.ids)
+                   for r in got)
+
+    def test_zero_query_ties_by_id(self, searchable):
+        data, graph = searchable
+        zero = Dataset(np.zeros((3, 8), dtype=np.float32))
+        got = assert_matches_scalar(graph, data, zero, ls=data.n, k=10, seed=12)
+        assert all(r.ids.tolist() == list(range(10)) for r in got)
+
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_any_block_size(self, searchable, panel, monkeypatch, m):
+        data, graph = searchable
+        assert search_mod._block_size(data.n, 24, data.dim) >= panel.n
+        whole = assert_matches_scalar(graph, data, panel, ls=24, k=10, m=m, seed=13)
+        for block in (1, 2, 3, 7, panel.n - 1):
+            monkeypatch.setattr(search_mod, "_block_size", lambda *_: block)
+            got = lockstep_search(graph, data, panel.data, ls=24, k=10, m=m, seed=13)
+            assert [(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in got] \
+                == [(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in whole]
+
+    def test_block_masks_stay_in_budget(self):
+        # a block holds at least one query, whose mask alone may exceed it
+        for n in (10, 1200, 64_000, 10 ** 8):
+            block = search_mod._block_size(n, 128, 16)
+            assert block >= 1
+            assert block * n <= max(search_mod._BLOCK_BYTES, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, searchable, panel, bad):
+        data, graph = searchable
+        qs = panel.data.copy()
+        qs[7, 2] = bad
+        for m in (0, 3):
+            with pytest.raises(UsageError, match="NaN or Inf"):
+                lockstep_search(graph, data, qs, ls=16, k=5, m=m)
+
+    def test_panel_checks(self, searchable, panel):
+        data, graph = searchable
+        wide = Dataset(np.ones((4, 9), dtype=np.float32))
+        with pytest.raises(UsageError, match="does not match dim"):
+            run_queries(graph, data, wide, ls=16, k=5)
+        other = Dataset(data.data[:-1].copy())
+        with pytest.raises(UsageError, match="nodes but dataset has"):
+            run_queries(graph, other, panel, ls=16, k=5)
+        with pytest.raises(UsageError, match="targets inner product"):
+            run_queries(graph, data, panel, ls=16, k=5, m=2,
+                        metric=MetricKind.EUCLIDEAN)
 
 
 class TestScalingDuality:
