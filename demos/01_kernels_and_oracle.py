@@ -13,11 +13,9 @@ import numpy as np
 import magsearch as ms
 
 x, y = np.array([3.0, 4.0]), np.array([1.0, 2.0])
-print("inner_product(x, y) =", ms.inner_product(x, y))
-print("euclidean_sq(x, y)  =", ms.euclidean_sq(x, y))
-print("norm(x)             =", ms.norm(x))
-print("binding identity    =",
-      ms.norm(x) ** 2 + ms.norm(y) ** 2 - 2 * ms.inner_product(x, y))
+print("<x, y>                 =", np.dot(x, y))
+print("|x - y|^2              =", np.dot(x - y, x - y))
+print("|x|^2 + |y|^2 - 2<x,y> =", np.dot(x, x) + np.dot(y, y) - 2 * np.dot(x, y))
 
 rng = np.random.default_rng(0)
 data = ms.Dataset(rng.standard_normal((1000, 16)).astype(np.float32))

@@ -37,7 +37,7 @@ for i in range(data.n):
     ips = base @ base[i]
     others = ids[ids != i]
     order = others[np.lexsort((others, -ips[others]))]
-    accepted = ms.ndg_select(i, order, data, None)
+    accepted = ms.ndg_select(i, order, base, None)
     bad += sum(1 for j in accepted[1:] if int(j) not in census)
 print("accepted-beyond-first outside the census:", bad)
 
@@ -48,6 +48,6 @@ diff = base - base[node]
 d2 = np.einsum("ij,ij->i", diff, diff)
 others = ids[ids != node]
 order = others[np.lexsort((others, d2[others]))]
-kept = ms.mrng_prune(node, order, d2[order], data, 8)
+kept = ms.mrng_prune(node, order, d2[order], base, 8)
 print(f"\nnode 0 keeps {len(kept)} of {len(order)} Euclidean candidates:",
       kept.tolist())

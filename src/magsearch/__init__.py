@@ -8,10 +8,10 @@ can start under Euclidean distance and switch to inner product after m
 expansions.
 """
 
-from .bench import (BenchRecord, ScaleRecord, SyntheticSpec, VerifyLimits,
-                    VerifyReport, bench_one, find_ls_for_recall,
-                    generate_synthetic, recall_at_k, run_benchmark,
-                    run_queries, run_scaling_study, verify_suite)
+from .bench import (BenchRecord, ScaleRecord, SyntheticSpec, VerifyReport,
+                    bench_one, find_ls_for_recall, generate_synthetic,
+                    recall_at_k, run_benchmark, run_queries,
+                    run_scaling_study, verify_suite)
 from .construction import (CsrEdges, KnnGraph, build_exact_knn,
                            build_exact_ndg, build_nndescent_knn,
                            count_strong_components, knn_recall, mrng_prune,
@@ -22,8 +22,7 @@ from .index import (MagIndex, build_mag, build_stage1, build_stage2,
 from .io import (GroundTruth, brute_force_topk, compute_ground_truth,
                  load_ground_truth, read_fvecs, read_ivecs,
                  save_ground_truth, write_fvecs, write_ivecs)
-from .metrics import (Dataset, MetricKind, euclidean_sq, inner_product,
-                      is_better, norm, score, score_batch)
+from .metrics import Dataset, MetricKind, score_batch
 from .search import (CandidatePool, DualityReport, EntryPolicy, SearchGraph,
                      SearchParams, SearchResult, anms_search,
                      euclidean_medoid, greedy_search, verify_scaling_duality)

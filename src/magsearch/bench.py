@@ -17,18 +17,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (_ndg_select_base, build_exact_ndg,
-                           count_strong_components)
+from .construction import (_by_inner_product, build_exact_ndg,
+                           count_strong_components, ndg_select)
 from .errors import FormatError, UsageError
 from .index import MagIndex, build_mag, index_to_bytes, load_index, materialize
 from .io import GroundTruth, compute_ground_truth
 from .metrics import Dataset, MetricKind
 from .search import (SearchGraph, SearchParams, SearchResult, anms_search,
                      greedy_search, lockstep_search, verify_scaling_duality)
-from .stats import dominator_probability, dominator_probability_mc, self_dominator_set
+from .stats import (best_cross_inner_product, dominator_probability,
+                    dominator_probability_mc)
 
 BENCH_CSV_HEADER = "ls,alpha,m,R,recall,qps,dist_comps,hops"
 SCALE_CSV_HEADER = "n,ls,recall,dist_comps,flagged"
+VERIFY_MC_SAMPLES = 20000      # Monte Carlo draws per dominator-probability check
+VERIFY_MC_TOLERANCE = 0.03     # allowed |estimate - Phi(r)|
+VERIFY_DUALITY_QUERIES = 50    # random queries for the scaling-duality check
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,7 @@ def run_benchmark(index: MagIndex, dataset: Dataset, queries: Dataset,
         raise UsageError("query dimension does not match the dataset")
     if gt.rows.shape[0] != queries.n:
         raise UsageError("ground truth does not cover the query panel")
+    gt.validate(n=dataset.n)
     graph = materialize(index, R=R, alpha=alpha)
     return [bench_one(graph, dataset, queries, gt, ls=ls, k=k, m=m, seed=seed,
                       reps=reps)
@@ -223,14 +228,6 @@ def run_scaling_study(sizes: list[int], dim: int, K: int, K1: int, K2: int,
 
 
 @dataclass
-class VerifyLimits:
-    max_n_exact: int = 2000      # exact dominator-graph checks gate
-    mc_samples: int = 20000
-    mc_tolerance: float = 0.03
-    duality_queries: int = 50
-
-
-@dataclass
 class CheckResult:
     name: str
     passed: bool
@@ -258,8 +255,12 @@ class VerifyReport:
 
 def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = None,
                  index: MagIndex | None = None,
-                 limits: VerifyLimits = VerifyLimits()) -> VerifyReport:
-    """Run the cross-module invariant checks and collect a pass/fail table."""
+                 max_n_exact: int = 2000) -> VerifyReport:
+    """Run the cross-module invariant checks and collect a pass/fail table.
+
+    The exact dominator-graph checks are quadratic and run only when the
+    dataset has at most ``max_n_exact`` points.
+    """
     report = VerifyReport()
     if dataset is None:
         spec = spec or SyntheticSpec("gaussian", n=1000, dim=8, seed=0)
@@ -267,17 +268,16 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
     rng = np.random.default_rng(12345)
 
     # dominator-graph structure (tie-tolerant so duplicated points pass)
-    if dataset.n <= limits.max_n_exact:
+    if dataset.n <= max_n_exact:
         n = dataset.n
         ndg = build_exact_ndg(dataset)
         scc = count_strong_components(ndg)
         report.add("ndg-strong-connectivity", scc == 1, f"components={scc}")
 
         base = dataset.data.astype(np.float64)
-        gram = base @ base.T
-        self_dots = np.diagonal(gram).copy()
-        np.fill_diagonal(gram, -np.inf)
-        weak_dom = self_dots >= gram.max(axis=1)
+        self_dots, best_cross = best_cross_inner_product(base)
+        weak_dom = self_dots >= best_cross
+        by_ip = _by_inner_product(base)
 
         ids = np.arange(n)
         sample = rng.choice(n, size=min(n, 100), replace=False)
@@ -285,9 +285,8 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
         mismatches = 0
         for i in sample:
             i = int(i)
-            others = ids[ids != i]
-            order = others[np.lexsort((others, -gram[i, others]))]
-            accepted = _ndg_select_base(i, order, base, None)
+            order = by_ip(i, ids[ids != i])
+            accepted = ndg_select(i, order, base, None)
             violations += int((~weak_dom[accepted[1:]]).sum())
             expected = order[(np.arange(len(order)) == 0) | weak_dom[order]]
             mismatches += int(not np.array_equal(accepted, expected.astype(np.int32)))
@@ -297,21 +296,21 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
                    f"mismatching nodes={mismatches}")
     else:
         report.add("ndg-checks-skipped", True,
-                   f"n={dataset.n} above exact gate {limits.max_n_exact}")
+                   f"n={dataset.n} above exact gate {max_n_exact}")
 
     # per-pair dominator probability, Monte Carlo vs the closed form
     worst = 0.0
     for j, r in enumerate((0.5, 1.0, 2.0, 3.0)):
-        est = dominator_probability_mc(r, d=32, n_samples=limits.mc_samples,
+        est = dominator_probability_mc(r, d=32, n_samples=VERIFY_MC_SAMPLES,
                                        seed=777 + j)
         worst = max(worst, abs(est - dominator_probability(r)))
-    report.add("dominator-probability-mc", worst <= limits.mc_tolerance,
-               f"max |mc - phi| = {worst:.4f} (tol {limits.mc_tolerance})")
+    report.add("dominator-probability-mc", worst <= VERIFY_MC_TOLERANCE,
+               f"max |mc - phi| = {worst:.4f} (tol {VERIFY_MC_TOLERANCE})")
     report.add("dominator-probability-tail", dominator_probability(4.0) >= 0.9999,
                f"phi(4) = {dominator_probability(4.0):.6f}")
 
     # scaling duality on a query subsample
-    nq = min(limits.duality_queries, 50)
+    nq = VERIFY_DUALITY_QUERIES
     qdata = Dataset(np.ascontiguousarray(
         rng.standard_normal((nq, dataset.dim)), dtype=np.float32))
     duality = verify_scaling_duality(dataset, qdata)

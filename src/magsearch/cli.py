@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .bench import (SCALE_CSV_HEADER, SyntheticSpec, VerifyLimits, config_line,
+from .bench import (SCALE_CSV_HEADER, SyntheticSpec, config_line,
                     generate_synthetic, records_to_csv, run_benchmark,
                     run_scaling_study, verify_suite)
 from .errors import FormatError, UsageError
@@ -150,8 +150,8 @@ def cmd_verify(args) -> int:
         spec = SyntheticSpec(kind=args.kind, n=args.n, dim=args.dim,
                              seed=args.seed)
     index = load_index(args.index) if args.index else None
-    limits = VerifyLimits(max_n_exact=args.max_n_exact)
-    report = verify_suite(dataset=dataset, spec=spec, index=index, limits=limits)
+    report = verify_suite(dataset=dataset, spec=spec, index=index,
+                          max_n_exact=args.max_n_exact)
     print(report.render())
     return 0 if report.passed else 1
 

@@ -30,9 +30,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import UsageError
 from .metrics import Dataset
+from .stats import best_cross_inner_product
 
 EXACT_NDG_MAX_N = 20000  # quadratic; exists to verify dominator structure, not to index
-_GRAM_PATH_MAX = 512     # candidate counts up to this use one gram matrix per node
 
 _RowRule = Callable[[int, np.ndarray], np.ndarray]  # (node, merged row) -> kept row
 
@@ -205,8 +205,14 @@ def knn_recall(approx: KnnGraph, exact: KnnGraph) -> float:
     return hits / (approx.n * approx.k)
 
 
-def _mrng_prune_base(node: int, candidate_ids, candidate_d2,
-                     base: np.ndarray, K1: int | None) -> np.ndarray:
+def mrng_prune(node: int, candidate_ids, candidate_d2, base: np.ndarray,
+               K1: int | None) -> np.ndarray:
+    """Euclidean occlusion pruning over candidates sorted ascending by distance.
+
+    Keep candidate p iff d2(node, p) < d2(p, r) for every already-kept r;
+    stop after K1 keeps. The nearest candidate is always kept. ``base`` is
+    the float64 copy of the dataset.
+    """
     limit = len(candidate_ids) if K1 is None else min(K1, len(candidate_ids))
     kept_ids = np.empty(limit, dtype=np.int32)
     kept_vecs = np.empty((limit, base.shape[1]))
@@ -228,55 +234,24 @@ def _mrng_prune_base(node: int, candidate_ids, candidate_d2,
     return kept_ids[:m].copy()
 
 
-def mrng_prune(node: int, candidate_ids: np.ndarray, candidate_d2: np.ndarray,
-               dataset: Dataset, K1: int | None) -> np.ndarray:
-    """Euclidean occlusion pruning over candidates sorted ascending by distance.
-
-    Keep candidate p iff d2(node, p) < d2(p, r) for every already-kept r;
-    stop after K1 keeps. The nearest candidate is always kept.
-    """
-    return _mrng_prune_base(node, candidate_ids, candidate_d2,
-                            dataset.data.astype(np.float64), K1)
-
-
-def _ndg_select_base(node: int, candidate_ids, base: np.ndarray,
-                     K2: int | None) -> np.ndarray:
-    cand = np.asarray(candidate_ids, dtype=np.int64)
-    cand = cand[cand != node]
-    if len(cand) == 0:
-        return np.empty(0, dtype=np.int32)
-    if K2 is not None and K2 == 0:
-        return np.empty(0, dtype=np.int32)
-
-    # best cross inner product per candidate over candidates + the owner
-    group = np.concatenate((cand, [node]))
-    vecs = base[group]
-    self_dots = np.einsum("ij,ij->i", vecs, vecs)
-    ncand = len(cand)
-    best_cross = np.full(ncand, -np.inf)
-    for start in range(0, ncand, _GRAM_PATH_MAX):
-        stop = min(start + _GRAM_PATH_MAX, ncand)
-        cross = vecs[start:stop] @ vecs.T
-        cross[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        best_cross[start:stop] = cross.max(axis=1)
-
-    dominated = self_dots[:ncand] < best_cross
-    accepted = [0] + [j for j in range(1, ncand) if not dominated[j]]
-    if K2 is not None:
-        accepted = accepted[:K2]
-    return cand[accepted].astype(np.int32)
-
-
-def ndg_select(node: int, candidate_ids: np.ndarray, dataset: Dataset,
+def ndg_select(node: int, candidate_ids, base: np.ndarray,
                K2: int | None) -> np.ndarray:
     """Dominator edge selection over candidates sorted by descending <node, .>.
 
     The first candidate is always accepted (the potential out-dominator);
     each later one is accepted iff it is a self-dominator of the scanned
     set: <y,y> >= <y,z> for every other candidate z and for the owner.
-    Returns at most K2 ids in acceptance (= list) order.
+    Returns at most K2 ids in acceptance (= list) order. ``base`` is the
+    float64 copy of the dataset.
     """
-    return _ndg_select_base(node, candidate_ids, dataset.data.astype(np.float64), K2)
+    cand = np.asarray(candidate_ids, dtype=np.int64)
+    cand = cand[cand != node]
+    if len(cand) == 0 or K2 == 0:
+        return np.empty(0, dtype=np.int32)
+    self_dots, best_cross = best_cross_inner_product(base[np.append(cand, node)])
+    kept = self_dots[:len(cand)] >= best_cross[:len(cand)]
+    kept[0] = True
+    return cand[kept][:K2].astype(np.int32)
 
 
 def build_exact_ndg(dataset: Dataset) -> CsrEdges:
@@ -294,23 +269,15 @@ def build_exact_ndg(dataset: Dataset) -> CsrEdges:
 
     # every node's candidate set plus itself is the whole dataset, so the
     # acceptance test reduces to one global weak self-domination census
-    self_dots = np.einsum("ij,ij->i", base, base)
-    best_cross = np.full(n, -np.inf)
-    for start in range(0, n, _GRAM_PATH_MAX):
-        stop = min(start + _GRAM_PATH_MAX, n)
-        cross = base[start:stop] @ base.T
-        cross[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        best_cross[start:stop] = cross.max(axis=1)
+    self_dots, best_cross = best_cross_inner_product(base)
     weak_dominator = self_dots >= best_cross
-
+    by_ip = _by_inner_product(base)
     ids = np.arange(n)
     rows = []
     for i in range(n):
-        ips = base @ base[i]
-        others = ids[ids != i]
-        order = others[np.lexsort((others, -ips[others]))]
+        order = by_ip(i, ids[ids != i])
         rows.append(order[(np.arange(len(order)) == 0) | weak_dominator[order]])
-    return _merge_reverse(CsrEdges.from_rows(rows), _by_inner_product(base))
+    return _merge_reverse(CsrEdges.from_rows(rows), by_ip)
 
 
 def _merge_reverse(edges: CsrEdges, rule: _RowRule) -> CsrEdges:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import (CsrEdges, _by_inner_product, _merge_reverse,
-                           _mrng_prune_base, _ndg_select_base, build_exact_knn,
-                           build_nndescent_knn)
+                           build_exact_knn, build_nndescent_knn, mrng_prune,
+                           ndg_select)
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
 from .search import SearchGraph, SearchParams, greedy_search
@@ -101,7 +101,7 @@ def _mirror_euclid(kept: CsrEdges, base: np.ndarray, K1: int) -> CsrEdges:
         order = np.lexsort((merged, d2))
         merged, d2 = merged[order], d2[order]
         if len(merged) > K1:
-            return _mrng_prune_base(i, merged, d2, base, K1)
+            return mrng_prune(i, merged, d2, base, K1)
         return merged
     return _merge_reverse(kept, rule)
 
@@ -121,8 +121,8 @@ def build_stage1(dataset: Dataset, K: int, K1: int, knn_mode: str = "exact",
         raise UsageError(f"knn_mode must be 'exact' or 'nndescent', got {knn_mode!r}")
 
     base = dataset.data.astype(np.float64)
-    kept = CsrEdges.from_rows([_mrng_prune_base(i, knn.neighbors[i], knn.dists[i],
-                                                base, K1) for i in range(n)])
+    kept = CsrEdges.from_rows([mrng_prune(i, knn.neighbors[i], knn.dists[i],
+                                          base, K1) for i in range(n)])
     euclid = _mirror_euclid(kept, base, K1)
     flags = np.zeros(n, dtype=bool)
     if n <= CENSUS_MAX_N:
@@ -170,7 +170,7 @@ def _stage2_node(node: int, graph: SearchGraph, dataset: Dataset, base64: np.nda
     ids = result.ids
     is_top = bool(len(ids) and ids[0] == node)
     cands = ids[ids != node]
-    edges = _ndg_select_base(node, cands, base64, K2)
+    edges = ndg_select(node, cands, base64, K2)
     return edges, is_top
 
 
@@ -330,7 +330,11 @@ def load_index(path: str) -> MagIndex:
         n_euc, n_ip = (int(v) for v in r.u32(2))
         euclid.append(r.u32(n_euc))
         ip.append(r.u32(n_ip))
-    flags = np.frombuffer(r.take(n), dtype=np.uint8).astype(bool)
+    flags = np.frombuffer(r.take(n), dtype=np.uint8)
+    if (flags > 1).any():
+        bad = int(np.flatnonzero(flags > 1)[0])
+        raise FormatError(f"{path}: node {bad}: self-dominator flag byte "
+                          f"{flags[bad]} is not 0 or 1")
     blob_len = int(r.u32(1)[0])
     blob = r.take(blob_len)
     if r.off != len(buf):
@@ -340,8 +344,12 @@ def load_index(path: str) -> MagIndex:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad metadata block: {exc}") from exc
     index = MagIndex(n=n, dim=dim, K1=K1, K2=K2, euclid=CsrEdges.from_rows(euclid),
-                     ip=CsrEdges.from_rows(ip), self_dominator=flags, metadata=metadata)
-    index.validate()
+                     ip=CsrEdges.from_rows(ip), self_dominator=flags.astype(bool),
+                     metadata=metadata)
+    try:
+        index.validate()
+    except UsageError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return index
 
 

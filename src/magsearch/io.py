@@ -106,6 +106,8 @@ def brute_force_topk(dataset: Dataset, q, k: int, metric: MetricKind) -> np.ndar
     qv = np.asarray(q, dtype=np.float64)
     if qv.ndim != 1 or qv.shape[0] != dataset.dim:
         raise UsageError(f"query dimension {qv.shape} does not match dataset dim {dataset.dim}")
+    if not np.isfinite(qv).all():
+        raise UsageError("query contains NaN or Inf values")
     if not 1 <= k <= dataset.n:
         raise UsageError(f"k={k} out of range [1, {dataset.n}]")
     base = dataset.data.astype(np.float64)

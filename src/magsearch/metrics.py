@@ -66,57 +66,11 @@ class Dataset:
         return self.data[i]
 
 
-def _as_vec(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float32)
-    if v.ndim != 1:
-        raise UsageError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
-def _check_dims(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[0] != y.shape[0]:
-        raise UsageError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-
-
-def inner_product(x, y) -> float:
-    """Sum_i x_i * y_i in float32 accumulation."""
-    xv, yv = _as_vec(x), _as_vec(y)
-    _check_dims(xv, yv)
-    return float(np.dot(xv, yv))
-
-
-def euclidean_sq(x, y) -> float:
-    """Sum_i (x_i - y_i)^2 in float32 accumulation."""
-    xv, yv = _as_vec(x), _as_vec(y)
-    _check_dims(xv, yv)
-    diff = xv - yv
-    return float(np.dot(diff, diff))
-
-
-def norm(x) -> float:
-    """Euclidean norm sqrt(<x, x>)."""
-    xv = _as_vec(x)
-    return float(np.sqrt(np.dot(xv, xv)))
-
-
-def score(metric: MetricKind, q, x) -> float:
-    """Raw similarity score of x against query q under the given metric."""
-    if metric is MetricKind.INNER_PRODUCT:
-        return inner_product(q, x)
-    return euclidean_sq(q, x)
-
-
 def sort_key(metric: MetricKind, raw_score: float, vid: int) -> tuple[float, int]:
     """Key tuple that sorts ascending = best-first under either metric."""
     if metric.larger_is_better:
         return (-raw_score, vid)
     return (raw_score, vid)
-
-
-def is_better(metric: MetricKind, score_a: float, id_a: int,
-              score_b: float, id_b: int) -> bool:
-    """Strict total order: does (score_a, id_a) beat (score_b, id_b)?"""
-    return sort_key(metric, score_a, id_a) < sort_key(metric, score_b, id_b)
 
 
 def score_batch(metric: MetricKind, q: np.ndarray, block: np.ndarray,

@@ -23,6 +23,7 @@ from .metrics import Dataset
 CV_IP_THRESHOLD = 0.1   # norm spread at or above this favors IP-oriented tuning
 DBI_CLUSTERED_THRESHOLD = 2.0  # DBI at or below this favors Euclidean-oriented tuning
 DEFAULT_DBI_CLUSTERS = 16
+_GRAM_CHUNK = 512  # rows of the n-wide gram matrix held at once
 
 
 @dataclass
@@ -197,20 +198,30 @@ def davies_bouldin(dataset: Dataset, clustering: Clustering,
     return float(np.mean(ratios.max(axis=1)))
 
 
-def self_dominator_set(dataset: Dataset, chunk: int = 1024) -> np.ndarray:
+def best_cross_inner_product(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: <x_i, x_i> and max over j != i of <x_i, x_j> (-inf for one row).
+
+    Both come from the same 512-row gram chunks, so a self dot carries the
+    rounding of the cross products it is compared with. The self-dominator
+    census and dominator selection both rest on this comparison.
+    """
+    n = len(vecs)
+    self_dots = np.empty(n)
+    best_cross = np.empty(n)
+    for start in range(0, n, _GRAM_CHUNK):
+        stop = min(start + _GRAM_CHUNK, n)
+        gram = vecs[start:stop] @ vecs.T
+        diag = (np.arange(stop - start), np.arange(start, stop))
+        self_dots[start:stop] = gram[diag]
+        gram[diag] = -np.inf
+        best_cross[start:stop] = gram.max(axis=1)
+    return self_dots, best_cross
+
+
+def self_dominator_set(dataset: Dataset) -> np.ndarray:
     """Exact census: ids i with <x_i, x_i> > <x_i, x_j> for every j != i."""
-    base = dataset.data.astype(np.float64)
-    n = dataset.n
-    out = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        gram = base[start:stop] @ base.T
-        rows = np.arange(start, stop)
-        self_dots = gram[np.arange(stop - start), rows]
-        gram[np.arange(stop - start), rows] = -np.inf
-        best_other = gram.max(axis=1)
-        out.append(rows[self_dots > best_other])
-    return np.concatenate(out).astype(np.int32)
+    self_dots, best_cross = best_cross_inner_product(dataset.data.astype(np.float64))
+    return np.flatnonzero(self_dots > best_cross).astype(np.int32)
 
 
 def dominator_probability(r: float) -> float:

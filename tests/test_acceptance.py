@@ -51,7 +51,7 @@ def theorem1_runs():
             ips = base @ base[i]
             others = ids[ids != i]
             order = others[np.lexsort((others, -ips[others]))]
-            per_node.append(ms.ndg_select(i, order, ds, None))
+            per_node.append(ms.ndg_select(i, order, base, None))
         accepted_lists.append(per_node)
         censuses.append(set(self_dominator_set(ds).tolist()))
     return datasets, ndgs, accepted_lists, censuses, build_seconds

@@ -10,8 +10,7 @@ from magsearch import (Dataset, GroundTruth, MetricKind, UsageError,
                        compute_ground_truth, davies_bouldin,
                        generate_synthetic, kmeans, recall_at_k,
                        run_benchmark, verify_suite)
-from magsearch.bench import (BENCH_CSV_HEADER, SyntheticSpec, VerifyLimits,
-                             records_to_csv)
+from magsearch.bench import BENCH_CSV_HEADER, SyntheticSpec, records_to_csv
 
 
 class TestRecallAtK:
@@ -91,6 +90,14 @@ class TestBenchmark:
         for lo, hi in zip(recalls, recalls[1:]):
             assert hi >= lo - 0.005
 
+    def test_ground_truth_ids_must_index_the_data(self, bench_setup):
+        # ids shifted past n used to give recall 0.0 with no error
+        data, queries, gt, index = bench_setup
+        shifted = GroundTruth(k=gt.k, rows=gt.rows + data.n, metric=gt.metric)
+        with pytest.raises(UsageError, match="out of range"):
+            run_benchmark(index, data, queries, shifted, ls_list=[16], R=12,
+                          alpha=0.5, m=0, k=10, seed=1, reps=1)
+
     def test_qps_positive_and_counters_exact(self, bench_setup):
         data, queries, gt, index = bench_setup
         records = run_benchmark(index, data, queries, gt, ls_list=[16],
@@ -118,7 +125,7 @@ def test_traced_call_sites_exist(module, name):
 class TestVerifySuite:
     def test_passes_on_gaussian(self):
         report = verify_suite(spec=SyntheticSpec("gaussian", n=400, dim=8, seed=0),
-                              limits=VerifyLimits(max_n_exact=500))
+                              max_n_exact=500)
         assert report.passed, report.render()
         names = {c.name for c in report.checks}
         assert "ndg-strong-connectivity" in names
@@ -129,7 +136,7 @@ class TestVerifySuite:
         index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1, passes=1)
         index.euclid.ids[index.euclid.offsets[5]] = 5
         report = verify_suite(dataset=data, index=index,
-                              limits=VerifyLimits(max_n_exact=0))
+                              max_n_exact=0)
         failing = [c for c in report.checks if not c.passed]
         assert any(c.name == "index-invariants" for c in failing)
 
@@ -139,6 +146,6 @@ class TestVerifySuite:
         base = np.random.default_rng(3).standard_normal((40, 4))
         pts = np.vstack([base, base]).astype(np.float32)
         report = verify_suite(dataset=Dataset(np.ascontiguousarray(pts)),
-                              limits=VerifyLimits(max_n_exact=100))
+                              max_n_exact=100)
         ndg_checks = [c for c in report.checks if c.name.startswith("ndg")]
         assert ndg_checks and all(c.passed for c in ndg_checks)

@@ -9,6 +9,11 @@ from magsearch import (CsrEdges, Dataset, MetricKind, UsageError,
                        count_strong_components, self_dominator_set)
 
 
+def f64(ds):
+    """The float64 copy of a dataset that the edge rules take."""
+    return ds.data.astype(np.float64)
+
+
 class TestExactKnn:
     def test_collinear_hand_example(self):
         ds = Dataset.from_array([[0.0], [1.0], [3.0]])
@@ -71,17 +76,17 @@ class TestMrngPrune:
         # to (1,0) than to the node
         ds = Dataset.from_array([[0, 0], [1, 0], [0, 1.5], [2, 0]])
         kept = mrng_prune(0, np.array([1, 2, 3]), np.array([1.0, 2.25, 4.0]),
-                          ds, None)
+                          f64(ds), None)
         assert kept.tolist() == [1, 2]
 
     def test_collinear_hand_example(self):
         ds = Dataset.from_array([[0.0], [1.0], [2.0]])
-        kept = mrng_prune(0, np.array([1, 2]), np.array([1.0, 4.0]), ds, None)
+        kept = mrng_prune(0, np.array([1, 2]), np.array([1.0, 4.0]), f64(ds), None)
         assert kept.tolist() == [1]
 
     def test_single_candidate_kept(self):
         ds = Dataset.from_array([[0, 0], [5, 5]])
-        kept = mrng_prune(0, np.array([1]), np.array([50.0]), ds, 4)
+        kept = mrng_prune(0, np.array([1]), np.array([50.0]), f64(ds), 4)
         assert kept.tolist() == [1]
 
     def test_nearest_always_kept_and_cap(self, rng):
@@ -92,7 +97,7 @@ class TestMrngPrune:
             d2 = np.einsum("ij,ij->i", diff, diff)
             others = np.array([i for i in range(100) if i != node])
             order = others[np.lexsort((others, d2[others]))]
-            kept = mrng_prune(node, order, d2[order], ds, 5)
+            kept = mrng_prune(node, order, d2[order], base, 5)
             assert len(kept) <= 5
             assert kept[0] == order[0]
             assert node not in kept.tolist()
@@ -102,19 +107,25 @@ class TestNdgSelect:
     def test_hand_example(self):
         # node a=(2,0); L(a) = [c (1.8), b (0)]; both accepted
         ds = Dataset.from_array([[2, 0], [0, 2], [0.9, 0.9]])
-        assert ndg_select(0, np.array([2, 1]), ds, None).tolist() == [2, 1]
+        assert ndg_select(0, np.array([2, 1]), f64(ds), None).tolist() == [2, 1]
 
     def test_single_candidate_accepted(self):
         ds = Dataset.from_array([[1, 0], [0, 1]])
-        assert ndg_select(0, np.array([1]), ds, None).tolist() == [1]
+        assert ndg_select(0, np.array([1]), f64(ds), None).tolist() == [1]
 
     def test_dominated_candidate_rejected(self):
         # y_k = 2 * y_j dominates y_j: <yj,yj> < <yj,yk>
         ds = Dataset.from_array([[0, 1], [1, 0], [2, 0]])
         # L(node 0): candidates sorted by <node,.>; force [2*yj, yj] order
-        out = ndg_select(0, np.array([2, 1]), ds, None)
+        out = ndg_select(0, np.array([2, 1]), f64(ds), None)
         assert 1 not in out.tolist()
         assert out.tolist() == [2]
+
+    def test_owner_dominates_candidate(self):
+        # node o=(2,0) scans f=(0.9,-1) then w=(0.8,0.6); only the owner
+        # dominates w: <w,w>=1 < <w,o>=1.6, while <w,f>=0.12
+        ds = Dataset.from_array([[2, 0], [0.9, -1], [0.8, 0.6]])
+        assert ndg_select(0, np.array([1, 2]), f64(ds), None).tolist() == [1]
 
     def test_truncates_to_k2(self, rng):
         ds = Dataset(rng.standard_normal((80, 6)).astype(np.float32))
@@ -122,8 +133,8 @@ class TestNdgSelect:
         ips = base @ base[0]
         others = np.array([i for i in range(80) if i != 0])
         order = others[np.lexsort((others, -ips[others]))]
-        full = ndg_select(0, order, ds, None)
-        only3 = ndg_select(0, order, ds, 3)
+        full = ndg_select(0, order, base, None)
+        only3 = ndg_select(0, order, base, 3)
         assert len(only3) <= 3
         assert only3.tolist() == full[:3].tolist()
 
@@ -133,7 +144,7 @@ class TestNdgSelect:
         ds = Dataset(eye)
         for node in range(12):
             others = np.array([i for i in range(12) if i != node])
-            out = ndg_select(node, others, ds, None)
+            out = ndg_select(node, others, f64(ds), None)
             assert sorted(out.tolist()) == others.tolist()
 
     def test_matches_bruteforce_reimplementation(self, rng):
@@ -147,7 +158,7 @@ class TestNdgSelect:
             others = np.array([i for i in range(60) if i != node])
             ips = base @ base[node]
             order = others[np.lexsort((others, -ips[others]))]
-            got = ndg_select(node, order, ds, None).tolist()
+            got = ndg_select(node, order, base, None).tolist()
             expected = [int(order[0])]
             group = np.concatenate((order, [node]))
             for y in order[1:]:
@@ -185,7 +196,7 @@ class TestExactNdg:
             ips = base @ base[i]
             others = ids[ids != i]
             order = others[np.lexsort((others, -ips[others]))]
-            accepted = ndg_select(i, order, ds, None)
+            accepted = ndg_select(i, order, base, None)
             for j in accepted[1:]:
                 assert int(j) in census
 

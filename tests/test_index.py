@@ -1,6 +1,7 @@
 """Two-stage construction, persistence, and runtime edge loading."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestStage2:
             ips = base @ base[i]
             others = ids[ids != i]
             order = others[np.lexsort((others, -ips[others]))]
-            assert idx.ip[i].tolist() == ndg_select(i, order, ds, 6).tolist()
+            assert idx.ip[i].tolist() == ndg_select(i, order, base, 6).tolist()
 
     def test_mirror_flag_recorded_by_stage2(self, rng):
         ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
@@ -164,6 +165,31 @@ class TestPersistence:
         path = tmp_path / "extra.mag"
         path.write_bytes(index_to_bytes(index) + b"xx")
         with pytest.raises(FormatError):
+            load_index(str(path))
+
+    def test_flag_byte_other_than_0_or_1(self, built, tmp_path):
+        # a byte of 2 would load as True and save back as 1
+        _, index = built
+        blob = bytearray(index_to_bytes(index))
+        meta = json.dumps(index.metadata, sort_keys=True, separators=(",", ":"))
+        flags_at = len(blob) - 4 - len(meta.encode("utf-8")) - index.n
+        assert blob[flags_at + 5] in (0, 1)
+        blob[flags_at + 5] = 2
+        path = tmp_path / "flag.mag"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="node 5: self-dominator flag"):
+            load_index(str(path))
+
+    def test_invalid_graph_is_a_format_error(self, built, tmp_path):
+        # the high bit of node 0's first Euclidean id (header, then two
+        # u32 lengths) turns it into an out-of-range id
+        _, index = built
+        blob = bytearray(index_to_bytes(index))
+        blob[4 + 20 + 8 + 3] ^= 0x80
+        path = tmp_path / "flip.mag"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError,
+                           match="flip.mag: node 0: euclid edge id out of range"):
             load_index(str(path))
 
     def test_build_deterministic(self, rng):

@@ -114,6 +114,15 @@ class TestBruteForceOracle:
             brute_force_topk(small_gaussian, np.zeros(8, np.float32), 0,
                              MetricKind.INNER_PRODUCT)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, small_gaussian, bad):
+        # a NaN query used to rank every point equal and return ids 0..k-1
+        q = np.zeros(8, np.float32)
+        q[3] = bad
+        for metric in MetricKind:
+            with pytest.raises(UsageError, match="NaN or Inf"):
+                brute_force_topk(small_gaussian, q, 5, metric)
+
 
 class TestComputeGroundTruth:
     def test_rows_match_single_queries(self, rng):

@@ -4,41 +4,49 @@ import numpy as np
 import pytest
 
 from magsearch import Dataset, MetricKind, UsageError
-from magsearch.metrics import (euclidean_sq, inner_product, is_better, norm,
-                               score, score_batch, sort_key)
+from magsearch.metrics import score_batch, sort_key
+
+IP, L2 = MetricKind.INNER_PRODUCT, MetricKind.EUCLIDEAN
+
+
+def pair_score(metric, x, y):
+    """One (x, y) score through the batch kernel, as a Python float."""
+    return float(score_batch(metric, np.asarray(x, np.float32),
+                             np.asarray([y], np.float32))[0])
 
 
 class TestKernels:
     def test_inner_product_hand_values(self):
-        assert inner_product([1, 2], [3, 4]) == 11.0
-        assert inner_product([5, -7, 2], [0, 0, 0]) == 0.0
-        assert inner_product([2, 0], [0, 1]) == 0.0
+        assert pair_score(IP, [1, 2], [3, 4]) == 11.0
+        assert pair_score(IP, [5, -7, 2], [0, 0, 0]) == 0.0
+        assert pair_score(IP, [2, 0], [0, 1]) == 0.0
 
     def test_euclidean_sq_hand_values(self):
-        assert euclidean_sq([0, 0], [3, 4]) == 25.0
-        assert euclidean_sq([1.5, -2.0, 7.0], [1.5, -2.0, 7.0]) == 0.0
-        assert euclidean_sq([1, 0], [0, 1]) == 2.0
+        assert pair_score(L2, [0, 0], [3, 4]) == 25.0
+        assert pair_score(L2, [1.5, -2.0, 7.0], [1.5, -2.0, 7.0]) == 0.0
+        assert pair_score(L2, [1, 0], [0, 1]) == 2.0
 
     def test_norm_hand_values(self):
-        assert norm([3, 4]) == 5.0
-        assert norm([0, 0, 0]) == 0.0
-        assert norm([1, 1, 1, 1]) == 2.0
+        # |x|^2 = <x, x> = d2(x, 0)
+        for x, sq in (([3, 4], 25.0), ([0, 0, 0], 0.0), ([1, 1, 1, 1], 4.0)):
+            assert pair_score(IP, x, x) == sq
+            assert pair_score(L2, x, [0] * len(x)) == sq
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            inner_product([1, 2], [1, 2, 3])
+            score_batch(IP, np.ones(2), np.ones((1, 3)))
         with pytest.raises(UsageError):
-            euclidean_sq([1], [1, 2])
+            score_batch(L2, np.ones(1), np.ones((1, 2)))
         with pytest.raises(UsageError):
-            score_batch(MetricKind.INNER_PRODUCT, np.ones(3), np.ones((4, 2)))
+            score_batch(IP, np.ones(3), np.ones((4, 2)))
 
     def test_symmetry_exact(self, rng):
         for _ in range(50):
             d = int(rng.integers(1, 40))
             x = rng.standard_normal(d).astype(np.float32)
             y = rng.standard_normal(d).astype(np.float32)
-            assert inner_product(x, y) == inner_product(y, x)
-            assert euclidean_sq(x, y) == euclidean_sq(y, x)
+            assert pair_score(IP, x, y) == pair_score(IP, y, x)
+            assert pair_score(L2, x, y) == pair_score(L2, y, x)
 
     def test_metric_binding_identity(self, rng):
         # d2(x,y) = |x|^2 + |y|^2 - 2<x,y> within 1e-4 relative
@@ -46,8 +54,8 @@ class TestKernels:
             d = int(rng.integers(2, 64))
             x = rng.standard_normal(d).astype(np.float32)
             y = rng.standard_normal(d).astype(np.float32)
-            lhs = euclidean_sq(x, y)
-            rhs = norm(x) ** 2 + norm(y) ** 2 - 2 * inner_product(x, y)
+            lhs = pair_score(L2, x, y)
+            rhs = pair_score(IP, x, x) + pair_score(IP, y, y) - 2 * pair_score(IP, x, y)
             assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-4)
 
     def test_batch_matches_sequential_reference(self, rng):
@@ -94,18 +102,20 @@ class TestKernels:
                 assert alone[0] == batch[b, r]
 
 
+def is_better(metric, score_a, id_a, score_b, id_b):
+    return sort_key(metric, score_a, id_a) < sort_key(metric, score_b, id_b)
+
+
 class TestScoreAndComparator:
     def test_score_dispatch(self):
-        assert score(MetricKind.INNER_PRODUCT, [1, 1], [2, 0]) == 2.0
-        assert score(MetricKind.EUCLIDEAN, [0, 0], [1, 0]) == 1.0
+        assert pair_score(IP, [1, 1], [2, 0]) == 2.0
+        assert pair_score(L2, [0, 0], [1, 0]) == 1.0
 
     def test_orientation(self):
-        ip = MetricKind.INNER_PRODUCT
-        l2 = MetricKind.EUCLIDEAN
-        assert is_better(ip, 2.0, 0, 1.0, 1)
-        assert not is_better(ip, 1.0, 0, 2.0, 1)
-        assert is_better(l2, 1.0, 0, 4.0, 1)
-        assert not is_better(l2, 4.0, 0, 1.0, 1)
+        assert is_better(IP, 2.0, 0, 1.0, 1)
+        assert not is_better(IP, 1.0, 0, 2.0, 1)
+        assert is_better(L2, 1.0, 0, 4.0, 1)
+        assert not is_better(L2, 4.0, 0, 1.0, 1)
 
     def test_tie_break_lower_id(self):
         for metric in MetricKind:

@@ -146,9 +146,26 @@ class TestSelfDominators:
         assert self_dominator_set(ds).tolist() == []
 
     def test_agrees_with_double_loop(self, rng):
-        for n in (50, 300):
+        # 1,100 rows span three 512-row gram chunks
+        for n in (50, 300, 1100):
             ds = Dataset(rng.standard_normal((n, 6)).astype(np.float32))
             assert np.array_equal(self_dominator_set(ds), census_reference(ds))
+
+    def test_duplicates_across_chunk_boundary(self, rng):
+        # two copies of one long vector, on either side of a 512-row gram
+        # chunk boundary, tie with each other, so neither is a strict
+        # self-dominator; a single copy is one
+        pts = rng.standard_normal((1100, 6)).astype(np.float32)
+        long = 3 * pts[int(np.argmax(np.einsum("ij,ij->i", pts, pts)))]
+        for a, b in ((500, 700), (511, 512), (3, 1030)):
+            single = pts.copy()
+            single[a] = long
+            assert a in self_dominator_set(Dataset(single))
+            dup = single.copy()
+            dup[b] = long
+            census = self_dominator_set(Dataset(dup))
+            assert a not in census and b not in census
+            assert np.array_equal(census, census_reference(Dataset(dup)))
 
     def test_monotone_under_growth(self, rng):
         # adding points can only remove dominators among the existing ones,
