@@ -8,28 +8,20 @@ can start under Euclidean distance and switch to inner product after m
 expansions.
 """
 
-from .bench import (BenchRecord, ScaleRecord, SyntheticSpec, VerifyReport,
-                    bench_one, find_ls_for_recall, generate_synthetic,
+from .bench import (SyntheticSpec, bench_one, generate_synthetic,
                     recall_at_k, run_benchmark, run_queries,
                     run_scaling_study, verify_suite)
-from .construction import (CsrEdges, KnnGraph, build_exact_knn,
-                           build_exact_ndg, build_nndescent_knn,
-                           count_strong_components, knn_recall, mrng_prune,
-                           ndg_select)
+from .construction import (build_exact_knn, build_exact_ndg,
+                           count_strong_components, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
 from .index import (MagIndex, build_mag, build_stage1, build_stage2,
                     load_index, materialize, save_index)
-from .io import (GroundTruth, brute_force_topk, compute_ground_truth,
-                 load_ground_truth, read_fvecs, read_ivecs,
-                 save_ground_truth, write_fvecs, write_ivecs)
+from .io import (brute_force_topk, compute_ground_truth, load_ground_truth,
+                 read_fvecs, read_ivecs, save_ground_truth, write_fvecs)
 from .metrics import Dataset, MetricKind, score_batch
-from .search import (CandidatePool, DualityReport, EntryPolicy, SearchGraph,
-                     SearchParams, SearchResult, anms_search,
-                     euclidean_medoid, greedy_search, verify_scaling_duality)
-from .stats import (Clustering, StatsReport, coefficient_of_variation,
-                    compute_stats, davies_bouldin, dominator_probability,
+from .search import SearchParams, anms_search, greedy_search
+from .stats import (compute_stats, dominator_probability,
                     dominator_probability_mc, estimate_nn_angle,
-                    expected_self_dominators, kmeans, self_dominator_set,
-                    tuning_hint)
+                    expected_self_dominators, self_dominator_set, tuning_hint)
 
 __version__ = "0.1.0"

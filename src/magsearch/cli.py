@@ -105,8 +105,6 @@ def cmd_search(args) -> int:
     index = _load_matching_index(args.index, data)
     queries = read_fvecs(args.queries)
     metric = _metric(args.metric)
-    if args.m > 0 and metric is not MetricKind.INNER_PRODUCT:
-        raise UsageError("--m applies to the ip metric; use --m 0 with l2")
     graph = materialize(index, R=args.R, alpha=args.alpha)
     results = bench_mod.run_queries(graph, data, queries, ls=args.ls, k=args.k,
                                     m=args.m, seed=args.seed, metric=metric)

@@ -2,7 +2,7 @@
 
 Vectors live in float32, row-major. Runtime scoring accumulates in float32
 (``np.vecdot`` order, which must agree with sequential accumulation within
-1e-4 relative); oracle and construction paths may request float64
+1e-4 relative); the stage-2 construction searches request float64
 accumulation via ``high_precision``.
 
 Ordering convention: inner product, larger is better; squared Euclidean

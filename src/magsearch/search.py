@@ -9,13 +9,12 @@ m expansions (pulling the pool toward the query direction), then re-scores
 the surviving pool under inner product — visited flags intact — and runs
 to termination. m=0 is exactly the plain inner-product search.
 
-Scores are float32 by default; ``high_precision=True`` switches the
-scoring to float64 for oracle-grade verification runs.
+Scores are float32 by default; ``greedy_search(high_precision=True)``
+scores in float64, which the stage-2 construction searches use.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -23,11 +22,6 @@ import numpy as np
 
 from .errors import UsageError
 from .metrics import Dataset, MetricKind, score_batch, sort_key
-
-
-class EntryPolicy(enum.Enum):
-    RANDOM_SEEDED = "random"
-    FIXED_MEDOID = "medoid"
 
 
 @dataclass(frozen=True)
@@ -46,9 +40,6 @@ class SearchGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.adjacency[i, :self.counts[i]]
 
-    def max_out_degree(self) -> int:
-        return int(self.counts.max()) if self.n else 0
-
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -56,8 +47,7 @@ class SearchParams:
     k: int                       # results to return
     m: int = 0                   # Euclidean expansions before the IP switch
     seed: int | tuple[int, ...] = 0
-    entry: EntryPolicy = EntryPolicy.RANDOM_SEEDED
-    entry_ids: tuple[int, ...] | None = None  # explicit seeds override the policy
+    entry_ids: tuple[int, ...] | None = None  # explicit seeds replace random ones
 
     def __post_init__(self):
         if not 1 <= self.k <= self.ls:
@@ -76,7 +66,6 @@ class SearchStats:
 class SearchResult:
     ids: np.ndarray  # (k,) int32 best-first
     stats: SearchStats
-    trace: list[int] | None = None  # expansion order, when recorded
 
 
 class CandidatePool:
@@ -161,18 +150,7 @@ class CandidatePool:
             raise AssertionError("pool contains duplicate ids")
 
 
-def euclidean_medoid(dataset: Dataset) -> int:
-    """Id of the point nearest the dataset mean (ties to the lower id)."""
-    base = dataset.data.astype(np.float64)
-    mean = base.mean(axis=0)
-    diff = base - mean
-    return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-
-
-def _entry_ids(graph: SearchGraph, dataset: Dataset, params: SearchParams,
-               rng: np.random.Generator) -> np.ndarray:
-    n = graph.n
-    want = min(params.ls, n)
+def _entry_ids(n: int, params: SearchParams) -> np.ndarray:
     if params.entry_ids is not None:
         # explicit seeds are not truncated; the pool keeps the best ls
         seen: set[int] = set()
@@ -184,43 +162,18 @@ def _entry_ids(graph: SearchGraph, dataset: Dataset, params: SearchParams,
             if vid not in seen:
                 seen.add(vid)
                 ids.append(vid)
+        if len(ids) < params.k:
+            raise UsageError(f"entry_ids name {len(ids)} distinct ids, "
+                             f"fewer than k={params.k}")
         return np.asarray(ids, dtype=np.int64)
-    if params.entry is EntryPolicy.FIXED_MEDOID:
-        mid = euclidean_medoid(dataset)
-        ids = [mid]
-        seen = {mid}
-        for nbr in graph.neighbors(mid).tolist():
-            if nbr not in seen:
-                seen.add(nbr)
-                ids.append(nbr)
-            if len(ids) == want:
-                break
-        return np.asarray(ids, dtype=np.int64)
-    return rng.choice(n, size=want, replace=False)
-
-
-def _init_state(graph: SearchGraph, dataset: Dataset, q: np.ndarray,
-                params: SearchParams, metric: MetricKind, high_precision: bool):
     rng = np.random.default_rng(params.seed)
-    entries = _entry_ids(graph, dataset, params, rng)
-    pool = CandidatePool(params.ls, metric)
-    seen = np.zeros(graph.n, dtype=bool)
-    seen[entries] = True
-    scores = score_batch(metric, q, dataset.data[entries], high_precision)
-    stats = SearchStats(dist_comps=len(entries))
-    if metric.larger_is_better:
-        scores = -scores
-    insert = pool._insert_key
-    for key in zip(scores.tolist(), entries.tolist()):
-        insert(key)
-    return pool, seen, stats
+    return rng.choice(n, size=min(params.ls, n), replace=False)
 
 
 def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
                  q: np.ndarray, metric: MetricKind, seen: np.ndarray,
                  stats: SearchStats, max_expansions: int | None = None,
-                 high_precision: bool = False, trace: list[int] | None = None,
-                 debug: bool = False) -> None:
+                 high_precision: bool = False, debug: bool = False) -> None:
     data = dataset.data
     flip = metric.larger_is_better
     insert = pool._insert_key
@@ -232,8 +185,6 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
             break
         stats.hops += 1
         done += 1
-        if trace is not None:
-            trace.append(vid)
         nbrs = graph.neighbors(vid)
         fresh = nbrs[~seen[nbrs]]
         if fresh.size:
@@ -265,51 +216,54 @@ def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
     return qv
 
 
+def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
+            metric: MetricKind, m: int, high_precision: bool,
+            debug: bool) -> SearchResult:
+    """One query: m expansions under Euclidean distance (none when m = 0),
+    a re-score of the surviving pool under ``metric`` with visited flags
+    kept, then expansion to pool exhaustion under ``metric``."""
+    qv = _check_query(graph, dataset, q, params.k)
+    first = MetricKind.EUCLIDEAN if m > 0 else metric
+    entries = _entry_ids(graph.n, params)
+    pool = CandidatePool(params.ls, first)
+    seen = np.zeros(graph.n, dtype=bool)
+    seen[entries] = True
+    scores = score_batch(first, qv, dataset.data[entries], high_precision)
+    stats = SearchStats(dist_comps=len(entries))
+    if first.larger_is_better:
+        scores = -scores
+    for key in zip(scores.tolist(), entries.tolist()):
+        pool._insert_key(key)
+    if m > 0:
+        _expand_loop(pool, graph, dataset, qv, first, seen, stats,
+                     max_expansions=m, high_precision=high_precision,
+                     debug=debug)
+        ids = pool.ids_best_first()
+        scores = score_batch(metric, qv, dataset.data[ids], high_precision)
+        stats.dist_comps += len(ids)
+        pool.resort(metric, dict(zip(ids.tolist(), scores.tolist())))
+    _expand_loop(pool, graph, dataset, qv, metric, seen, stats,
+                 high_precision=high_precision, debug=debug)
+    return SearchResult(ids=pool.ids_best_first()[:params.k], stats=stats)
+
+
 def greedy_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
                   metric: MetricKind, high_precision: bool = False,
-                  record_trace: bool = False, debug: bool = False) -> SearchResult:
+                  debug: bool = False) -> SearchResult:
     """Single-metric beam search: expand best-unvisited until pool exhaustion."""
-    qv = _check_query(graph, dataset, q, params.k)
-    pool, seen, stats = _init_state(graph, dataset, qv, params, metric, high_precision)
-    trace: list[int] | None = [] if record_trace else None
-    _expand_loop(pool, graph, dataset, qv, metric, seen, stats,
-                 high_precision=high_precision, trace=trace, debug=debug)
-    ids = pool.ids_best_first()[:params.k]
-    return SearchResult(ids=ids, stats=stats, trace=trace)
+    return _search(graph, dataset, q, params, metric, 0, high_precision, debug)
 
 
 def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
-                high_precision: bool = False, record_trace: bool = False,
                 debug: bool = False) -> SearchResult:
-    """Euclidean navigation for m expansions, then switch the metric to IP.
+    """Euclidean navigation for params.m expansions, then switch to IP.
 
     The switch re-scores the surviving pool under inner product (counted
-    as distance computations), keeps visited flags, and resumes the loop.
+    as distance computations). m = 0 is plain inner-product search.
     Returns the top k by inner product.
     """
-    if params.m == 0:
-        return greedy_search(graph, dataset, q, params, MetricKind.INNER_PRODUCT,
-                             high_precision=high_precision,
-                             record_trace=record_trace, debug=debug)
-    qv = _check_query(graph, dataset, q, params.k)
-    pool, seen, stats = _init_state(graph, dataset, qv, params,
-                                    MetricKind.EUCLIDEAN, high_precision)
-    trace: list[int] | None = [] if record_trace else None
-    _expand_loop(pool, graph, dataset, qv, MetricKind.EUCLIDEAN, seen, stats,
-                 max_expansions=params.m, high_precision=high_precision,
-                 trace=trace, debug=debug)
-
-    ids = pool.ids_best_first()
-    ip_scores = score_batch(MetricKind.INNER_PRODUCT, qv, dataset.data[ids],
-                            high_precision)
-    stats.dist_comps += len(ids)
-    pool.resort(MetricKind.INNER_PRODUCT,
-                dict(zip(ids.tolist(), ip_scores.tolist())))
-
-    _expand_loop(pool, graph, dataset, qv, MetricKind.INNER_PRODUCT, seen, stats,
-                 high_precision=high_precision, trace=trace, debug=debug)
-    out = pool.ids_best_first()[:params.k]
-    return SearchResult(ids=out, stats=stats, trace=trace)
+    return _search(graph, dataset, q, params, MetricKind.INNER_PRODUCT,
+                   params.m, False, debug)
 
 
 # Bytes that one block of the lockstep engine may hold. The block size
@@ -453,21 +407,15 @@ class DualityReport:
     """Agreement between plain MIPS and Euclidean search on the scaled query."""
 
     nn_agreement: float          # brute-force: NN of mu*q equals the MIPS argmax
-    trace_agreement: float | None  # identical expansion sequences on the graph
     n_queries: int = 0
     n_tied: int = 0              # queries excluded for a tied MIPS top-1
 
 
 def verify_scaling_duality(dataset: Dataset, queries: Dataset,
-                           mu: float | None = None,
-                           graph: SearchGraph | None = None,
-                           params: SearchParams | None = None) -> DualityReport:
+                           mu: float | None = None) -> DualityReport:
     """Check that scaling a query by a large mu turns MIPS into Euclidean NNS.
 
-    mu=None picks 1e6 * (max vector norm / query norm) per query. When a
-    graph is given, also replays the greedy traversal for q under IP and
-    for mu*q under Euclidean (float64 scoring) and reports the fraction of
-    queries whose expansion sequences match exactly.
+    mu=None picks 1e6 * (max vector norm / query norm) per query.
     """
     from .io import brute_force_topk  # local import keeps io free of search deps
 
@@ -478,7 +426,6 @@ def verify_scaling_duality(dataset: Dataset, queries: Dataset,
 
     agree = 0
     tied = 0
-    trace_agree = 0
     for i in range(queries.n):
         q = queries.vector(i).astype(np.float64)
         qn = float(np.linalg.norm(q))
@@ -496,21 +443,9 @@ def verify_scaling_duality(dataset: Dataset, queries: Dataset,
         if mips_id == nn_id:
             agree += 1
 
-        if graph is not None:
-            p = params or SearchParams(ls=min(64, dataset.n), k=1, seed=0)
-            r_ip = greedy_search(graph, dataset, q.astype(np.float32), p,
-                                 MetricKind.INNER_PRODUCT, high_precision=True,
-                                 record_trace=True)
-            r_nn = greedy_search(graph, dataset, (factor * q).astype(np.float32), p,
-                                 MetricKind.EUCLIDEAN, high_precision=True,
-                                 record_trace=True)
-            if r_ip.trace == r_nn.trace:
-                trace_agree += 1
-
     considered = queries.n - tied
     return DualityReport(
         nn_agreement=agree / considered if considered else 1.0,
-        trace_agreement=(trace_agree / queries.n if graph is not None else None),
         n_queries=queries.n,
         n_tied=tied,
     )

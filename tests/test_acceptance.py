@@ -18,6 +18,7 @@ from magsearch.bench import (SyntheticSpec, find_ls_for_recall,
                              run_scaling_study)
 from magsearch.construction import count_strong_components
 from magsearch.index import index_to_bytes, load_index, save_index
+from magsearch.search import verify_scaling_duality
 from magsearch.stats import (coefficient_of_variation, davies_bouldin,
                              dominator_probability, dominator_probability_mc,
                              kmeans, self_dominator_set)
@@ -176,7 +177,7 @@ def test_c04_scaling_duality():
     data = Dataset(rng.standard_normal((1000, 16)).astype(np.float32))
     queries = Dataset(rng.standard_normal((100, 16)).astype(np.float32))
     t0 = time.perf_counter()
-    rep = ms.verify_scaling_duality(data, queries)
+    rep = verify_scaling_duality(data, queries)
     seconds = time.perf_counter() - t0
     ok = rep.nn_agreement == 1.0 and seconds < 5.0
     _report(4, "scaled-query duality (brute force)", ok,

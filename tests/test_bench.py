@@ -5,12 +5,12 @@ import importlib
 import numpy as np
 import pytest
 
-from magsearch import (Dataset, GroundTruth, MetricKind, UsageError,
-                       build_mag, coefficient_of_variation,
-                       compute_ground_truth, davies_bouldin,
-                       generate_synthetic, kmeans, recall_at_k,
+from magsearch import (Dataset, MetricKind, UsageError, build_mag,
+                       compute_ground_truth, generate_synthetic, recall_at_k,
                        run_benchmark, verify_suite)
 from magsearch.bench import BENCH_CSV_HEADER, SyntheticSpec, records_to_csv
+from magsearch.io import GroundTruth
+from magsearch.stats import coefficient_of_variation, davies_bouldin, kmeans
 
 
 class TestRecallAtK:

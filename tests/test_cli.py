@@ -62,12 +62,14 @@ def test_gt_build_search_bench_flow(workspace):
     assert len(blines) == 4
 
 
-def test_search_rejects_m_with_l2(workspace):
+def test_search_rejects_m_with_l2(workspace, capsys):
     root, base, queries = workspace
     index = str(root / "index.mag")
     assert main(["search", "--index", index, "--data", base, "--queries",
                  queries, "--R", "10", "--alpha", "0.5", "--ls", "32",
                  "--k", "5", "--m", "3", "--metric", "l2"]) == 2
+    assert ("the metric switch targets inner product; use m=0 for l2"
+            in capsys.readouterr().err)
 
 
 def test_index_must_match_the_data(tmp_path, capsys):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from magsearch import (CsrEdges, Dataset, MetricKind, UsageError,
-                       brute_force_topk, build_exact_knn, build_exact_ndg,
-                       build_nndescent_knn, knn_recall, mrng_prune, ndg_select,
+from magsearch import (Dataset, MetricKind, UsageError, brute_force_topk,
+                       build_exact_knn, build_exact_ndg, mrng_prune, ndg_select,
                        count_strong_components, self_dominator_set)
+from magsearch.construction import CsrEdges, build_nndescent_knn, knn_recall
 
 
 def f64(ds):

@@ -1,15 +1,21 @@
 """The quick demos run to completion against the library in ``src/``.
 
 Demos 04-06 build and sweep larger indexes (about 100 s together), so only
-01-03 run here.
+01-03 run here; every demo and the README's python blocks are checked for
+names that the package no longer has.
 """
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import magsearch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +31,27 @@ def test_demo_exits_cleanly(demo, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _sources():
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        yield pytest.param(path.read_text(), id=path.name)
+    readme = (ROOT / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        yield pytest.param(block, id=f"README-python-{i}")
+
+
+@pytest.mark.parametrize("source", list(_sources()))
+def test_demo_names_exist(source):
+    """Every ``ms.<name>`` and ``from magsearch... import <name>`` resolves."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "ms" and not hasattr(magsearch, node.attr)):
+            missing.append(f"ms.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "magsearch":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if not hasattr(module, a.name)]
+    assert not missing

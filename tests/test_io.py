@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from magsearch import (Dataset, FormatError, GroundTruth, MetricKind,
-                       UsageError, brute_force_topk, compute_ground_truth,
+from magsearch import (Dataset, FormatError, MetricKind, UsageError,
+                       brute_force_topk, compute_ground_truth,
                        load_ground_truth, read_fvecs, read_ivecs,
-                       save_ground_truth, write_fvecs, write_ivecs)
+                       save_ground_truth, write_fvecs)
+from magsearch.io import GroundTruth, write_ivecs
 
 
 class TestFvecs:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import magsearch.search as search_mod
-from magsearch import (CandidatePool, Dataset, EntryPolicy, MetricKind,
-                       SearchGraph, SearchParams, UsageError, anms_search,
-                       brute_force_topk, build_mag, compute_ground_truth,
-                       euclidean_medoid, greedy_search, materialize,
-                       recall_at_k, verify_scaling_duality)
+from magsearch import (Dataset, MetricKind, SearchParams, UsageError,
+                       anms_search, brute_force_topk, build_mag,
+                       compute_ground_truth, greedy_search, materialize,
+                       recall_at_k)
 from magsearch.bench import run_queries
 from magsearch.metrics import sort_key
-from magsearch.search import lockstep_search
+from magsearch.search import (CandidatePool, SearchGraph, lockstep_search,
+                              verify_scaling_duality)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,23 @@ def complete_graph(n):
         adj[i] = [j for j in range(n) if j != i]
     return SearchGraph(R=n - 1, alpha=0.0, adjacency=adj,
                        counts=np.full(n, n - 1, dtype=np.int32))
+
+
+def expansion_order(monkeypatch, search):
+    """The ids that search() expands, in order, read off the pool's pops."""
+    order = []
+    real = CandidatePool.pop_best_unvisited
+
+    def recording(pool):
+        vid = real(pool)
+        if vid >= 0:
+            order.append(vid)
+        return vid
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CandidatePool, "pop_best_unvisited", recording)
+        search()
+    return order
 
 
 class TestCandidatePool:
@@ -142,15 +159,6 @@ class TestGreedySearch:
                       SearchParams(ls=16, k=4, seed=2),
                       MetricKind.INNER_PRODUCT, debug=True)
 
-    def test_medoid_entry(self, searchable):
-        data, graph = searchable
-        mid = euclidean_medoid(data)
-        res = greedy_search(graph, data, data.vector(mid),
-                            SearchParams(ls=16, k=1, seed=0,
-                                         entry=EntryPolicy.FIXED_MEDOID),
-                            MetricKind.EUCLIDEAN)
-        assert res.ids[0] == mid
-
     def test_usage_errors(self, searchable):
         data, graph = searchable
         with pytest.raises(UsageError):
@@ -166,6 +174,15 @@ class TestGreedySearch:
             greedy_search(graph, data, np.ones(8, np.float32),
                           SearchParams(ls=8, k=2, entry_ids=(data.n + 5,)),
                           MetricKind.INNER_PRODUCT)
+        # fewer than k distinct entries could return fewer than k ids
+        with pytest.raises(UsageError, match="fewer than k=3"):
+            greedy_search(graph, data, np.ones(8, np.float32),
+                          SearchParams(ls=8, k=3, entry_ids=(4, 9, 4)),
+                          MetricKind.INNER_PRODUCT)
+        res = greedy_search(graph, data, np.ones(8, np.float32),
+                            SearchParams(ls=8, k=3, entry_ids=(4, 9, 4, 2)),
+                            MetricKind.INNER_PRODUCT)
+        assert len(res.ids) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, searchable, bad):
@@ -177,13 +194,6 @@ class TestGreedySearch:
                           MetricKind.INNER_PRODUCT)
         with pytest.raises(UsageError, match="NaN or Inf"):
             anms_search(graph, data, q, SearchParams(ls=8, k=2, m=3))
-
-
-class TestMedoid:
-    def test_hand_value(self):
-        ds = Dataset.from_array([[0, 0], [1, 0], [10, 0]])
-        # mean is (11/3, 0); nearest point is (1, 0)
-        assert euclidean_medoid(ds) == 1
 
 
 class TestAnms:
@@ -208,15 +218,17 @@ class TestAnms:
         got = anms_search(graph, data, q, SearchParams(ls=32, k=8, m=10 ** 6, seed=9))
         assert got.ids.tolist() == expected.tolist()
 
-    def test_stage1_trace_is_euclid_prefix(self, searchable):
+    def test_stage1_trace_is_euclid_prefix(self, searchable, monkeypatch):
         data, graph = searchable
         q = np.ones(8, dtype=np.float32)
         for m in (1, 3, 9):
-            a = anms_search(graph, data, q, SearchParams(ls=24, k=4, m=m, seed=5),
-                            record_trace=True)
-            b = greedy_search(graph, data, q, SearchParams(ls=24, k=4, seed=5),
-                              MetricKind.EUCLIDEAN, record_trace=True)
-            assert a.trace[:m] == b.trace[:m]
+            a = expansion_order(monkeypatch, lambda: anms_search(
+                graph, data, q, SearchParams(ls=24, k=4, m=m, seed=5)))
+            b = expansion_order(monkeypatch, lambda: greedy_search(
+                graph, data, q, SearchParams(ls=24, k=4, seed=5),
+                MetricKind.EUCLIDEAN))
+            assert len(a) > m and len(b) > m
+            assert a[:m] == b[:m]
 
     def test_switch_rescores_pool(self, searchable):
         # dist_comps of the switch include one re-score per surviving entry
@@ -416,13 +428,23 @@ class TestScalingDuality:
         assert rep.nn_agreement == 1.0
         assert rep.n_tied == 0
 
-    def test_trace_agreement_on_graph(self, searchable):
+    def test_trace_agreement_on_graph(self, searchable, monkeypatch):
+        # float64 greedy traversals for q under IP and for mu*q under
+        # Euclidean distance expand the same nodes in the same order
         data, graph = searchable
         rng = np.random.default_rng(5)
-        queries = Dataset(rng.standard_normal((20, 8)).astype(np.float32))
-        rep = verify_scaling_duality(data, queries, graph=graph,
-                                     params=SearchParams(ls=32, k=1, seed=8))
-        assert rep.trace_agreement == 1.0
+        queries = rng.standard_normal((20, 8)).astype(np.float32)
+        max_norm = float(np.linalg.norm(data.data.astype(np.float64), axis=1).max())
+        params = SearchParams(ls=32, k=1, seed=8)
+        for q in queries.astype(np.float64):
+            scaled = (1e6 * max_norm / float(np.linalg.norm(q))) * q
+            ip = expansion_order(monkeypatch, lambda: greedy_search(
+                graph, data, q.astype(np.float32), params,
+                MetricKind.INNER_PRODUCT, high_precision=True))
+            nn = expansion_order(monkeypatch, lambda: greedy_search(
+                graph, data, scaled.astype(np.float32), params,
+                MetricKind.EUCLIDEAN, high_precision=True))
+            assert ip and ip == nn
 
     def test_mu_must_be_positive(self, searchable):
         data, _ = searchable
