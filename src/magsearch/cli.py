@@ -43,9 +43,7 @@ def _write_out(path: str | None, text: str) -> None:
 def _load_matching_index(path: str, data: Dataset) -> MagIndex:
     """Load an index and check that it was built on data of this shape."""
     index = load_index(path)
-    if (index.n, index.dim) != (data.n, data.dim):
-        raise UsageError(f"index has {index.n} vectors of dim {index.dim}, "
-                         f"but the data file has {data.n} of dim {data.dim}")
+    index.check_shape(data)
     return index
 
 

@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import UsageError
 from .metrics import Dataset
-from .stats import best_cross_inner_product
+from .stats import _GRAM_CHUNK, _chunk_best_cross, best_cross_inner_product
 
 EXACT_NDG_MAX_N = 20000  # quadratic; exists to verify dominator structure, not to index
 
@@ -44,6 +44,7 @@ class KnnGraph:
     k: int
     neighbors: np.ndarray  # (n, k) int32
     dists: np.ndarray      # (n, k) float64 squared distances
+    self_dominator: np.ndarray | None = None  # (n,) bool strict census; exact graphs only
 
     @property
     def n(self) -> int:
@@ -102,15 +103,6 @@ class CsrEdges:
         return (self[i] for i in range(self.n))
 
 
-def _pairwise_sq(block: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (len(block), len(base)) float64."""
-    bb = np.einsum("ij,ij->i", block, block)
-    aa = np.einsum("ij,ij->i", base, base)
-    d2 = bb[:, None] - 2.0 * block @ base.T + aa[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _topk_row(d2_row: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k smallest by (distance, id), handling ties at the boundary."""
     part = np.argpartition(d2_row, k - 1)[:k]
@@ -121,23 +113,32 @@ def _topk_row(d2_row: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return sel.astype(np.int32), d2_row[sel]
 
 
-def build_exact_knn(dataset: Dataset, K: int, chunk: int = 512) -> KnnGraph:
-    """Exact K nearest others per node by brute force, O(n^2)."""
+def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
+    """Exact K nearest others per node by brute force, O(n^2), plus the
+    strict self-dominator census from the same gram chunks, which then
+    become squared distances in place: |x|^2 - 2<x, y> + |y|^2."""
     n = dataset.n
     if not 1 <= K < n:
         raise UsageError(f"K={K} out of range [1, {n})")
     base = dataset.data.astype(np.float64)
+    sq_norms = np.einsum("ij,ij->i", base, base)
     neighbors = np.empty((n, K), dtype=np.int32)
     dists = np.empty((n, K), dtype=np.float64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        d2 = _pairwise_sq(base[start:stop], base)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+    census = np.empty(n, dtype=bool)
+    for start in range(0, n, _GRAM_CHUNK):
+        stop = min(start + _GRAM_CHUNK, n)
+        d2 = base[start:stop] @ base.T
+        self_dots, best_cross = _chunk_best_cross(d2, start)
+        census[start:stop] = self_dots > best_cross
+        d2 *= -2.0
+        d2 += sq_norms[start:stop, None]
+        d2 += sq_norms[None, :]
+        np.maximum(d2, 0.0, out=d2)
         for local in range(stop - start):
             ids, dd = _topk_row(d2[local], K)
             neighbors[start + local] = ids
             dists[start + local] = dd
-    return KnnGraph(k=K, neighbors=neighbors, dists=dists)
+    return KnnGraph(k=K, neighbors=neighbors, dists=dists, self_dominator=census)
 
 
 def build_nndescent_knn(dataset: Dataset, K: int, seed: int = 0,

@@ -1,6 +1,7 @@
 """Two-stage index assembly, persistence, and runtime edge loading.
 
-Stage 1 prunes a K-NN graph down to at most K1 Euclidean edges per node.
+Stage 1 prunes a K-NN graph down to at most K1 Euclidean edges per node
+and flags the self-dominators by the strict census, at every n.
 Stage 2 runs an inner-product graph search from every node over the
 stage-1 graph, filters the candidates through dominator selection, and
 stores at most K2 IP-oriented edges alongside. At query time ``materialize``
@@ -13,8 +14,8 @@ int32 ids); ``materialize`` is the only step that pads them into a
 
 File format (little-endian): magic ``MAG1``; u32 fields version=1, n, dim,
 K1, K2; per node u32 n_euc, u32 n_ip, then that many u32 ids (Euclidean
-edges first); n bytes of self-dominator flags; u32 metadata byte length;
-UTF-8 JSON metadata.
+edges first); n bytes of self-dominator flags (the strict census); u32
+metadata byte length; UTF-8 JSON metadata.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .stats import self_dominator_set
 
 MAGIC = b"MAG1"
 VERSION = 1
-CENSUS_MAX_N = 20000  # exact self-dominator census gate
 
 
 @dataclass
@@ -53,8 +53,13 @@ class MagIndex:
     self_dominator: np.ndarray          # (n,) bool
     metadata: dict = field(default_factory=dict)
 
-    def validate(self, dataset: Dataset | None = None,
-                 check_census: bool = True) -> None:
+    def check_shape(self, dataset: Dataset, what: str = "index") -> None:
+        """Raise unless the index was built on data of the dataset's shape."""
+        if (self.n, self.dim) != (dataset.n, dataset.dim):
+            raise UsageError(f"{what} has {self.n} vectors of dim {self.dim}, "
+                             f"but the data has {dataset.n} of dim {dataset.dim}")
+
+    def validate(self, dataset: Dataset | None = None) -> None:
         for kind, edges, cap in (("euclid", self.euclid, self.K1),
                                  ("ip", self.ip, self.K2)):
             if edges.n != self.n:
@@ -71,6 +76,7 @@ class MagIndex:
                 if len(bad):
                     raise UsageError(f"node {bad[0]}: {what}")
         if dataset is not None:
+            self.check_shape(dataset)
             base = dataset.data.astype(np.float64)
             src, ids = self.euclid.sources(), self.euclid.ids
             diff = base[ids] - base[src]
@@ -80,11 +86,9 @@ class MagIndex:
             if len(bad):
                 raise UsageError(f"node {bad[0]}: euclid edges not in "
                                  "(distance, id) order")
-            if check_census and self.n <= CENSUS_MAX_N:
-                census = np.zeros(self.n, dtype=bool)
-                census[self_dominator_set(dataset)] = True
-                if not np.array_equal(census, self.self_dominator):
-                    raise UsageError("self-dominator flags disagree with the census")
+            if not np.array_equal(np.flatnonzero(self.self_dominator),
+                                  self_dominator_set(dataset)):
+                raise UsageError("self-dominator flags disagree with the census")
 
 
 def _mirror_euclid(kept: CsrEdges, base: np.ndarray, K1: int) -> CsrEdges:
@@ -115,8 +119,10 @@ def build_stage1(dataset: Dataset, K: int, K1: int, knn_mode: str = "exact",
         raise UsageError(f"need 1 <= K1 <= K < n, got K1={K1}, K={K}, n={n}")
     if knn_mode == "exact":
         knn = build_exact_knn(dataset, K)
+        flags = knn.self_dominator
     elif knn_mode == "nndescent":
         knn = build_nndescent_knn(dataset, K, seed=seed, iters=nndescent_iters)
+        flags = np.isin(np.arange(n), self_dominator_set(dataset))
     else:
         raise UsageError(f"knn_mode must be 'exact' or 'nndescent', got {knn_mode!r}")
 
@@ -124,9 +130,6 @@ def build_stage1(dataset: Dataset, K: int, K1: int, knn_mode: str = "exact",
     kept = CsrEdges.from_rows([mrng_prune(i, knn.neighbors[i], knn.dists[i],
                                           base, K1) for i in range(n)])
     euclid = _mirror_euclid(kept, base, K1)
-    flags = np.zeros(n, dtype=bool)
-    if n <= CENSUS_MAX_N:
-        flags[self_dominator_set(dataset)] = True
     meta = {"stage": 1, "K": K, "K1": K1, "K2": 0, "knn_mode": knn_mode,
             "seed": seed, "mirror": True,
             "nndescent_iters": nndescent_iters if knn_mode == "nndescent" else 0}
@@ -150,7 +153,7 @@ def _stage2_init(adjacency, counts, data, accepted, K2, ls, seed, passno):
 
 def _stage2_node(node: int, graph: SearchGraph, dataset: Dataset, base64: np.ndarray,
                  accepted: CsrEdges | None, K2: int, ls: int, seed: int,
-                 passno: int) -> tuple[np.ndarray, bool]:
+                 passno: int) -> np.ndarray:
     """MIP search from one node, then dominator selection over the survivors.
 
     Search entries: the node, its current graph neighbors, the 2-hop
@@ -167,14 +170,10 @@ def _stage2_node(node: int, graph: SearchGraph, dataset: Dataset, base64: np.nda
                           entry_ids=tuple(seeds + fill))
     result = greedy_search(graph, dataset, dataset.vector(node), params,
                            MetricKind.INNER_PRODUCT, high_precision=True)
-    ids = result.ids
-    is_top = bool(len(ids) and ids[0] == node)
-    cands = ids[ids != node]
-    edges = ndg_select(node, cands, base64, K2)
-    return edges, is_top
+    return ndg_select(node, result.ids[result.ids != node], base64, K2)
 
 
-def _stage2_chunk(bounds: tuple[int, int]) -> list[tuple[np.ndarray, bool]]:
+def _stage2_chunk(bounds: tuple[int, int]) -> list[np.ndarray]:
     start, stop = bounds
     base64 = _S2_DATASET.data.astype(np.float64)
     accepted, K2, ls, seed, passno = _S2_ARGS
@@ -185,7 +184,7 @@ def _stage2_chunk(bounds: tuple[int, int]) -> list[tuple[np.ndarray, bool]]:
 
 def _stage2_sweep(graph: SearchGraph, dataset: Dataset,
                   accepted: CsrEdges | None, K2: int, ls: int,
-                  seed: int, passno: int, workers: int) -> list[tuple[np.ndarray, bool]]:
+                  seed: int, passno: int, workers: int) -> list[np.ndarray]:
     n = dataset.n
     if workers <= 1:
         base64 = dataset.data.astype(np.float64)
@@ -194,14 +193,11 @@ def _stage2_sweep(graph: SearchGraph, dataset: Dataset,
                 for i in range(n)]
     chunk = max(256, math.ceil(n / (workers * 4)))
     bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    results: list[tuple[np.ndarray, bool]] = []
     with ProcessPoolExecutor(
             max_workers=workers, initializer=_stage2_init,
             initargs=(graph.adjacency, graph.counts, dataset.data,
                       accepted, K2, ls, seed, passno)) as pool:
-        for part in pool.map(_stage2_chunk, bounds):
-            results.extend(part)
-    return results
+        return [edges for part in pool.map(_stage2_chunk, bounds) for edges in part]
 
 
 def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
@@ -227,11 +223,11 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     which sharply improves candidate quality at bounded search budgets
     (with ls = n one sweep is already exact). mirror=True adds the reverse
     copy of every selected edge under the K2 cap; metadata records the flag.
-    K2=0 leaves the index unchanged apart from metadata. Results are
-    independent of ``workers``.
+    K2=0 leaves the index unchanged apart from metadata. The self-dominator
+    flags are stage 1's strict census at every n. Results are independent
+    of ``workers``.
     """
-    if stage1.n != dataset.n or stage1.dim != dataset.dim:
-        raise UsageError("stage-1 index does not match the dataset")
+    stage1.check_shape(dataset, "stage-1 index")
     if K2 < 0:
         raise UsageError(f"K2 must be >= 0, got {K2}")
     if passes < 1:
@@ -252,21 +248,16 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     accepted: CsrEdges | None = None
     for passno in range(1, passes + 1):
         graph = materialize(current, R=max(1, current.K1 + current.K2), alpha=1.0)
-        results = _stage2_sweep(graph, dataset, accepted, K2, ls, seed, passno,
-                                workers)
-        accepted = CsrEdges.from_rows([edges for edges, _ in results])
+        accepted = CsrEdges.from_rows(_stage2_sweep(graph, dataset, accepted, K2,
+                                                    ls, seed, passno, workers))
         ip_edges = _mirror_ip(accepted, base64, K2) if mirror else accepted
         current = MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
                            euclid=stage1.euclid, ip=ip_edges,
                            self_dominator=stage1.self_dominator, metadata=meta)
 
-    if n <= CENSUS_MAX_N:
-        flags = stage1.self_dominator.copy()
-    else:
-        flags = np.fromiter((top for _, top in results), dtype=bool, count=n)
     return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
                     euclid=stage1.euclid.copy(), ip=ip_edges,
-                    self_dominator=flags, metadata=meta)
+                    self_dominator=stage1.self_dominator.copy(), metadata=meta)
 
 
 def build_mag(dataset: Dataset, K: int, K1: int, K2: int, ls: int,

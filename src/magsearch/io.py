@@ -8,8 +8,7 @@ so ground truth out-precisions the float32 engine.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -210,12 +210,18 @@ def best_cross_inner_product(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best_cross = np.empty(n)
     for start in range(0, n, _GRAM_CHUNK):
         stop = min(start + _GRAM_CHUNK, n)
-        gram = vecs[start:stop] @ vecs.T
-        diag = (np.arange(stop - start), np.arange(start, stop))
-        self_dots[start:stop] = gram[diag]
-        gram[diag] = -np.inf
-        best_cross[start:stop] = gram.max(axis=1)
+        self_dots[start:stop], best_cross[start:stop] = _chunk_best_cross(
+            vecs[start:stop] @ vecs.T, start)
     return self_dots, best_cross
+
+
+def _chunk_best_cross(gram: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Self dots and best cross products of the gram rows from ``start``;
+    leaves -inf on the diagonal, so the buffer stays reusable."""
+    diag = (np.arange(len(gram)), np.arange(start, start + len(gram)))
+    self_dots = gram[diag]
+    gram[diag] = -np.inf
+    return self_dots, gram.max(axis=1)
 
 
 def self_dominator_set(dataset: Dataset) -> np.ndarray:

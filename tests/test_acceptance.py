@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import magsearch as ms
-from magsearch import (Dataset, FormatError, MetricKind, SearchParams,
-                       build_mag, build_exact_ndg, materialize)
+from magsearch import (Dataset, FormatError, MetricKind, build_mag,
+                       build_exact_ndg, materialize)
 from magsearch.bench import (SyntheticSpec, find_ls_for_recall,
                              generate_synthetic, recall_at_k, run_queries,
                              run_scaling_study)

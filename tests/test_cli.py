@@ -2,11 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from magsearch.cli import main
-from magsearch.io import read_fvecs, read_ivecs
+from magsearch.io import read_ivecs
 
 
 @pytest.fixture(scope="module")

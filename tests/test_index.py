@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from magsearch import (Dataset, FormatError, MetricKind, UsageError,
-                       brute_force_topk, build_mag, build_stage1, build_stage2,
-                       load_index, materialize, ndg_select, save_index)
+from magsearch import (Dataset, FormatError, UsageError, build_mag, build_stage1,
+                       build_stage2, load_index, materialize, ndg_select,
+                       save_index, self_dominator_set)
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.index import index_to_bytes, ip_quota
 
@@ -118,12 +118,16 @@ class TestStage2:
         b = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=4, passes=2)
         assert index_to_bytes(a) == index_to_bytes(b)
 
-    def test_flags_match_census_gate(self, built):
+    @pytest.mark.parametrize("knn_mode", ["exact", "nndescent"])
+    def test_flags_match_census_gate(self, built, knn_mode):
         data, index = built
-        from magsearch import self_dominator_set
+        if knn_mode == "nndescent":
+            index = build_mag(data, K=16, K1=8, K2=8, ls=32, seed=3,
+                              knn_mode="nndescent")
         census = np.zeros(data.n, dtype=bool)
         census[self_dominator_set(data)] = True
         assert np.array_equal(index.self_dominator, census)
+        index.validate(data)
 
 
 class TestPersistence:
@@ -228,6 +232,17 @@ class TestValidate:
         broken.euclid.ids[broken.euclid.offsets[3]] = 3
         with pytest.raises(UsageError, match="self-loop"):
             broken.validate()
+
+    @pytest.mark.parametrize("rows,dim", [(150, 8), (300, 8), (400, 4)])
+    def test_dataset_shape_mismatch(self, built, rows, dim):
+        data, index = built
+        other = Dataset(np.resize(data.data, (rows, dim)))
+        with pytest.raises(UsageError, match=f"index has 400 vectors of dim 8, "
+                           f"but the data has {rows} of dim {dim}"):
+            index.validate(other)
+        stage1 = build_stage1(data, K=16, K1=8)
+        with pytest.raises(UsageError, match="stage-1 index has 400 vectors"):
+            build_stage2(stage1, other, K2=8, ls=32)
 
     def test_out_of_range_detected(self, built):
         import copy

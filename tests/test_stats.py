@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from magsearch import Dataset, UsageError
+from magsearch.construction import build_exact_knn
 from magsearch.stats import (coefficient_of_variation, compute_stats,
                              davies_bouldin, dominator_probability,
                              dominator_probability_mc, estimate_nn_angle,
@@ -166,6 +167,22 @@ class TestSelfDominators:
             census = self_dominator_set(Dataset(dup))
             assert a not in census and b not in census
             assert np.array_equal(census, census_reference(Dataset(dup)))
+
+    def test_exact_knn_census(self, rng):
+        # the exact K-NN pass takes the census from its own gram chunks:
+        # 1,100 rows span three, and two tied pairs of long rows sit on
+        # either side of a chunk boundary (511/512) and in the first and
+        # last chunk (3/1030)
+        pts = rng.standard_normal((1100, 6)).astype(np.float32)
+        long = 3 * pts[int(np.argmax(np.einsum("ij,ij->i", pts, pts)))]
+        pts[511], pts[3] = long, -long
+        single = build_exact_knn(Dataset(pts), 8).self_dominator
+        assert single.dtype == bool and single[[3, 511]].all()
+        pts[512], pts[1030] = long, -long
+        ds = Dataset(pts)
+        flags = build_exact_knn(ds, 8).self_dominator
+        assert not flags[[3, 511, 512, 1030]].any()
+        assert np.array_equal(np.flatnonzero(flags), census_reference(ds))
 
     def test_monotone_under_growth(self, rng):
         # adding points can only remove dominators among the existing ones,
