@@ -27,6 +27,14 @@ def _metric(name: str) -> MetricKind:
     return MetricKind.INNER_PRODUCT if name == "ip" else MetricKind.EUCLIDEAN
 
 
+def seed(text: str) -> int:
+    """argparse type of every --seed: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gaussian")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--clusters", type=int, default=8)
     p.add_argument("--center-scale", dest="center_scale", type=float, default=10.0)
     p.add_argument("--spread", type=float, default=1.0)
@@ -182,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="print data-topology indicators")
     p.add_argument("--data", required=True)
     p.add_argument("--clusters", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K1", type=int, required=True)
     p.add_argument("--K2", type=int, required=True)
     p.add_argument("--ls", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--knn", choices=["exact", "nndescent"], default="exact")
     p.add_argument("--nn-iters", dest="nn_iters", type=int, default=10)
     p.add_argument("--passes", type=int, default=3)
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ls", type=int, required=True)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--metric", choices=["ip", "l2"], default="ip")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--target", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--passes", type=int, default=3)
     p.add_argument("--out")
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gaussian")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--index", help="optional index file to validate")
     p.add_argument("--max-n-exact", dest="max_n_exact", type=int, default=2000)
     p.set_defaults(func=cmd_verify)

@@ -232,6 +232,8 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
         raise UsageError(f"K2 must be >= 0, got {K2}")
     if passes < 1:
         raise UsageError(f"passes must be >= 1, got {passes}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     meta = dict(stage1.metadata)
     meta.update({"stage": 2, "K2": K2, "stage2_ls": ls, "stage2_seed": seed,
                  "stage2_passes": passes, "mirror": mirror})

@@ -9,6 +9,14 @@ m expansions (pulling the pool toward the query direction), then re-scores
 the surviving pool under inner product — visited flags intact — and runs
 to termination. m=0 is exactly the plain inner-product search.
 
+Without explicit entries a query's pool starts from min(ls, n) distinct
+ids, a pure function of its seed words, n and ls. splitmix64's finaliser
+(Steele, Lea & Flood, OOPSLA 2014) folded over the words gives a 64-bit
+key; draws hashed from the key and a counter feed Floyd's sampling
+without replacement (Bentley & Floyd, CACM 1987). The lockstep engine
+evaluates the rule for a whole block in a few array operations, the
+single-query path for one query, and both pick the same ids.
+
 Scores are float32 by default; ``greedy_search(high_precision=True)``
 scores in float64, which the stage-2 construction searches use.
 """
@@ -16,7 +24,7 @@ scores in float64, which the stage-2 construction searches use.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,14 +54,16 @@ class SearchParams:
     ls: int                      # candidate pool bound
     k: int                       # results to return
     m: int = 0                   # Euclidean expansions before the IP switch
-    seed: int | tuple[int, ...] = 0
+    seed: int | tuple[int, ...] = 0  # words, each an int in [0, 2**64)
     entry_ids: tuple[int, ...] | None = None  # explicit seeds replace random ones
+    _key: int = field(init=False, repr=False, compare=False)  # _seed_key(seed)
 
     def __post_init__(self):
         if not 1 <= self.k <= self.ls:
             raise UsageError(f"need 1 <= k <= ls, got k={self.k}, ls={self.ls}")
         if self.m < 0:
             raise UsageError(f"m must be >= 0, got {self.m}")
+        object.__setattr__(self, "_key", _seed_key(self.seed))
 
 
 @dataclass
@@ -150,7 +160,54 @@ class CandidatePool:
             raise AssertionError("pool contains duplicate ids")
 
 
+_GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, splitmix64's increment
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z):
+    """splitmix64's finaliser on a Python int, masked to 64 bits, or on a
+    uint64 array, whose products wrap."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def _seed_key(seed: int | tuple[int, ...]) -> int:
+    """Fold _mix64 over the seed words: an int is one word, a tuple its items.
+
+    The fold runs on Python ints, which for one query cost a fraction of
+    numpy calls on a one-element array. A word that is not an int in
+    [0, 2**64) is a UsageError.
+    """
+    words = seed if isinstance(seed, tuple) else (seed,)
+    if not words:
+        raise UsageError("seed needs at least one word")
+    h = 0
+    for w in words:
+        if not isinstance(w, (int, np.integer)) or not 0 <= int(w) <= _MASK64:
+            raise UsageError(f"seed words must be integers in [0, 2**64), got {seed!r}")
+        h = _mix64((h ^ int(w)) + _GOLDEN & _MASK64)
+    return h
+
+
+def _seed_draws(keys: np.ndarray | np.uint64, n: int, c: int) -> np.ndarray:
+    """Draws for Floyd's sampling of c of n ids: (c,) for one uint64 key,
+    (B, c) for a (B, 1) column of keys.
+
+    Draw t is mix64(key ^ (t + 1) * GOLDEN) mod (n - c + t + 1). The modulo
+    bias is below n / 2**64.
+    """
+    t1 = np.arange(1, c + 1, dtype=np.uint64)
+    return (_mix64(keys ^ t1 * _GOLDEN) % (t1 + np.uint64(n - c))).astype(np.intp)
+
+
 def _entry_ids(n: int, params: SearchParams) -> np.ndarray:
+    """The query's entries: its explicit entry_ids, deduplicated, or else
+    min(ls, n) distinct ids drawn from its seed, in pick order.
+
+    Floyd's step t picks draw t unless it is taken, and then n - c + t,
+    which no earlier step can reach. ``_seed_block`` picks the same ids.
+    """
     if params.entry_ids is not None:
         # explicit seeds are not truncated; the pool keeps the best ls
         seen: set[int] = set()
@@ -166,8 +223,14 @@ def _entry_ids(n: int, params: SearchParams) -> np.ndarray:
             raise UsageError(f"entry_ids name {len(ids)} distinct ids, "
                              f"fewer than k={params.k}")
         return np.asarray(ids, dtype=np.int64)
-    rng = np.random.default_rng(params.seed)
-    return rng.choice(n, size=min(params.ls, n), replace=False)
+    c = min(params.ls, n)
+    ids = _seed_draws(np.uint64(params._key), n, c)
+    picked: set[int] = set()
+    for t, d in enumerate(ids.tolist()):
+        if d in picked:
+            ids[t] = d = n - c + t
+        picked.add(d)
+    return ids
 
 
 def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
@@ -301,6 +364,23 @@ def _block_size(n: int, width: int, dim: int) -> int:
     return max(1, _BLOCK_BYTES // (n + 8 * width * (dim + 1)))
 
 
+def _seed_block(keys: np.ndarray, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_entry_ids`` for a block of uint64 seed keys: the (B, c) entries in
+    pick order and the (B, n) seen masks that mark them.
+
+    Floyd's c steps run on every row at once, the masks serving as the
+    picked sets.
+    """
+    rows = np.arange(len(keys))
+    entries = _seed_draws(keys[:, None], n, c)
+    seen = np.zeros((len(keys), n), dtype=bool)
+    for t in range(c):
+        pick = entries[:, t]  # a view: the assignment below edits entries
+        pick[seen[rows, pick]] = n - c + t
+        seen[rows, pick] = True
+    return entries, seen
+
+
 def _lockstep_expand(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
                      keys: np.ndarray, seen: np.ndarray, comps: np.ndarray,
                      hops: np.ndarray, metric: MetricKind,
@@ -347,15 +427,11 @@ def _lockstep_expand(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
 
 
 def _lockstep_block(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
-                    ls: int, k: int, m: int, seeds: list,
+                    ls: int, k: int, m: int, keys: np.ndarray,
                     metric: MetricKind) -> list[SearchResult]:
-    """One block of ``lockstep_search``; query i is seeded with seeds[i]."""
+    """One block of ``lockstep_search``; query i is seeded with keys[i]."""
     nq, n = len(qs), graph.n
-    entries = np.stack([np.random.default_rng(s).choice(n, size=min(ls, n),
-                                                        replace=False)
-                        for s in seeds])
-    seen = np.zeros((nq, n), dtype=bool)
-    seen[np.arange(nq)[:, None], entries] = True
+    entries, seen = _seed_block(keys, n, min(ls, n))
     comps = np.full(nq, entries.shape[1], dtype=np.int64)
     hops = np.zeros(nq, dtype=np.int64)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
@@ -379,7 +455,7 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
                     k: int, m: int = 0, seed: int = 0,
                     metric: MetricKind = MetricKind.INNER_PRODUCT
                     ) -> list[SearchResult]:
-    """Search a (nq, dim) panel; query i is seeded at random with (seed, i).
+    """Search a (nq, dim) panel; query i is seeded with the words (seed, i).
 
     Query i gets the ids, dist_comps and hops that ``anms_search`` (m > 0)
     or ``greedy_search`` under ``metric`` (m = 0) give it alone with
@@ -388,17 +464,19 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
     one seen-mask lookup, one ``score_batch`` call and one sort of the
     block's pools, held as ``_pool_keys``.
     """
-    SearchParams(ls=ls, k=k, m=m)  # checks ls, k and m
+    head = SearchParams(ls=ls, k=k, m=m, seed=seed)._key  # checks the arguments
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:
         raise UsageError("the metric switch targets inner product; use m=0 for l2")
     qs = _check_query(graph, dataset, queries, k, ndim=2)
+    # _seed_key((seed, i)): the fold's last step, taken for every i at once
+    keys = _mix64((np.uint64(head) ^ np.arange(len(qs), dtype=np.uint64))
+                  + _GOLDEN & _MASK64)
     block = _block_size(graph.n, min(ls, graph.n), dataset.dim)
     results: list[SearchResult] = []
     for start in range(0, len(qs), block):
         stop = min(start + block, len(qs))
-        results.extend(_lockstep_block(
-            graph, dataset.data, qs[start:stop], ls, k, m,
-            [(seed, qid) for qid in range(start, stop)], metric))
+        results.extend(_lockstep_block(graph, dataset.data, qs[start:stop], ls,
+                                       k, m, keys[start:stop], metric))
     return results
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from magsearch.cli import main
+from magsearch.cli import build_parser, main, seed as cli_seed
 from magsearch.io import read_ivecs
 
 
@@ -133,3 +133,39 @@ def test_scale_subcommand_smoke(tmp_path, capsys):
 
 def test_missing_file_is_clean_error(tmp_path):
     assert main(["stats", "--data", str(tmp_path / "nope.fvecs")]) == 2
+
+
+# each subcommand with its required options filled in
+SEEDED = {
+    "gen": ["--n", "5", "--dim", "2", "--out", "x"],
+    "stats": ["--data", "x"],
+    "build": ["--data", "x", "--K", "4", "--K1", "2", "--K2", "2", "--ls", "8",
+              "--out", "x"],
+    "search": ["--index", "x", "--data", "x", "--queries", "x", "--R", "4",
+               "--alpha", "0.5", "--ls", "8"],
+    "bench": ["--index", "x", "--data", "x", "--queries", "x", "--gt", "x",
+              "--ls", "8", "--R", "4", "--alpha", "0.5"],
+    "scale": [],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+@pytest.mark.parametrize("bad", ["-1", "1.5", "abc"])
+def test_bad_seed_is_a_usage_error(command, bad, tmp_path, capsys):
+    argv = [command, *SEEDED[command]]
+    assert build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
+    with pytest.raises(SystemExit) as exc:
+        main([a if a != "x" else str(tmp_path / "x") for a in argv]
+             + ["--seed", bad])
+    assert exc.value.code == 2
+    assert "error: argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_every_seed_option_shares_one_type():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a.choices, dict))
+    types = {name: a.type for name, sub in subparsers.choices.items()
+             for a in sub._actions if a.dest == "seed"}
+    assert types == dict.fromkeys(SEEDED, cli_seed)

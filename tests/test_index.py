@@ -112,6 +112,12 @@ class TestStage2:
         with pytest.raises(UsageError):
             build_stage2(stage1, ds, K2=8, ls=4)
 
+    def test_negative_seed_rejected(self, rng):
+        ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
+        stage1 = build_stage1(ds, K=8, K1=4)
+        with pytest.raises(UsageError, match="seed"):
+            build_stage2(stage1, ds, K2=4, ls=8, seed=-1)
+
     def test_workers_do_not_change_output(self, rng):
         ds = Dataset(rng.standard_normal((300, 6)).astype(np.float32))
         a = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=1, passes=2)

@@ -414,6 +414,111 @@ class TestLockstep:
                         metric=MetricKind.EUCLIDEAN)
 
 
+def reference_entries(words, n, ls):
+    """The seeding rule on Python ints: splitmix64 folded over the words,
+    counter-hashed draws, Floyd's sampling."""
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+        return z ^ (z >> 31)
+    golden = 0x9E3779B97F4A7C15
+    h = 0
+    for w in words:
+        h = mix(((h ^ w) + golden) % 2 ** 64)
+    c = min(ls, n)
+    picked = []
+    for t in range(c):
+        d = mix(h ^ (t + 1) * golden % 2 ** 64) % (n - c + t + 1)
+        picked.append(n - c + t if d in picked else d)
+    return picked
+
+
+def seed_keys(words_list):
+    return np.array([search_mod._seed_key(w) for w in words_list], dtype=np.uint64)
+
+
+class TestSeeding:
+    """The rule that picks a query's entries from its seed words."""
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 1200])
+    def test_distinct_ids_on_both_paths(self, n):
+        ls = 16
+        words = [(3, i) for i in range(50)]
+        entries, seen = search_mod._seed_block(seed_keys(words), n, min(ls, n))
+        for row, mask, w in zip(entries, seen, words):
+            ids = search_mod._entry_ids(n, SearchParams(ls=ls, k=1, seed=w))
+            assert ids.tolist() == row.tolist()
+            assert len(set(row.tolist())) == min(ls, n)
+            assert 0 <= row.min() and row.max() < n
+            assert np.flatnonzero(mask).tolist() == sorted(row.tolist())
+            if n <= ls:
+                assert sorted(row.tolist()) == list(range(n))
+
+    def test_inclusion_is_uniform(self):
+        n, ls, nq = 1000, 16, 20_000
+        keys = seed_keys([(11, i) for i in range(nq)])
+        counts = np.zeros(n, dtype=np.int64)
+        for start in range(0, nq, 4000):
+            entries, _ = search_mod._seed_block(keys[start:start + 4000], n, ls)
+            counts += np.bincount(entries.ravel(), minlength=n)
+        expected = nq * ls / n
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 / (n - 1) < 1.5
+
+    @pytest.mark.parametrize("words, want", [
+        ((0, 0), [805, 514, 872, 770, 820, 182, 638, 493]),
+        ((2 ** 64 - 1, 5), [790, 977, 22, 326, 993, 450, 428, 836]),
+    ])
+    def test_pinned_entries(self, words, want):
+        """The rule decides result ids, so a change to it must show here."""
+        assert search_mod._entry_ids(1000, SearchParams(ls=8, k=1, seed=words)
+                                     ).tolist() == want
+        entries, _ = search_mod._seed_block(seed_keys([words]), 1000, 8)
+        assert entries[0].tolist() == want
+
+    def test_matches_python_int_reference(self, rng):
+        for _ in range(200):
+            n, ls = int(rng.integers(1, 1500)), int(rng.integers(1, 150))
+            words = tuple(int(w) for w in rng.integers(
+                0, 2 ** 64 - 1, size=rng.integers(1, 4), dtype=np.uint64,
+                endpoint=True))
+            got = search_mod._entry_ids(n, SearchParams(ls=ls, k=1, seed=words))
+            assert got.tolist() == reference_entries(words, n, ls), (words, n, ls)
+
+    def test_an_int_seed_is_one_word(self):
+        assert search_mod._seed_key(7) == search_mod._seed_key((7,))
+        assert search_mod._seed_key(np.uint64(7)) == search_mod._seed_key(7)
+
+    def test_no_generator_per_query(self, searchable, monkeypatch):
+        data, graph = searchable
+        qs = data.data[:30] + np.float32(0.5)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("query seeding built a numpy Generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        lockstep_search(graph, data, qs, ls=16, k=5, seed=3)
+        lockstep_search(graph, data, qs, ls=16, k=5, m=4, seed=3)
+        greedy_search(graph, data, qs[0], SearchParams(ls=16, k=5, seed=(3, 0)),
+                      MetricKind.INNER_PRODUCT)
+        anms_search(graph, data, qs[0], SearchParams(ls=16, k=5, m=4, seed=9))
+
+    @pytest.mark.parametrize("bad", [-1, 2 ** 64, "3", 1.5, (), (1, -2),
+                                     (1, "2"), [1, 2], None])
+    def test_bad_seed_is_a_usage_error(self, searchable, bad):
+        data, graph = searchable
+        with pytest.raises(UsageError, match="seed"):
+            SearchParams(ls=16, k=5, seed=bad)
+        with pytest.raises(UsageError, match="seed"):
+            lockstep_search(graph, data, data.data[:3], ls=16, k=5, seed=bad)
+
+    def test_edge_seed_words_accepted(self, searchable):
+        data, graph = searchable
+        for seed in (0, 2 ** 64 - 1, np.int64(5), (0, 2 ** 64 - 1)):
+            SearchParams(ls=16, k=5, seed=seed)
+        lockstep_search(graph, data, data.data[:3], ls=16, k=5, seed=2 ** 64 - 1)
+
+
 class TestScalingDuality:
     def test_hand_example(self):
         data = Dataset.from_array([[2, 0], [0, 1]])
