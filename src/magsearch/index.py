@@ -4,7 +4,9 @@ Stage 1 prunes a K-NN graph down to at most K1 Euclidean edges per node
 and flags the self-dominators by the strict census, at every n.
 Stage 2 runs an inner-product graph search from every node over the
 stage-1 graph, filters the candidates through dominator selection, and
-stores at most K2 IP-oriented edges alongside. At query time ``materialize``
+stores at most K2 IP-oriented edges alongside. The searches run as
+lockstep blocks of nodes on the query engine (``search._lockstep_pools``);
+dominator selection stays per node. At query time ``materialize``
 loads ceil(alpha * R) IP edges first and fills the remaining out-degree
 budget with Euclidean edges.
 
@@ -33,7 +35,7 @@ from .construction import (CsrEdges, _by_inner_product, _merge_reverse,
                            ndg_select)
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
-from .search import SearchGraph, SearchParams, greedy_search
+from .search import SearchGraph, _block_size, _key_ids, _lockstep_pools
 from .stats import self_dominator_set
 
 MAGIC = b"MAG1"
@@ -151,46 +153,81 @@ def _stage2_init(adjacency, counts, data, accepted, K2, ls, seed, passno):
     _S2_ARGS = (accepted, K2, ls, seed, passno)
 
 
-def _stage2_node(node: int, graph: SearchGraph, dataset: Dataset, base64: np.ndarray,
-                 accepted: CsrEdges | None, K2: int, ls: int, seed: int,
-                 passno: int) -> np.ndarray:
-    """MIP search from one node, then dominator selection over the survivors.
+def _stage2_entries(nodes: np.ndarray, graph: SearchGraph, n: int,
+                    accepted_pad: np.ndarray | None, ls: int, seed: int,
+                    passno: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, W) entries of a block of nodes, distinct per row and padded
+    with -1, and the (B, n) seen masks that mark them.
 
-    Search entries: the node, its current graph neighbors, the 2-hop
-    frontier of the previous sweep's accepted IP edges (none on the first
-    sweep), and a seeded random fill. The pool keeps the best ls of them.
+    A node's entries: the node, its current graph neighbors, the 2-hop
+    frontier of the previous sweep's accepted IP edges (``accepted_pad``,
+    none on the first sweep), and min(ls, n) distinct ids drawn by
+    ``default_rng([seed, passno, node])``.
     """
-    rng = np.random.default_rng([seed, passno, node])
-    seeds = [node] + graph.neighbors(node).tolist()
+    fill = np.stack([np.random.default_rng([seed, passno, node]).choice(
+        n, size=min(ls, n), replace=False) for node in nodes.tolist()])
+    parts = [nodes[:, None], graph.adjacency[nodes], fill]
+    if accepted_pad is not None:
+        parts.append(accepted_pad[accepted_pad[nodes]].reshape(len(nodes), -1))
+    entries = np.sort(np.concatenate(parts, axis=1), axis=1)
+    entries[:, 1:][entries[:, 1:] == entries[:, :-1]] = -1
+    # sort the duplicates, now -1, to the front and drop the columns that
+    # are padding in every row: the block scores fewer entries
+    entries.sort(axis=1)
+    entries = entries[:, (entries < 0).sum(axis=1).min():]
+    seen = np.zeros((len(nodes), n), dtype=bool)
+    kept = entries >= 0
+    seen[np.nonzero(kept)[0], entries[kept]] = True
+    return entries, seen
+
+
+def _stage2_rows(start: int, stop: int, graph: SearchGraph, dataset: Dataset,
+                 base64: np.ndarray, accepted: CsrEdges | None, K2: int,
+                 ls: int, seed: int, passno: int) -> list[np.ndarray]:
+    """Dominator edges of nodes start..stop-1: an inner-product search from
+    each node, run as lockstep blocks, then dominator selection over the
+    node's final pool, best first.
+
+    Blocks are sized from the widest entry row of any sweep,
+    1 + out-degree + K2**2 + min(ls, n); the first sweep, which has no
+    2-hop frontier, is sized the same way.
+    """
+    n = dataset.n
+    accepted_pad = None
     if accepted is not None:
-        for direct in accepted[node]:
-            seeds += accepted[direct].tolist()
-    fill = rng.choice(dataset.n, size=min(ls, dataset.n), replace=False).tolist()
-    params = SearchParams(ls=ls, k=min(ls, dataset.n), seed=0,
-                          entry_ids=tuple(seeds + fill))
-    result = greedy_search(graph, dataset, dataset.vector(node), params,
-                           MetricKind.INNER_PRODUCT, high_precision=True)
-    return ndg_select(node, result.ids[result.ids != node], base64, K2)
+        # accepted edges padded to (n + 1, K2) with -1; row n, which a -1
+        # reads, is all padding
+        accepted_pad = np.full((n + 1, K2), -1)
+        src = accepted.sources()
+        accepted_pad[src, np.arange(len(src)) - accepted.offsets[src]] = accepted.ids
+    width = 1 + graph.adjacency.shape[1] + K2 * K2 + min(ls, n)
+    block = _block_size(n, width, dataset.dim)
+    rows = []
+    for lo in range(start, stop, block):
+        nodes = np.arange(lo, min(lo + block, stop))
+        entries, seen = _stage2_entries(nodes, graph, n, accepted_pad, ls, seed,
+                                        passno)
+        keys, _, _ = _lockstep_pools(graph, dataset.data, dataset.data[nodes],
+                                     entries, seen, ls, 0,
+                                     MetricKind.INNER_PRODUCT)
+        rows += [ndg_select(node, pool, base64, K2)
+                 for node, pool in zip(nodes.tolist(), _key_ids(keys))]
+    return rows
 
 
 def _stage2_chunk(bounds: tuple[int, int]) -> list[np.ndarray]:
-    start, stop = bounds
     base64 = _S2_DATASET.data.astype(np.float64)
-    accepted, K2, ls, seed, passno = _S2_ARGS
-    return [_stage2_node(i, _S2_GRAPH, _S2_DATASET, base64, accepted,
-                         K2, ls, seed, passno)
-            for i in range(start, stop)]
+    return _stage2_rows(*bounds, _S2_GRAPH, _S2_DATASET, base64, *_S2_ARGS)
 
 
 def _stage2_sweep(graph: SearchGraph, dataset: Dataset,
                   accepted: CsrEdges | None, K2: int, ls: int,
                   seed: int, passno: int, workers: int) -> list[np.ndarray]:
     n = dataset.n
-    if workers <= 1:
+    if workers == 1:
         base64 = dataset.data.astype(np.float64)
-        return [_stage2_node(i, graph, dataset, base64, accepted,
-                             K2, ls, seed, passno)
-                for i in range(n)]
+        return _stage2_rows(0, n, graph, dataset, base64, accepted, K2, ls,
+                            seed, passno)
     chunk = max(256, math.ceil(n / (workers * 4)))
     bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
     with ProcessPoolExecutor(
@@ -218,14 +255,15 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
 
     Each node's candidates come from an inner-product greedy search
     (entry: the node itself, its current neighbors, then seeded random
-    fill). The first sweep runs over the stage-1 graph; later sweeps run
-    over the provisional graph including the previous sweep's IP edges,
-    which sharply improves candidate quality at bounded search budgets
-    (with ls = n one sweep is already exact). mirror=True adds the reverse
-    copy of every selected edge under the K2 cap; metadata records the flag.
-    K2=0 leaves the index unchanged apart from metadata. The self-dominator
-    flags are stage 1's strict census at every n. Results are independent
-    of ``workers``.
+    fill); blocks of nodes run their searches in lockstep on the query
+    engine, as one query panel. The first sweep runs over the stage-1
+    graph; later sweeps run over the provisional graph including the
+    previous sweep's IP edges, which sharply improves candidate quality at
+    bounded search budgets (with ls = n one sweep is already exact).
+    mirror=True adds the reverse copy of every selected edge under the K2
+    cap; metadata records the flag. K2=0 leaves the index unchanged apart
+    from metadata. The self-dominator flags are stage 1's strict census at
+    every n. Results are independent of ``workers``, which must be >= 1.
     """
     stage1.check_shape(dataset, "stage-1 index")
     if K2 < 0:
@@ -234,6 +272,8 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
         raise UsageError(f"passes must be >= 1, got {passes}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     meta = dict(stage1.metadata)
     meta.update({"stage": 2, "K2": K2, "stage2_ls": ls, "stage2_seed": seed,
                  "stage2_passes": passes, "mirror": mirror})

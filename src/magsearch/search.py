@@ -17,8 +17,10 @@ without replacement (Bentley & Floyd, CACM 1987). The lockstep engine
 evaluates the rule for a whole block in a few array operations, the
 single-query path for one query, and both pick the same ids.
 
-Scores are float32 by default; ``greedy_search(high_precision=True)``
-scores in float64, which the stage-2 construction searches use.
+Scores are float32, and the engine's pool keys hold float32 scores.
+``greedy_search(high_precision=True)`` scores in float64; it serves the
+single-query API only. The stage-2 construction searches run on the
+lockstep engine (``_lockstep_pools``), as query panels do.
 """
 
 from __future__ import annotations
@@ -426,17 +428,36 @@ def _lockstep_expand(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
                              axis=1)[:, :width]
 
 
-def _lockstep_block(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
-                    ls: int, k: int, m: int, keys: np.ndarray,
-                    metric: MetricKind) -> list[SearchResult]:
-    """One block of ``lockstep_search``; query i is seeded with keys[i]."""
-    nq, n = len(qs), graph.n
-    entries, seen = _seed_block(keys, n, min(ls, n))
-    comps = np.full(nq, entries.shape[1], dtype=np.int64)
+def _lockstep_pools(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
+                    entries: np.ndarray, seen: np.ndarray, ls: int, m: int,
+                    metric: MetricKind
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lockstep engine from a block's entries to its final pools.
+
+    entries is (B, W): each row's distinct entry ids, padded with -1, and
+    at least L = min(ls, n) of them per row; seen is the (B, n) masks that
+    mark them. Every entry is scored and counted, each pool keeps its best
+    L, then the rows expand as ``_search`` does: m Euclidean expansions and
+    the re-score at the switch when m > 0, then ``metric`` to exhaustion.
+    Returns the (B, L) sorted pools as ``_pool_keys`` and the (B,) comps
+    and hops.
+
+    Rows are scored and cut in runs of B·L // W, so that wide entry rows
+    hold no more at once than a block's pools do: one run when W = L.
+    """
+    nq, width = entries.shape
+    L = min(ls, graph.n)
+    comps = (entries >= 0).sum(axis=1)
     hops = np.zeros(nq, dtype=np.int64)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
-    keys = np.sort(_pool_keys(first, score_batch(first, qs[:, None], data[entries]),
-                              entries), axis=1)
+    run = max(1, nq * L // width)
+    pools = []
+    for s in range(0, nq, run):
+        ids = entries[s:s + run]
+        scores = score_batch(first, qs[s:s + run, None], data[ids])
+        keys = np.where(ids >= 0, _pool_keys(first, scores, ids), _NO_KEY)
+        pools.append(np.sort(keys, axis=1)[:, :L])
+    keys = np.concatenate(pools)
     if m > 0:  # metric is inner product here
         _lockstep_expand(graph, data, qs, keys, seen, comps, hops, first,
                          max_expansions=m)
@@ -446,6 +467,16 @@ def _lockstep_block(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
                        axis=1)
         comps += keys.shape[1]
     _lockstep_expand(graph, data, qs, keys, seen, comps, hops, metric)
+    return keys, comps, hops
+
+
+def _lockstep_block(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
+                    ls: int, k: int, m: int, keys: np.ndarray,
+                    metric: MetricKind) -> list[SearchResult]:
+    """One block of ``lockstep_search``; query i is seeded with keys[i]."""
+    entries, seen = _seed_block(keys, graph.n, min(ls, graph.n))
+    keys, comps, hops = _lockstep_pools(graph, data, qs, entries, seen, ls, m,
+                                        metric)
     ids = _key_ids(keys[:, :k]).astype(np.int32)
     return [SearchResult(ids=row, stats=SearchStats(dist_comps=c, hops=h))
             for row, c, h in zip(ids, comps.tolist(), hops.tolist())]

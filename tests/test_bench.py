@@ -110,7 +110,7 @@ class TestBenchmark:
 @pytest.mark.parametrize("module,name", [
     ("magsearch.index", "build_exact_knn"),
     ("magsearch.index", "self_dominator_set"),
-    ("magsearch.index", "greedy_search"),
+    ("magsearch.index", "_lockstep_pools"),
     ("magsearch.index", "materialize"),
     ("magsearch.bench", "greedy_search"),
     ("magsearch.bench", "anms_search"),

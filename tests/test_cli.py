@@ -131,6 +131,15 @@ def test_scale_subcommand_smoke(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_zero_workers_is_a_usage_error(tmp_path, capsys):
+    base, index = str(tmp_path / "b.fvecs"), str(tmp_path / "i.mag")
+    assert main(["gen", "--n", "60", "--dim", "4", "--out", base]) == 0
+    assert main(["build", "--data", base, "--K", "8", "--K1", "4", "--K2", "4",
+                 "--ls", "8", "--workers", "0", "--out", index]) == 2
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "i.mag").exists()
+
+
 def test_missing_file_is_clean_error(tmp_path):
     assert main(["stats", "--data", str(tmp_path / "nope.fvecs")]) == 2
 

@@ -6,11 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from magsearch import (Dataset, FormatError, UsageError, build_mag, build_stage1,
-                       build_stage2, load_index, materialize, ndg_select,
+from magsearch import (Dataset, FormatError, MetricKind, SearchParams,
+                       UsageError, build_mag, build_stage1, build_stage2,
+                       greedy_search, load_index, materialize, ndg_select,
                        save_index, self_dominator_set)
+from magsearch import index as index_mod, search as search_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
-from magsearch.index import index_to_bytes, ip_quota
+from magsearch.construction import CsrEdges
+from magsearch.index import MagIndex, index_to_bytes, ip_quota
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,91 @@ class TestStage1:
             build_stage1(small_gaussian, K=small_gaussian.n, K1=2)
 
 
+def _stage2_width(graph, n, K2, ls):
+    """The widest entry row of a stage-2 node: itself, its neighbours, the
+    2-hop frontier of K2 accepted edges, the fill."""
+    return 1 + graph.adjacency.shape[1] + K2 * K2 + min(ls, n)
+
+
+def _stage2_reference(graph, ds, accepted, K2, ls, seed, passno):
+    """Stage 2 as one scalar float32 search per node, then ndg_select."""
+    base = ds.data.astype(np.float64)
+    rows = []
+    for node in range(ds.n):
+        entries = [node] + graph.neighbors(node).tolist()
+        if accepted is not None:
+            for direct in accepted[node]:
+                entries += accepted[direct].tolist()
+        fill = np.random.default_rng([seed, passno, node]).choice(
+            ds.n, size=min(ls, ds.n), replace=False)
+        params = SearchParams(ls=ls, k=min(ls, ds.n),
+                              entry_ids=tuple(entries + fill.tolist()))
+        result = greedy_search(graph, ds, ds.vector(node), params,
+                               MetricKind.INNER_PRODUCT)
+        rows.append(ndg_select(node, result.ids[result.ids != node], base, K2))
+    return rows
+
+
 class TestStage2:
+    @pytest.mark.parametrize("case", ["duplicates", "n_le_ls"])
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    def test_block_sweep_matches_per_node_search(self, case, block_rows,
+                                                 monkeypatch):
+        rng = np.random.default_rng(11)
+        if case == "duplicates":
+            pts = rng.standard_normal((100, 6)).astype(np.float32)
+            pts[[20, 41, 97]] = pts[5]
+            pts[63] = 0.0
+            ds, K, K1, K2, ls = Dataset(pts), 12, 6, 5, 12
+        else:
+            ds = Dataset(rng.standard_normal((40, 6)).astype(np.float32))
+            K, K1, K2, ls = 10, 5, 4, 64
+        stage1 = build_stage1(ds, K=K, K1=K1, seed=0)
+        base = ds.data.astype(np.float64)
+        current, accepted = stage1, None
+        for passno in (1, 2):
+            graph = materialize(current, R=current.K1 + current.K2, alpha=1.0)
+            if block_rows is not None:
+                width = _stage2_width(graph, ds.n, K2, ls)
+                monkeypatch.setattr(search_mod, "_BLOCK_BYTES",
+                                    block_rows * (ds.n + 8 * width * (ds.dim + 1)))
+                assert search_mod._block_size(ds.n, width, ds.dim) == block_rows
+            rows = index_mod._stage2_sweep(graph, ds, accepted, K2, ls, 4,
+                                           passno, workers=1)
+            expected = _stage2_reference(graph, ds, accepted, K2, ls, 4, passno)
+            assert [r.tolist() for r in rows] == [r.tolist() for r in expected]
+            accepted = CsrEdges.from_rows(rows)
+            current = MagIndex(n=ds.n, dim=ds.dim, K1=K1, K2=K2,
+                               euclid=stage1.euclid,
+                               ip=index_mod._mirror_ip(accepted, base, K2),
+                               self_dominator=stage1.self_dominator)
+
+    def test_blocks_fit_the_byte_budget(self, monkeypatch):
+        # a budget that binds: sized from the fill width alone, the blocks
+        # would hold nearly three times as many rows as the full width allows
+        monkeypatch.setattr(search_mod, "_BLOCK_BYTES", 60_000)
+        shapes = []
+        run = index_mod._lockstep_pools
+
+        def recording(graph, data, qs, entries, *args):
+            shapes.append(entries.shape)
+            return run(graph, data, qs, entries, *args)
+
+        monkeypatch.setattr(index_mod, "_lockstep_pools", recording)
+        ds = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=8))
+        build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=2, passes=2)
+        assert len(shapes) > 2 and max(B for B, _ in shapes) > 1
+        for B, W in shapes:
+            if B > 1:
+                assert B * (ds.n + 8 * W * (ds.dim + 1)) <= search_mod._BLOCK_BYTES
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, rng, workers):
+        ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
+        stage1 = build_stage1(ds, K=8, K1=4)
+        with pytest.raises(UsageError, match="workers"):
+            build_stage2(stage1, ds, K2=4, ls=8, workers=workers)
+
     def test_exhaustive_pool_matches_exact_selection(self, rng):
         # ls = n makes the per-node MIP search exhaustive, so stage 2 (with
         # reverse-edge mirroring off) must equal dominator selection over
