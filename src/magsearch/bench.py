@@ -325,7 +325,7 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
                           ls=max(16, min(32, dataset.n)), seed=7)
     if index is not None:
         try:
-            index.validate(dataset if index.n == dataset.n else None)
+            index.validate(dataset)
             report.add("index-invariants", True,
                        f"n={index.n}, K1={index.K1}, K2={index.K2}")
         except UsageError as exc:
@@ -344,7 +344,7 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
             report.add("index-roundtrip", False, str(exc))
 
     # pool invariants exercised through an instrumented search
-    if index is not None and index.n == dataset.n:
+    if index is not None and (index.n, index.dim) == (dataset.n, dataset.dim):
         graph = materialize(index, R=max(8, index.K1), alpha=0.5)
         q = rng.standard_normal(dataset.dim).astype(np.float32)
         params = SearchParams(ls=min(64, dataset.n), k=min(10, dataset.n), seed=3)

@@ -35,6 +35,18 @@ def seed(text: str) -> int:
     return value
 
 
+def int_list(text: str) -> list[int]:
+    """argparse type of --ls and --sizes: a comma list of positive integers."""
+    try:
+        values = [int(v) for v in text.split(",")]
+        if min(values) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"need a comma list of positive integers, got {text!r}")
+
+
 def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
@@ -127,8 +139,7 @@ def cmd_bench(args) -> int:
     index = _load_matching_index(args.index, data)
     queries = read_fvecs(args.queries)
     gt = load_ground_truth(args.gt)
-    ls_list = [int(v) for v in args.ls.split(",")]
-    records = run_benchmark(index, data, queries, gt, ls_list=ls_list, R=args.R,
+    records = run_benchmark(index, data, queries, gt, ls_list=args.ls, R=args.R,
                             alpha=args.alpha, m=args.m, k=args.k, seed=args.seed,
                             reps=args.reps)
     _write_out(args.out, records_to_csv(records, _config(args)))
@@ -136,8 +147,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
-    records = run_scaling_study(sizes, dim=args.dim, K=args.K, K1=args.K1,
+    records = run_scaling_study(args.sizes, dim=args.dim, K=args.K, K1=args.K1,
                                 K2=args.K2, build_ls=args.build_ls, R=args.R,
                                 alpha=args.alpha, m=args.m, k=args.k,
                                 n_queries=args.queries, target=args.target,
@@ -228,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--ls", required=True, help="comma-separated pool sizes")
+    p.add_argument("--ls", type=int_list, required=True,
+                   help="comma-separated pool sizes")
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--m", type=int, default=0)
@@ -239,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("scale", help="distance computations at matched recall vs n")
-    p.add_argument("--sizes", default="1000,4000,16000,64000")
+    p.add_argument("--sizes", type=int_list, default="1000,4000,16000,64000")
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--K", type=int, default=32)
     p.add_argument("--K1", type=int, default=16)

@@ -401,19 +401,24 @@ def materialize(index: MagIndex, R: int, alpha: float) -> SearchGraph:
         raise UsageError(f"R must be >= 1, got {R}")
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
-    n = index.n
+    n, ip, euclid = index.n, index.ip, index.euclid
     adjacency = np.full((n, R), -1, dtype=np.int32)
-    counts = np.zeros(n, dtype=np.int32)
     quota = ip_quota(alpha, R)
-    for i in range(n):
-        taken = index.ip[i][:quota].tolist()
-        chosen = set(taken)
-        for e in index.euclid[i].tolist():
-            if len(taken) == R:
-                break
-            if e not in chosen:
-                taken.append(e)
-                chosen.add(e)
-        adjacency[i, :len(taken)] = taken
-        counts[i] = len(taken)
+    src = ip.sources()
+    col = np.arange(len(src)) - ip.offsets[src]
+    take = col < quota
+    adjacency[src[take], col[take]] = ip.ids[take]
+    n_ip = np.minimum(ip.lengths(), quota)
+    # a Euclidean edge whose (row, id) code is among the sorted codes of
+    # the IP edges taken drops out (n * n closes the list above every
+    # code); the rest follow the IP edges in order until the row holds R
+    taken = np.sort(np.append(src[take].astype(np.int64) * n + ip.ids[take], n * n))
+    src = euclid.sources()
+    code = src.astype(np.int64) * n + euclid.ids
+    fresh = taken[np.searchsorted(taken, code)] != code
+    src, ids = src[fresh], euclid.ids[fresh]
+    col = n_ip[src] + np.arange(len(src)) - np.searchsorted(src, src)
+    take = col < R
+    adjacency[src[take], col[take]] = ids[take]
+    counts = (n_ip + np.bincount(src[take], minlength=n)).astype(np.int32)
     return SearchGraph(R=R, alpha=alpha, adjacency=adjacency, counts=counts)

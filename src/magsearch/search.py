@@ -392,40 +392,65 @@ def _lockstep_expand(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
     keys is the (B, L) sorted pools, seen the (B, n) masks, comps and hops
     the (B,) counters; all are updated in place. A query leaves the step
     loop when its pool has no unvisited entry or after max_expansions.
+
+    The live rows' pools sit in one compact array; a row that closes is
+    written back to keys and dropped from it. A step marks each live row's
+    best unvisited entry, reads and sets the seen cells of its neighbours
+    through the flat mask, scores the fresh ones in one ``score_batch``
+    call, and merges those better than the row's worst entry into the
+    rows they touch: each row's candidates sorted, then merged with its
+    sorted pool by a stable sort, which merges the two runs.
     """
     width, R = keys.shape[1], graph.adjacency.shape[1]
+    n = seen.shape[1]
+    flat_seen = seen.reshape(-1)  # a view: the masks are C-contiguous
     live = np.arange(len(keys))
+    pool = keys  # until a row closes; then a compact copy of the live rows
+    starts = live * width  # of the pool rows in pool.reshape(-1)
     step = 0
     while max_expansions is None or step < max_expansions:
-        unvisited = (keys[live] & np.uint64(1)) == 0
-        open_ = unvisited.any(axis=1)
-        live, unvisited = live[open_], unvisited[open_]
-        if not live.size:
-            break
-        best = unvisited.argmax(axis=1)
-        keys[live, best] |= np.uint64(1)
-        node = _key_ids(keys[live, best])
-        hops[live] += 1
+        unvisited = (pool & np.uint64(1)) == 0
+        best = starts + unvisited.argmax(axis=1)
+        open_ = unvisited.reshape(-1)[best]  # argmax is 0 in a closed row
+        if not open_.all():
+            shut = ~open_
+            if pool is not keys:
+                keys[live[shut]] = pool[shut]
+            hops[live[shut]] += step
+            live, pool = live[open_], pool[open_]
+            if not live.size:
+                break
+            starts = starts[:len(live)]
+            best = starts + best[open_] % width
+        picked = pool.reshape(-1)[best] | np.uint64(1)
+        pool.reshape(-1)[best] = picked
+        node = _key_ids(picked)
         step += 1
         valid = np.arange(R) < graph.counts[node][:, None]
         nbrs = np.where(valid, graph.adjacency[node], 0)
-        fresh = valid & ~seen[live[:, None], nbrs]
-        # assign only the fresh cells: a padded cell reads node 0 as well
-        who, col = np.nonzero(fresh)
-        vid = nbrs[who, col]
-        qid = live[who]
-        seen[qid, vid] = True
+        cells = nbrs + (live * n)[:, None]
+        # only the fresh cells count: a padded cell reads node 0 as well
+        fresh = valid & ~flat_seen[cells]
         comps[live] += fresh.sum(axis=1)
-        new = _pool_keys(metric, score_batch(metric, qs[qid], data[vid]), vid)
+        at = np.flatnonzero(fresh)
+        flat_seen[cells.reshape(-1)[at]] = True
+        who = at // R
+        vid = nbrs.reshape(-1)[at]
+        new = _pool_keys(metric, score_batch(metric, qs[live[who]], data[vid]), vid)
         # pools are full from seeding on: a key no better than the worst
         # entry cannot get in
-        better = new < keys[qid, width - 1]
+        better = new < pool[:, width - 1][who]
+        hit = np.zeros(len(live), dtype=bool)
+        hit[who[better]] = True
+        touched = np.flatnonzero(hit)
         cand = np.full(nbrs.shape, _NO_KEY)
-        cand[who[better], col[better]] = new[better]
-        touched = np.unique(who[better])
-        rows = live[touched]
-        keys[rows] = np.sort(np.concatenate((keys[rows], cand[touched]), axis=1),
-                             axis=1)[:, :width]
+        cand.reshape(-1)[at[better]] = new[better]
+        cand = np.sort(cand[touched], axis=1)
+        pool[touched] = np.sort(np.concatenate((pool[touched], cand), axis=1),
+                                axis=1, kind="stable")[:, :width]
+    if pool is not keys:
+        keys[live] = pool
+    hops[live] += step
 
 
 def _lockstep_pools(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
@@ -491,9 +516,11 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
     Query i gets the ids, dist_comps and hops that ``anms_search`` (m > 0)
     or ``greedy_search`` under ``metric`` (m = 0) give it alone with
     ``SearchParams(ls, k, m, seed=(seed, i))``. Blocks of queries advance
-    in lockstep, one expansion per query per step: one neighbour gather,
-    one seen-mask lookup, one ``score_batch`` call and one sort of the
-    block's pools, held as ``_pool_keys``.
+    in lockstep, one expansion per open query per step, over a compact
+    array of the open queries' pools held as ``_pool_keys``
+    (``_lockstep_expand``): one neighbour gather, one flat seen-mask
+    read and write, one ``score_batch`` call, and a merge of each touched
+    pool with its sorted candidates.
     """
     head = SearchParams(ls=ls, k=k, m=m, seed=seed)._key  # checks the arguments
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:

@@ -140,6 +140,18 @@ class TestVerifySuite:
         failing = [c for c in report.checks if not c.passed]
         assert any(c.name == "index-invariants" for c in failing)
 
+    def test_index_of_other_data_fails(self):
+        data = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=1))
+        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1, passes=1)
+        report = verify_suite(spec=SyntheticSpec("gaussian", n=400, dim=8, seed=0),
+                              index=index, max_n_exact=0)
+        rows = {c.name: c for c in report.checks}
+        assert not rows["index-invariants"].passed
+        assert rows["index-invariants"].detail == (
+            "index has 300 vectors of dim 8, but the data has 400 of dim 8")
+        assert "pool-invariants" not in rows
+        assert not report.passed
+
     def test_duplicated_points_pass(self):
         # census is empty under strict domination; the suite's tie-tolerant
         # checks must still pass

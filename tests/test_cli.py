@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from magsearch.cli import build_parser, main, seed as cli_seed
+from magsearch.cli import build_parser, int_list, main, seed as cli_seed
 from magsearch.io import read_ivecs
 
 
@@ -118,6 +118,18 @@ def test_verify_subcommand(capsys):
     assert "PASS" in out and "overall" in out
 
 
+def test_verify_rejects_an_index_of_other_data(tmp_path, capsys):
+    base, index = str(tmp_path / "b.fvecs"), str(tmp_path / "i.mag")
+    assert main(["gen", "--n", "300", "--dim", "8", "--seed", "1",
+                 "--out", base]) == 0
+    assert main(["build", "--data", base, "--K", "12", "--K1", "6", "--K2", "6",
+                 "--ls", "24", "--passes", "1", "--out", index]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--index", index, "--max-n-exact", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  index has 300 vectors of dim 8, but the data has 1000 of dim 8" in out
+
+
 def test_scale_subcommand_smoke(tmp_path, capsys):
     out = str(tmp_path / "scale.csv")
     rc = main(["scale", "--sizes", "400,800", "--dim", "8", "--K", "12",
@@ -178,3 +190,27 @@ def test_every_seed_option_shares_one_type():
     types = {name: a.type for name, sub in subparsers.choices.items()
              for a in sub._actions if a.dest == "seed"}
     assert types == dict.fromkeys(SEEDED, cli_seed)
+
+
+@pytest.mark.parametrize("command,option,bad", [
+    ("bench", "--ls", "16,x"), ("bench", "--ls", "16,0"), ("bench", "--ls", ""),
+    ("scale", "--sizes", "100,abc"), ("scale", "--sizes", "100,-4"),
+    ("scale", "--sizes", "1.5")])
+def test_bad_comma_list_is_a_usage_error(command, option, bad, tmp_path, capsys):
+    argv = [a if a != "x" else str(tmp_path / "x") for a in [command, *SEEDED[command]]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, bad])
+    assert exc.value.code == 2
+    assert (f"error: argument {option}: need a comma list of positive integers"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_comma_lists_share_one_type():
+    parser = build_parser()
+    assert parser.parse_args(["bench", *SEEDED["bench"], "--ls", "16,32"]).ls == [16, 32]
+    assert parser.parse_args(["scale"]).sizes == [1000, 4000, 16000, 64000]
+    subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+    types = {(name, a.dest): a.type for name, sub in subparsers.choices.items()
+             for a in sub._actions if a.dest in ("ls", "sizes")}
+    assert types[("bench", "ls")] is types[("scale", "sizes")] is int_list

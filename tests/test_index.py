@@ -346,7 +346,55 @@ class TestValidate:
             broken.validate()
 
 
+def materialize_reference(index, R, alpha):
+    """The per-node rule on Python lists: the row's first ceil(alpha R) IP
+    edges, then its Euclidean edges not taken yet, in order, up to R."""
+    quota = ip_quota(alpha, R)
+    rows = []
+    for i in range(index.n):
+        taken = index.ip[i][:quota].tolist()
+        for e in index.euclid[i].tolist():
+            if len(taken) == R:
+                break
+            if e not in taken:
+                taken.append(e)
+        rows.append(taken)
+    return rows
+
+
 class TestMaterialize:
+    @pytest.fixture(scope="class")
+    def hand(self):
+        """Rows that share ids across the two lists, rows with one list
+        empty, and an empty row."""
+        euclid = [[1, 2, 3, 4, 5, 6], [0, 2], [], [0, 1, 2, 4, 5, 6], [3],
+                  [6, 0, 1], [5, 4, 3, 2, 1, 0]]
+        ip = [[3, 1, 6], [], [], [6, 0, 1, 2], [0, 1, 2, 5, 6],
+              [6, 1, 0, 2, 3, 4], [0, 1]]
+        rows = [np.asarray(r, dtype=np.int32) for r in euclid + ip]
+        return MagIndex(n=7, dim=2, K1=6, K2=6, euclid=CsrEdges.from_rows(rows[:7]),
+                        ip=CsrEdges.from_rows(rows[7:]),
+                        self_dominator=np.zeros(7, dtype=bool))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("R", [1, 4, 9, 13])
+    def test_matches_per_node_rule(self, built, hand, alpha, R):
+        # R = 1 and 4 lie below K2 of both indexes (8 and 6); 13 lies above
+        # hand's K1 + K2 = 12, and 13 + 4 above built's 16
+        _, index = built
+        for idx, r in ((hand, R), (index, R), (index, R + 4)):
+            shared = [set(idx.ip[i].tolist()) & set(idx.euclid[i].tolist())
+                      for i in range(idx.n)]
+            assert any(shared)
+            want = materialize_reference(idx, r, alpha)
+            padded = np.full((idx.n, r), -1, dtype=np.int32)
+            for i, row in enumerate(want):
+                padded[i, :len(row)] = row
+            g = materialize(idx, R=r, alpha=alpha)
+            assert g.adjacency.dtype == np.int32 and g.counts.dtype == np.int32
+            assert np.array_equal(g.adjacency, padded)
+            assert g.counts.tolist() == [len(row) for row in want]
+
     def test_quota_arithmetic(self):
         assert ip_quota(0.3, 10) == 3
         assert ip_quota(0.25, 10) == 3   # true ceil of 2.5

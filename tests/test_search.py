@@ -9,8 +9,9 @@ from magsearch import (Dataset, MetricKind, SearchParams, UsageError,
                        compute_ground_truth, greedy_search, materialize,
                        recall_at_k)
 from magsearch.bench import run_queries
-from magsearch.metrics import sort_key
-from magsearch.search import (CandidatePool, SearchGraph, lockstep_search,
+from magsearch.metrics import score_batch, sort_key
+from magsearch.search import (CandidatePool, SearchGraph, SearchStats,
+                              _expand_loop, lockstep_search,
                               verify_scaling_duality)
 
 
@@ -294,8 +295,105 @@ def assert_matches_scalar(graph, data, queries, ls, k, m=0, seed=0,
     return got
 
 
+def scalar_pools(graph, data, qs, entries, ls, m, metric):
+    """``_lockstep_pools`` replayed one row at a time on ``CandidatePool``
+    and ``_expand_loop``, as ``_search`` runs a query: per row the pool ids
+    best first, their visited flags, the seen mask, comps and hops."""
+    first = MetricKind.EUCLIDEAN if m > 0 else metric
+    rows = []
+    for q, row in zip(qs, entries):
+        ids = row[row >= 0]
+        pool = CandidatePool(min(ls, graph.n), first)
+        seen = np.zeros(graph.n, dtype=bool)
+        seen[ids] = True
+        stats = SearchStats(dist_comps=len(ids))
+        for vid, score in zip(ids.tolist(),
+                              score_batch(first, q, data.data[ids]).tolist()):
+            pool.insert(vid, score)
+        if m > 0:
+            _expand_loop(pool, graph, data, q, first, seen, stats, max_expansions=m)
+            kept = pool.ids_best_first()
+            scores = score_batch(metric, q, data.data[kept])
+            stats.dist_comps += len(kept)
+            pool.resort(metric, dict(zip(kept.tolist(), scores.tolist())))
+        _expand_loop(pool, graph, data, q, metric, seen, stats)
+        rows.append((pool.ids_best_first().tolist(), list(pool._visited), seen,
+                     stats.dist_comps, stats.hops))
+    return rows
+
+
+def assert_pools_match(graph, data, qs, entries, ls, m, metric):
+    """Every row's whole final pool, visited bits, seen mask and counters
+    from one ``_lockstep_pools`` call equal the scalar replay's; returns
+    the hops."""
+    seen = np.zeros((len(entries), graph.n), dtype=bool)
+    for mask, row in zip(seen, entries):
+        mask[row[row >= 0]] = True
+    keys, comps, hops = search_mod._lockstep_pools(graph, data.data, qs, entries,
+                                                   seen, ls, m, metric)
+    want = scalar_pools(graph, data, qs, entries, ls, m, metric)
+    for i, (ids, visited, mask, dist_comps, n_hops) in enumerate(want):
+        assert search_mod._key_ids(keys[i]).tolist() == ids, i
+        assert ((keys[i] & np.uint64(1)) == 1).tolist() == visited, i
+        assert np.array_equal(seen[i], mask), i
+        assert (comps[i], hops[i]) == (dist_comps, n_hops), i
+    return hops
+
+
 class TestLockstep:
     """The lockstep engine against the per-query search, its oracle."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        """Points on a line, each linked to the two nodes on either side
+        (end rows padded with -1), with entries drawn from the first 30 and
+        queries spread along the line: a row walks as far as its query
+        lies from the entries, so rows close at very different steps.
+
+        Entry rows hold 12 to 30 distinct ids among -1 padding."""
+        rng = np.random.default_rng(61)
+        n, R = 200, 4
+        x = np.arange(n) / 10.0
+        data = Dataset(np.stack([x, 0.01 * rng.standard_normal(n)], axis=1)
+                       .astype(np.float32))
+        adj = np.full((n, R), -1, dtype=np.int32)
+        counts = np.zeros(n, dtype=np.int32)
+        for i in range(n):
+            row = [j for j in (i - 2, i - 1, i + 1, i + 2) if 0 <= j < n]
+            adj[i, :len(row)] = row
+            counts[i] = len(row)
+        graph = SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
+        nq, width = 45, 36
+        qs = np.stack([rng.uniform(-2.0, 22.0, nq), rng.standard_normal(nq)],
+                      axis=1).astype(np.float32)
+        entries = np.full((nq, width), -1)
+        for row in entries:
+            c = rng.integers(12, 31)
+            row[rng.permutation(width)[:c]] = rng.choice(30, c, replace=False)
+        return graph, data, qs, entries
+
+    def test_whole_pools_when_rows_close_far_apart(self, chain):
+        graph, data, qs, entries = chain
+        hops = assert_pools_match(graph, data, qs, entries, 12, 0,
+                                  MetricKind.EUCLIDEAN)
+        # closed rows are written back at many different steps
+        assert len(set(hops.tolist())) >= 20 and hops.max() > 4 * hops.min()
+
+    def test_whole_pools_when_rows_close_before_m(self, chain):
+        graph, data, qs, entries = chain
+        m = 40
+        hops = assert_pools_match(graph, data, qs, entries, 12, m,
+                                  MetricKind.INNER_PRODUCT)
+        assert hops.min() < m < hops.max()
+
+    @pytest.mark.parametrize("m", [0, 6])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_whole_pools_in_small_blocks(self, chain, block, m):
+        graph, data, qs, entries = chain
+        for lo in range(0, 21, block):
+            assert_pools_match(graph, data, qs[lo:lo + block],
+                               entries[lo:lo + block], 12, m,
+                               MetricKind.INNER_PRODUCT)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_pool_keys_sort_as_score_id_tuples(self, rng, metric):
