@@ -6,8 +6,6 @@ and separated blobs (strong clustering, low Euclidean DBI). The printed
 hints show how the indicators translate into alpha/m tuning.
 """
 
-import numpy as np
-
 import magsearch as ms
 from magsearch.bench import SyntheticSpec, generate_synthetic
 

@@ -58,6 +58,10 @@ class SyntheticSpec:
             raise UsageError(f"unknown synthetic kind {self.kind!r}")
         if self.n < 1 or self.dim < 1:
             raise UsageError("need n >= 1 and dim >= 1")
+        if self.n_clusters < 1:
+            raise UsageError(f"need n_clusters >= 1, got {self.n_clusters}")
+        if self.sigma_log < 0:
+            raise UsageError(f"need sigma_log >= 0, got {self.sigma_log}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -121,9 +125,11 @@ def bench_one(graph: SearchGraph, dataset: Dataset, queries: Dataset,
               gt: GroundTruth, ls: int, k: int, m: int, seed: int,
               reps: int = 3) -> BenchRecord:
     """One measured point: recall/counters from the first rep, QPS from all reps."""
+    if reps < 1:
+        raise UsageError(f"reps must be >= 1, got {reps}")
     times = []
     results = None
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         t0 = time.perf_counter()
         out = run_queries(graph, dataset, queries, ls=ls, k=k, m=m, seed=seed)
         times.append(time.perf_counter() - t0)

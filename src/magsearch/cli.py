@@ -110,8 +110,7 @@ def cmd_stats(args) -> int:
 def cmd_build(args) -> int:
     data = read_fvecs(args.data)
     index = build_mag(data, K=args.K, K1=args.K1, K2=args.K2, ls=args.ls,
-                      knn_mode=args.knn, seed=args.seed, workers=args.workers,
-                      nndescent_iters=args.nn_iters, passes=args.passes)
+                      seed=args.seed, workers=args.workers, passes=args.passes)
     save_index(index, args.out)
     print(f"built index over {data.n} vectors (K={args.K}, K1={args.K1}, "
           f"K2={args.K2}) -> {args.out}")
@@ -212,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K2", type=int, required=True)
     p.add_argument("--ls", type=int, required=True)
     p.add_argument("--seed", type=seed, default=0)
-    p.add_argument("--knn", choices=["exact", "nndescent"], default="exact")
-    p.add_argument("--nn-iters", dest="nn_iters", type=int, default=10)
     p.add_argument("--passes", type=int, default=3)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)

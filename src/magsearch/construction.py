@@ -1,4 +1,4 @@
-"""K-NN graph builders and the two edge-selection rules.
+"""The exact K-NN graph builder and the two edge-selection rules.
 
 Edge selection is what turns a raw K-NN graph into a navigable index:
 
@@ -44,7 +44,7 @@ class KnnGraph:
     k: int
     neighbors: np.ndarray  # (n, k) int32
     dists: np.ndarray      # (n, k) float64 squared distances
-    self_dominator: np.ndarray | None = None  # (n,) bool strict census; exact graphs only
+    self_dominator: np.ndarray  # (n,) bool strict census from the same gram pass
 
     @property
     def n(self) -> int:
@@ -139,71 +139,6 @@ def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
             neighbors[start + local] = ids
             dists[start + local] = dd
     return KnnGraph(k=K, neighbors=neighbors, dists=dists, self_dominator=census)
-
-
-def build_nndescent_knn(dataset: Dataset, K: int, seed: int = 0,
-                        iters: int = 10) -> KnnGraph:
-    """Approximate K-NN graph by neighbor-of-neighbor descent.
-
-    Deterministic given the seed. iters=0 returns the random initial
-    graph. Converges early when an iteration changes no row.
-    """
-    n = dataset.n
-    if not 1 <= K < n:
-        raise UsageError(f"K={K} out of range [1, {n})")
-    base = dataset.data.astype(np.float64)
-    rng = np.random.default_rng(seed)
-
-    neighbors = np.empty((n, K), dtype=np.int32)
-    dists = np.empty((n, K), dtype=np.float64)
-    for i in range(n):
-        ids = rng.choice(n - 1, size=K, replace=False).astype(np.int32)
-        ids[ids >= i] += 1  # skip self
-        diff = base[ids] - base[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((ids, d2))
-        neighbors[i], dists[i] = ids[order], d2[order]
-
-    for _ in range(iters):
-        # reverse edges, capped at K per target in (source-sorted) order
-        src = np.repeat(np.arange(n, dtype=np.int32), K)
-        dst = neighbors.ravel()
-        rev_order = np.lexsort((src, dst))
-        rev_dst, rev_src = dst[rev_order], src[rev_order]
-        starts = np.searchsorted(rev_dst, np.arange(n))
-        stops = np.searchsorted(rev_dst, np.arange(n) + 1)
-
-        changed = 0
-        for i in range(n):
-            rev = rev_src[starts[i]:min(stops[i], starts[i] + K)]
-            two_hop = neighbors[neighbors[i]].ravel()
-            cand = np.unique(np.concatenate((neighbors[i], rev, two_hop)))
-            cand = cand[cand != i]
-            diff = base[cand] - base[i]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            merged_ids = np.concatenate((neighbors[i], cand))
-            merged_d2 = np.concatenate((dists[i], d2))
-            order = np.lexsort((merged_ids, merged_d2))
-            ids_sorted = merged_ids[order]
-            _, first = np.unique(ids_sorted, return_index=True)
-            keep = order[np.sort(first)[:K]]
-            new_ids = merged_ids[keep].astype(np.int32)
-            if not np.array_equal(new_ids, neighbors[i]):
-                changed += 1
-            neighbors[i], dists[i] = new_ids, merged_d2[keep]
-        if changed == 0:
-            break
-
-    return KnnGraph(k=K, neighbors=neighbors, dists=dists)
-
-
-def knn_recall(approx: KnnGraph, exact: KnnGraph) -> float:
-    """Mean per-node fraction of exact neighbors present in the approximate graph."""
-    if approx.n != exact.n or approx.k != exact.k:
-        raise UsageError("graphs must share n and k")
-    hits = sum(len(np.intersect1d(approx.neighbors[i], exact.neighbors[i]))
-               for i in range(approx.n))
-    return hits / (approx.n * approx.k)
 
 
 def mrng_prune(node: int, candidate_ids, candidate_d2, base: np.ndarray,

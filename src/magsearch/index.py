@@ -1,7 +1,7 @@
 """Two-stage index assembly, persistence, and runtime edge loading.
 
-Stage 1 prunes a K-NN graph down to at most K1 Euclidean edges per node
-and flags the self-dominators by the strict census, at every n.
+Stage 1 prunes the exact K-NN graph down to at most K1 Euclidean edges
+per node and flags the self-dominators by the strict census, at every n.
 Stage 2 runs an inner-product graph search from every node over the
 stage-1 graph, filters the candidates through dominator selection, and
 stores at most K2 IP-oriented edges alongside. The searches run as
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import (CsrEdges, _by_inner_product, _merge_reverse,
-                           build_exact_knn, build_nndescent_knn, mrng_prune,
-                           ndg_select)
+                           build_exact_knn, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
 from .search import SearchGraph, _block_size, _key_ids, _lockstep_pools
@@ -112,31 +111,27 @@ def _mirror_euclid(kept: CsrEdges, base: np.ndarray, K1: int) -> CsrEdges:
     return _merge_reverse(kept, rule)
 
 
-def build_stage1(dataset: Dataset, K: int, K1: int, knn_mode: str = "exact",
-                 seed: int = 0, nndescent_iters: int = 10) -> MagIndex:
-    """Euclidean-pruned edges from a K-NN graph, symmetrized under the K1
-    cap; IP edge lists stay empty."""
+def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
+    """Euclidean-pruned edges from the exact K-NN graph, symmetrized under
+    the K1 cap; IP edge lists stay empty. The self-dominator flags are the
+    census from the same gram pass. Stage 1 draws nothing at random:
+    ``seed`` is only recorded in the metadata."""
     n = dataset.n
     if not 1 <= K1 <= K or not K < n:
         raise UsageError(f"need 1 <= K1 <= K < n, got K1={K1}, K={K}, n={n}")
-    if knn_mode == "exact":
-        knn = build_exact_knn(dataset, K)
-        flags = knn.self_dominator
-    elif knn_mode == "nndescent":
-        knn = build_nndescent_knn(dataset, K, seed=seed, iters=nndescent_iters)
-        flags = np.isin(np.arange(n), self_dominator_set(dataset))
-    else:
-        raise UsageError(f"knn_mode must be 'exact' or 'nndescent', got {knn_mode!r}")
-
+    knn = build_exact_knn(dataset, K)
     base = dataset.data.astype(np.float64)
     kept = CsrEdges.from_rows([mrng_prune(i, knn.neighbors[i], knn.dists[i],
                                           base, K1) for i in range(n)])
     euclid = _mirror_euclid(kept, base, K1)
-    meta = {"stage": 1, "K": K, "K1": K1, "K2": 0, "knn_mode": knn_mode,
-            "seed": seed, "mirror": True,
-            "nndescent_iters": nndescent_iters if knn_mode == "nndescent" else 0}
+    # the K-NN mode and its iteration count stay in the metadata: the index
+    # bytes then equal those of earlier versions, which also offered an
+    # approximate K-NN graph
+    meta = {"stage": 1, "K": K, "K1": K1, "K2": 0, "knn_mode": "exact",
+            "seed": seed, "mirror": True, "nndescent_iters": 0}
     return MagIndex(n=n, dim=dataset.dim, K1=K1, K2=0, euclid=euclid,
-                    ip=CsrEdges.empty(n), self_dominator=flags, metadata=meta)
+                    ip=CsrEdges.empty(n), self_dominator=knn.self_dominator,
+                    metadata=meta)
 
 
 # module globals for worker processes (set once per worker by _stage2_init)
@@ -303,11 +298,9 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
 
 
 def build_mag(dataset: Dataset, K: int, K1: int, K2: int, ls: int,
-              knn_mode: str = "exact", seed: int = 0, workers: int = 1,
-              nndescent_iters: int = 10, passes: int = 3) -> MagIndex:
+              seed: int = 0, workers: int = 1, passes: int = 3) -> MagIndex:
     """Convenience wrapper: stage 1 then stage 2."""
-    stage1 = build_stage1(dataset, K, K1, knn_mode=knn_mode, seed=seed,
-                          nndescent_iters=nndescent_iters)
+    stage1 = build_stage1(dataset, K, K1, seed=seed)
     return build_stage2(stage1, dataset, K2, ls, seed=seed, workers=workers,
                         passes=passes)
 

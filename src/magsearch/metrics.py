@@ -3,8 +3,7 @@
 Vectors live in float32, row-major. Runtime scoring accumulates in float32
 (``np.vecdot`` order, which must agree with sequential accumulation within
 1e-4 relative), at query time and in the stage-2 construction searches
-alike; ``high_precision`` requests float64 accumulation for the
-single-query API.
+alike.
 
 Ordering convention: inner product, larger is better; squared Euclidean
 distance, smaller is better. All ties everywhere break toward the lower
@@ -74,9 +73,8 @@ def sort_key(metric: MetricKind, raw_score: float, vid: int) -> tuple[float, int
     return (raw_score, vid)
 
 
-def score_batch(metric: MetricKind, q: np.ndarray, block: np.ndarray,
-                high_precision: bool = False) -> np.ndarray:
-    """Score every row of ``block`` against q; float64 when high_precision.
+def score_batch(metric: MetricKind, q: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Score every row of ``block`` against q in float32.
 
     q is one vector, or one per row: it broadcasts against ``block`` over
     every axis but the last, so a (B, R, d) block takes a (B, 1, d) q.
@@ -84,9 +82,8 @@ def score_batch(metric: MetricKind, q: np.ndarray, block: np.ndarray,
     depend on how many rows share the call. BLAS ``rows @ q`` does not
     promise that, and the lockstep search relies on it.
     """
-    dtype = np.float64 if high_precision else np.float32
-    qv = np.asarray(q, dtype=dtype)
-    rows = np.asarray(block, dtype=dtype)
+    qv = np.asarray(q, dtype=np.float32)
+    rows = np.asarray(block, dtype=np.float32)
     if rows.shape[-1] != qv.shape[-1]:
         raise UsageError(f"dimension mismatch: {rows.shape[-1]} vs {qv.shape[-1]}")
     if metric is MetricKind.INNER_PRODUCT:

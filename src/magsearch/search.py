@@ -9,18 +9,17 @@ m expansions (pulling the pool toward the query direction), then re-scores
 the surviving pool under inner product — visited flags intact — and runs
 to termination. m=0 is exactly the plain inner-product search.
 
-Without explicit entries a query's pool starts from min(ls, n) distinct
-ids, a pure function of its seed words, n and ls. splitmix64's finaliser
-(Steele, Lea & Flood, OOPSLA 2014) folded over the words gives a 64-bit
-key; draws hashed from the key and a counter feed Floyd's sampling
-without replacement (Bentley & Floyd, CACM 1987). The lockstep engine
+A query's pool starts from min(ls, n) distinct ids, a pure function of
+its seed words, n and ls. splitmix64's finaliser (Steele, Lea & Flood,
+OOPSLA 2014) folded over the words gives a 64-bit key; draws hashed from
+the key and a counter feed Floyd's sampling without replacement
+(Bentley & Floyd, CACM 1987). The lockstep engine
 evaluates the rule for a whole block in a few array operations, the
 single-query path for one query, and both pick the same ids.
 
-Scores are float32, and the engine's pool keys hold float32 scores.
-``greedy_search(high_precision=True)`` scores in float64; it serves the
-single-query API only. The stage-2 construction searches run on the
-lockstep engine (``_lockstep_pools``), as query panels do.
+Scores are float32 on both paths, and the engine's pool keys hold float32
+scores. The stage-2 construction searches run on the lockstep engine
+(``_lockstep_pools``), as query panels do.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ class SearchParams:
     k: int                       # results to return
     m: int = 0                   # Euclidean expansions before the IP switch
     seed: int | tuple[int, ...] = 0  # words, each an int in [0, 2**64)
-    entry_ids: tuple[int, ...] | None = None  # explicit seeds replace random ones
     _key: int = field(init=False, repr=False, compare=False)  # _seed_key(seed)
 
     def __post_init__(self):
@@ -203,28 +201,13 @@ def _seed_draws(keys: np.ndarray | np.uint64, n: int, c: int) -> np.ndarray:
     return (_mix64(keys ^ t1 * _GOLDEN) % (t1 + np.uint64(n - c))).astype(np.intp)
 
 
-def _entry_ids(n: int, params: SearchParams) -> np.ndarray:
-    """The query's entries: its explicit entry_ids, deduplicated, or else
-    min(ls, n) distinct ids drawn from its seed, in pick order.
+def _seed_ids(n: int, params: SearchParams) -> np.ndarray:
+    """The query's entries: min(ls, n) distinct ids drawn from its seed, in
+    pick order.
 
     Floyd's step t picks draw t unless it is taken, and then n - c + t,
     which no earlier step can reach. ``_seed_block`` picks the same ids.
     """
-    if params.entry_ids is not None:
-        # explicit seeds are not truncated; the pool keeps the best ls
-        seen: set[int] = set()
-        ids = []
-        for vid in params.entry_ids:
-            vid = int(vid)
-            if not 0 <= vid < n:
-                raise UsageError(f"entry id {vid} out of range [0, {n})")
-            if vid not in seen:
-                seen.add(vid)
-                ids.append(vid)
-        if len(ids) < params.k:
-            raise UsageError(f"entry_ids name {len(ids)} distinct ids, "
-                             f"fewer than k={params.k}")
-        return np.asarray(ids, dtype=np.int64)
     c = min(params.ls, n)
     ids = _seed_draws(np.uint64(params._key), n, c)
     picked: set[int] = set()
@@ -238,7 +221,7 @@ def _entry_ids(n: int, params: SearchParams) -> np.ndarray:
 def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
                  q: np.ndarray, metric: MetricKind, seen: np.ndarray,
                  stats: SearchStats, max_expansions: int | None = None,
-                 high_precision: bool = False, debug: bool = False) -> None:
+                 debug: bool = False) -> None:
     data = dataset.data
     flip = metric.larger_is_better
     insert = pool._insert_key
@@ -254,7 +237,7 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
         fresh = nbrs[~seen[nbrs]]
         if fresh.size:
             seen[fresh] = True
-            scores = score_batch(metric, q, data[fresh], high_precision)
+            scores = score_batch(metric, q, data[fresh])
             stats.dist_comps += fresh.size
             if flip:
                 scores = -scores
@@ -282,18 +265,17 @@ def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
 
 
 def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
-            metric: MetricKind, m: int, high_precision: bool,
-            debug: bool) -> SearchResult:
+            metric: MetricKind, m: int, debug: bool) -> SearchResult:
     """One query: m expansions under Euclidean distance (none when m = 0),
     a re-score of the surviving pool under ``metric`` with visited flags
     kept, then expansion to pool exhaustion under ``metric``."""
     qv = _check_query(graph, dataset, q, params.k)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
-    entries = _entry_ids(graph.n, params)
+    entries = _seed_ids(graph.n, params)
     pool = CandidatePool(params.ls, first)
     seen = np.zeros(graph.n, dtype=bool)
     seen[entries] = True
-    scores = score_batch(first, qv, dataset.data[entries], high_precision)
+    scores = score_batch(first, qv, dataset.data[entries])
     stats = SearchStats(dist_comps=len(entries))
     if first.larger_is_better:
         scores = -scores
@@ -301,22 +283,19 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
         pool._insert_key(key)
     if m > 0:
         _expand_loop(pool, graph, dataset, qv, first, seen, stats,
-                     max_expansions=m, high_precision=high_precision,
-                     debug=debug)
+                     max_expansions=m, debug=debug)
         ids = pool.ids_best_first()
-        scores = score_batch(metric, qv, dataset.data[ids], high_precision)
+        scores = score_batch(metric, qv, dataset.data[ids])
         stats.dist_comps += len(ids)
         pool.resort(metric, dict(zip(ids.tolist(), scores.tolist())))
-    _expand_loop(pool, graph, dataset, qv, metric, seen, stats,
-                 high_precision=high_precision, debug=debug)
+    _expand_loop(pool, graph, dataset, qv, metric, seen, stats, debug=debug)
     return SearchResult(ids=pool.ids_best_first()[:params.k], stats=stats)
 
 
 def greedy_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
-                  metric: MetricKind, high_precision: bool = False,
-                  debug: bool = False) -> SearchResult:
+                  metric: MetricKind, debug: bool = False) -> SearchResult:
     """Single-metric beam search: expand best-unvisited until pool exhaustion."""
-    return _search(graph, dataset, q, params, metric, 0, high_precision, debug)
+    return _search(graph, dataset, q, params, metric, 0, debug)
 
 
 def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
@@ -328,7 +307,7 @@ def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     Returns the top k by inner product.
     """
     return _search(graph, dataset, q, params, MetricKind.INNER_PRODUCT,
-                   params.m, False, debug)
+                   params.m, debug)
 
 
 # Bytes that one block of the lockstep engine may hold. The block size
@@ -367,7 +346,7 @@ def _block_size(n: int, width: int, dim: int) -> int:
 
 
 def _seed_block(keys: np.ndarray, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_entry_ids`` for a block of uint64 seed keys: the (B, c) entries in
+    """``_seed_ids`` for a block of uint64 seed keys: the (B, c) entries in
     pick order and the (B, n) seen masks that mark them.
 
     Floyd's c steps run on every row at once, the masks serving as the

@@ -58,6 +58,12 @@ class TestSynthetic:
         with pytest.raises(UsageError):
             SyntheticSpec("uniform", n=10, dim=2)
 
+    @pytest.mark.parametrize("kind,field,value", [("blobs", "n_clusters", 0),
+                                                  ("heavytail", "sigma_log", -1.0)])
+    def test_out_of_range_parameter_rejected(self, kind, field, value):
+        with pytest.raises(UsageError, match=field):
+            SyntheticSpec(kind, n=10, dim=2, **{field: value})
+
 
 @pytest.fixture(scope="module")
 def bench_setup():
@@ -97,6 +103,13 @@ class TestBenchmark:
         with pytest.raises(UsageError, match="out of range"):
             run_benchmark(index, data, queries, shifted, ls_list=[16], R=12,
                           alpha=0.5, m=0, k=10, seed=1, reps=1)
+
+    def test_zero_reps_rejected(self, bench_setup):
+        # reps=0 used to time one rep while the config echoed 0
+        data, queries, gt, index = bench_setup
+        with pytest.raises(UsageError, match="reps must be >= 1"):
+            run_benchmark(index, data, queries, gt, ls_list=[16], R=12,
+                          alpha=0.5, m=0, k=10, seed=1, reps=0)
 
     def test_qps_positive_and_counters_exact(self, bench_setup):
         data, queries, gt, index = bench_setup

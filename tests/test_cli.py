@@ -152,6 +152,17 @@ def test_zero_workers_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "i.mag").exists()
 
 
+@pytest.mark.parametrize("option", [["--kind", "blobs", "--clusters", "0"],
+                                    ["--kind", "heavytail", "--sigma-log", "-1"]],
+                         ids=["clusters", "sigma-log"])
+def test_gen_out_of_range_parameter_is_a_usage_error(option, tmp_path, capsys):
+    out = tmp_path / "x.fvecs"
+    assert main(["gen", *option, "--n", "10", "--dim", "2",
+                 "--out", str(out)]) == 2
+    assert "error: need" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_clean_error(tmp_path):
     assert main(["stats", "--data", str(tmp_path / "nope.fvecs")]) == 2
 

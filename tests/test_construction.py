@@ -6,7 +6,7 @@ import pytest
 from magsearch import (Dataset, MetricKind, UsageError, brute_force_topk,
                        build_exact_knn, build_exact_ndg, mrng_prune, ndg_select,
                        count_strong_components, self_dominator_set)
-from magsearch.construction import CsrEdges, build_nndescent_knn, knn_recall
+from magsearch.construction import CsrEdges
 
 
 def f64(ds):
@@ -44,30 +44,6 @@ class TestExactKnn:
     def test_k_out_of_range(self, small_gaussian):
         with pytest.raises(UsageError):
             build_exact_knn(small_gaussian, small_gaussian.n)
-
-
-class TestNnDescent:
-    def test_recall_target(self, rng):
-        ds = Dataset(rng.standard_normal((2000, 16)).astype(np.float32))
-        exact = build_exact_knn(ds, 32)
-        approx = build_nndescent_knn(ds, 32, seed=4, iters=10)
-        assert knn_recall(approx, exact) >= 0.90
-
-    def test_zero_iters_is_random(self, rng):
-        ds = Dataset(rng.standard_normal((1000, 8)).astype(np.float32))
-        exact = build_exact_knn(ds, 16)
-        approx = build_nndescent_knn(ds, 16, seed=4, iters=0)
-        rec = knn_recall(approx, exact)
-        # random graph recall is about K/(n-1) = 0.016
-        assert rec < 0.1
-        approx.validate()
-
-    def test_deterministic(self, rng):
-        ds = Dataset(rng.standard_normal((600, 8)).astype(np.float32))
-        a = build_nndescent_knn(ds, 12, seed=9, iters=4)
-        b = build_nndescent_knn(ds, 12, seed=9, iters=4)
-        assert np.array_equal(a.neighbors, b.neighbors)
-        assert np.array_equal(a.dists, b.dists)
 
 
 class TestMrngPrune:

@@ -1,4 +1,4 @@
-"""Every module of the package and of the tests reads each name it imports.
+"""Every package, test and demo module reads each name it imports.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by ``import`` or ``from ... import`` must appear somewhere in the
@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for p in (ROOT / "src" / "magsearch").glob("*.py")
-               if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+FILES = (sorted(p for p in (ROOT / "src" / "magsearch").glob("*.py")
+                if p.name != "__init__.py")
+         + sorted((ROOT / "tests").glob("*.py"))
+         + sorted((ROOT / "demos").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

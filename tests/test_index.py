@@ -6,14 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from magsearch import (Dataset, FormatError, MetricKind, SearchParams,
-                       UsageError, build_mag, build_stage1, build_stage2,
-                       greedy_search, load_index, materialize, ndg_select,
-                       save_index, self_dominator_set)
+from magsearch import (Dataset, FormatError, MetricKind, UsageError,
+                       build_mag, build_stage1, build_stage2, load_index,
+                       materialize, ndg_select, save_index, score_batch,
+                       self_dominator_set)
 from magsearch import index as index_mod, search as search_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
 from magsearch.index import MagIndex, index_to_bytes, ip_quota
+from magsearch.search import CandidatePool, SearchStats
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +66,13 @@ def _stage2_width(graph, n, K2, ls):
 
 
 def _stage2_reference(graph, ds, accepted, K2, ls, seed, passno):
-    """Stage 2 as one scalar float32 search per node, then ndg_select."""
+    """Stage 2 as one scalar float32 search per node, then ndg_select.
+
+    A node's entries, deduplicated in order, are all scored and offered to
+    a pool of ls; the pool then expands to exhaustion.
+    """
     base = ds.data.astype(np.float64)
+    ip = MetricKind.INNER_PRODUCT
     rows = []
     for node in range(ds.n):
         entries = [node] + graph.neighbors(node).tolist()
@@ -75,11 +81,17 @@ def _stage2_reference(graph, ds, accepted, K2, ls, seed, passno):
                 entries += accepted[direct].tolist()
         fill = np.random.default_rng([seed, passno, node]).choice(
             ds.n, size=min(ls, ds.n), replace=False)
-        params = SearchParams(ls=ls, k=min(ls, ds.n),
-                              entry_ids=tuple(entries + fill.tolist()))
-        result = greedy_search(graph, ds, ds.vector(node), params,
-                               MetricKind.INNER_PRODUCT)
-        rows.append(ndg_select(node, result.ids[result.ids != node], base, K2))
+        entries = np.array(list(dict.fromkeys(entries + fill.tolist())))
+        q = ds.vector(node)
+        pool = CandidatePool(ls, ip)
+        for vid, score in zip(entries.tolist(),
+                              score_batch(ip, q, ds.data[entries]).tolist()):
+            pool.insert(vid, score)
+        seen = np.zeros(ds.n, dtype=bool)
+        seen[entries] = True
+        search_mod._expand_loop(pool, graph, ds, q, ip, seen, SearchStats())
+        ids = pool.ids_best_first()
+        rows.append(ndg_select(node, ids[ids != node], base, K2))
     return rows
 
 
@@ -211,12 +223,8 @@ class TestStage2:
         b = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=4, passes=2)
         assert index_to_bytes(a) == index_to_bytes(b)
 
-    @pytest.mark.parametrize("knn_mode", ["exact", "nndescent"])
-    def test_flags_match_census_gate(self, built, knn_mode):
+    def test_flags_match_census_gate(self, built):
         data, index = built
-        if knn_mode == "nndescent":
-            index = build_mag(data, K=16, K1=8, K2=8, ls=32, seed=3,
-                              knn_mode="nndescent")
         census = np.zeros(data.n, dtype=bool)
         census[self_dominator_set(data)] = True
         assert np.array_equal(index.self_dominator, census)
@@ -230,6 +238,22 @@ class TestPersistence:
         save_index(index, path)
         again = load_index(path)
         assert index_to_bytes(again) == index_to_bytes(index)
+
+    def test_file_of_a_removed_build_mode_loads(self, built, tmp_path):
+        # earlier versions could build stage 1 from an approximate K-NN
+        # graph and recorded the mode in the metadata
+        data, index = built
+        meta = dict(index.metadata, knn_mode="nndescent", nndescent_iters=10)
+        old = MagIndex(n=index.n, dim=index.dim, K1=index.K1, K2=index.K2,
+                       euclid=index.euclid, ip=index.ip,
+                       self_dominator=index.self_dominator, metadata=meta)
+        path = str(tmp_path / "old.mag")
+        save_index(old, path)
+        again = load_index(path)
+        again.validate(data)
+        assert again.metadata["knn_mode"] == "nndescent"
+        assert again.metadata["nndescent_iters"] == 10
+        assert index_to_bytes(again) == index_to_bytes(old)
 
     def test_bad_magic(self, built, tmp_path):
         _, index = built

@@ -71,34 +71,25 @@ class TestKernels:
             assert got_ip[i] == pytest.approx(ref_ip, rel=1e-4, abs=1e-4)
             assert got_d2[i] == pytest.approx(ref_d2, rel=1e-4, abs=1e-4)
 
-    def test_high_precision_batch(self, rng):
-        block = rng.standard_normal((8, 16)).astype(np.float32)
-        q = rng.standard_normal(16).astype(np.float32)
-        out = score_batch(MetricKind.INNER_PRODUCT, q, block, high_precision=True)
-        assert out.dtype == np.float64
-
-
     @pytest.mark.parametrize("metric", list(MetricKind))
-    @pytest.mark.parametrize("high_precision", [False, True])
     @pytest.mark.parametrize("d", [7, 16, 100])
-    def test_row_score_independent_of_batch(self, rng, metric, high_precision, d):
+    def test_row_score_independent_of_batch(self, rng, metric, d):
         # the lockstep search scores a row alone, in a 2-D block or in a
         # (B, R, d) batch, and needs the same bits from each
         B, R = 6, 9
-        dtype = np.float64 if high_precision else np.float32
-        block = rng.standard_normal((B, R, d)).astype(dtype)
-        qs = rng.standard_normal((B, d)).astype(dtype)
-        batch = score_batch(metric, qs[:, None], block, high_precision)
+        block = rng.standard_normal((B, R, d)).astype(np.float32)
+        qs = rng.standard_normal((B, d)).astype(np.float32)
+        batch = score_batch(metric, qs[:, None], block)
         flat = score_batch(metric, np.repeat(qs, R, axis=0),
-                           block.reshape(B * R, d), high_precision)
+                           block.reshape(B * R, d))
         assert batch.shape == (B, R)
-        assert batch.dtype == dtype
+        assert batch.dtype == np.float32
         assert np.array_equal(flat, batch.ravel())
         for b in range(B):
-            rows = score_batch(metric, qs[b], block[b], high_precision)
+            rows = score_batch(metric, qs[b], block[b])
             assert np.array_equal(rows, batch[b])
             for r in range(R):
-                alone = score_batch(metric, qs[b], block[b, r:r + 1], high_precision)
+                alone = score_batch(metric, qs[b], block[b, r:r + 1])
                 assert alone[0] == batch[b, r]
 
 

@@ -130,9 +130,9 @@ class TestGreedySearch:
         scored = {"count": 0}
         real = search_mod.score_batch
 
-        def counting(metric, q, block, high_precision=False):
+        def counting(metric, q, block):
             scored["count"] += len(np.atleast_2d(block))
-            return real(metric, q, block, high_precision)
+            return real(metric, q, block)
 
         monkeypatch.setattr(search_mod, "score_batch", counting)
         res = greedy_search(graph, data, np.ones(8, np.float32),
@@ -145,9 +145,9 @@ class TestGreedySearch:
         scored = {"count": 0}
         real = search_mod.score_batch
 
-        def counting(metric, q, block, high_precision=False):
+        def counting(metric, q, block):
             scored["count"] += len(np.atleast_2d(block))
-            return real(metric, q, block, high_precision)
+            return real(metric, q, block)
 
         monkeypatch.setattr(search_mod, "score_batch", counting)
         res = anms_search(graph, data, np.ones(8, np.float32),
@@ -171,19 +171,6 @@ class TestGreedySearch:
         with pytest.raises(UsageError):
             greedy_search(graph, data, np.ones(9, np.float32),
                           SearchParams(ls=8, k=2), MetricKind.INNER_PRODUCT)
-        with pytest.raises(UsageError):
-            greedy_search(graph, data, np.ones(8, np.float32),
-                          SearchParams(ls=8, k=2, entry_ids=(data.n + 5,)),
-                          MetricKind.INNER_PRODUCT)
-        # fewer than k distinct entries could return fewer than k ids
-        with pytest.raises(UsageError, match="fewer than k=3"):
-            greedy_search(graph, data, np.ones(8, np.float32),
-                          SearchParams(ls=8, k=3, entry_ids=(4, 9, 4)),
-                          MetricKind.INNER_PRODUCT)
-        res = greedy_search(graph, data, np.ones(8, np.float32),
-                            SearchParams(ls=8, k=3, entry_ids=(4, 9, 4, 2)),
-                            MetricKind.INNER_PRODUCT)
-        assert len(res.ids) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, searchable, bad):
@@ -544,7 +531,7 @@ class TestSeeding:
         words = [(3, i) for i in range(50)]
         entries, seen = search_mod._seed_block(seed_keys(words), n, min(ls, n))
         for row, mask, w in zip(entries, seen, words):
-            ids = search_mod._entry_ids(n, SearchParams(ls=ls, k=1, seed=w))
+            ids = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=w))
             assert ids.tolist() == row.tolist()
             assert len(set(row.tolist())) == min(ls, n)
             assert 0 <= row.min() and row.max() < n
@@ -569,7 +556,7 @@ class TestSeeding:
     ])
     def test_pinned_entries(self, words, want):
         """The rule decides result ids, so a change to it must show here."""
-        assert search_mod._entry_ids(1000, SearchParams(ls=8, k=1, seed=words)
+        assert search_mod._seed_ids(1000, SearchParams(ls=8, k=1, seed=words)
                                      ).tolist() == want
         entries, _ = search_mod._seed_block(seed_keys([words]), 1000, 8)
         assert entries[0].tolist() == want
@@ -580,7 +567,7 @@ class TestSeeding:
             words = tuple(int(w) for w in rng.integers(
                 0, 2 ** 64 - 1, size=rng.integers(1, 4), dtype=np.uint64,
                 endpoint=True))
-            got = search_mod._entry_ids(n, SearchParams(ls=ls, k=1, seed=words))
+            got = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=words))
             assert got.tolist() == reference_entries(words, n, ls), (words, n, ls)
 
     def test_an_int_seed_is_one_word(self):
@@ -635,6 +622,16 @@ class TestScalingDuality:
         # float64 greedy traversals for q under IP and for mu*q under
         # Euclidean distance expand the same nodes in the same order
         data, graph = searchable
+
+        def score64(metric, q, block):
+            rows = np.asarray(block, np.float64)
+            qv = np.asarray(q, np.float64)
+            if metric is MetricKind.INNER_PRODUCT:
+                return np.vecdot(rows, qv)
+            diff = rows - qv
+            return np.vecdot(diff, diff)
+
+        monkeypatch.setattr(search_mod, "score_batch", score64)
         rng = np.random.default_rng(5)
         queries = rng.standard_normal((20, 8)).astype(np.float32)
         max_norm = float(np.linalg.norm(data.data.astype(np.float64), axis=1).max())
@@ -643,10 +640,10 @@ class TestScalingDuality:
             scaled = (1e6 * max_norm / float(np.linalg.norm(q))) * q
             ip = expansion_order(monkeypatch, lambda: greedy_search(
                 graph, data, q.astype(np.float32), params,
-                MetricKind.INNER_PRODUCT, high_precision=True))
+                MetricKind.INNER_PRODUCT))
             nn = expansion_order(monkeypatch, lambda: greedy_search(
                 graph, data, scaled.astype(np.float32), params,
-                MetricKind.EUCLIDEAN, high_precision=True))
+                MetricKind.EUCLIDEAN))
             assert ip and ip == nn
 
     def test_mu_must_be_positive(self, searchable):
