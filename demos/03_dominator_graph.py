@@ -48,6 +48,9 @@ diff = base - base[node]
 d2 = np.einsum("ij,ij->i", diff, diff)
 others = ids[ids != node]
 order = others[np.lexsort((others, d2[others]))]
-kept = ms.mrng_prune(node, order, d2[order], base, 8)
+# mrng_prune takes a block of candidate rows and returns the kept mask;
+# here the block is node 0's single row
+mask = ms.mrng_prune(np.array([node]), order[None], d2[order][None], base, 8)[0]
+kept = order[mask]
 print(f"\nnode 0 keeps {len(kept)} of {len(order)} Euclidean candidates:",
       kept.tolist())

@@ -1,7 +1,7 @@
 """Graph-based maximum inner product search with metric-amphibious indexing.
 
 The index stitches two edge families — Euclidean-pruned neighbors for
-global connectivity and inner-product dominator edges for fast norm
+graph-wide connectivity and inner-product dominator edges for fast norm
 climbing — and loads them at query time under an out-degree budget R and
 an IP-edge ratio alpha. Search runs a bounded-pool greedy traversal that
 can start under Euclidean distance and switch to inner product after m

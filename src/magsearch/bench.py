@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (_by_inner_product, build_exact_ndg,
+from .construction import (_pair_scores, _rank, build_exact_ndg,
                            count_strong_components, ndg_select)
 from .errors import FormatError, UsageError
 from .index import MagIndex, build_mag, index_to_bytes, load_index, materialize
@@ -283,18 +283,16 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
         base = dataset.data.astype(np.float64)
         self_dots, best_cross = best_cross_inner_product(base)
         weak_dom = self_dots >= best_cross
-        by_ip = _by_inner_product(base)
-
-        ids = np.arange(n)
-        sample = rng.choice(n, size=min(n, 100), replace=False)
-        violations = 0
-        mismatches = 0
-        for i in sample:
-            i = int(i)
-            order = by_ip(i, ids[ids != i])
-            accepted = ndg_select(i, order, base, None)
+        sample = np.sort(rng.choice(n, size=min(n, 100), replace=False))
+        src, dst = np.repeat(sample, n), np.tile(np.arange(n), len(sample))
+        src, dst = src[src != dst], dst[src != dst]
+        ips = _pair_scores(MetricKind.INNER_PRODUCT, base, src, dst)
+        _, order, _ = _rank(src, dst, -ips)
+        violations = mismatches = 0
+        for i, row in zip(sample.tolist(), np.split(order, len(sample))):
+            accepted = ndg_select(i, row, base, None)
             violations += int((~weak_dom[accepted[1:]]).sum())
-            expected = order[(np.arange(len(order)) == 0) | weak_dom[order]]
+            expected = row[(np.arange(len(row)) == 0) | weak_dom[row]]
             mismatches += int(not np.array_equal(accepted, expected.astype(np.int32)))
         report.add("ndg-dominator-structure", violations == 0,
                    f"violations={violations} over {len(sample)} nodes")

@@ -4,7 +4,7 @@ Edge selection is what turns a raw K-NN graph into a navigable index:
 
 * Euclidean pruning keeps candidate p only when p is closer to the node
   than to every already-kept neighbor, which removes detour edges while
-  preserving monotone search paths.
+  preserving monotone search paths; ``mrng_prune`` runs a block of rows.
 * Dominator selection scans candidates in descending inner-product order.
   The first candidate (the potential out-dominator) is always accepted;
   every later candidate y is accepted iff nothing in the candidate set or
@@ -21,7 +21,6 @@ than kernel speed.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +28,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import UsageError
-from .metrics import Dataset
+from .metrics import Dataset, MetricKind
 from .stats import _GRAM_CHUNK, _chunk_best_cross, best_cross_inner_product
 
 EXACT_NDG_MAX_N = 20000  # quadratic; exists to verify dominator structure, not to index
-
-_RowRule = Callable[[int, np.ndarray], np.ndarray]  # (node, merged row) -> kept row
+_PRUNE_BYTES = 1 << 19  # float64 vectors gathered at once by the block rules
 
 
 @dataclass
@@ -76,6 +74,11 @@ class CsrEdges:
         np.cumsum([len(row) for row in rows], out=offsets[1:])
         ids = np.concatenate([np.empty(0, dtype=np.int32), *rows]).astype(np.int32)
         return cls(offsets=offsets, ids=ids)
+
+    @classmethod
+    def from_pairs(cls, src: np.ndarray, dst: np.ndarray, n: int) -> CsrEdges:
+        """Rows from (source, target) pairs grouped by ascending source."""
+        return cls(np.searchsorted(src, np.arange(n + 1)), dst.astype(np.int32))
 
     @classmethod
     def empty(cls, n: int) -> CsrEdges:
@@ -141,33 +144,33 @@ def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
     return KnnGraph(k=K, neighbors=neighbors, dists=dists, self_dominator=census)
 
 
-def mrng_prune(node: int, candidate_ids, candidate_d2, base: np.ndarray,
-               K1: int | None) -> np.ndarray:
-    """Euclidean occlusion pruning over candidates sorted ascending by distance.
+def mrng_prune(owners: np.ndarray, ids: np.ndarray, d2: np.ndarray,
+               base: np.ndarray, K1: int | None) -> np.ndarray:
+    """Euclidean occlusion pruning of (B, W) candidate rows, each sorted
+    ascending by distance ``d2`` to its owner and padded with -1.
 
-    Keep candidate p iff d2(node, p) < d2(p, r) for every already-kept r;
-    stop after K1 keeps. The nearest candidate is always kept. ``base`` is
-    the float64 copy of the dataset.
+    Returns the (B, W) kept mask. A row keeps p iff p is neither padding
+    nor the owner and d2(owner, p) < d2(p, r) for every r it kept before p,
+    up to K1 keeps (None: no cap). ``base`` is the float64 dataset.
     """
-    limit = len(candidate_ids) if K1 is None else min(K1, len(candidate_ids))
-    kept_ids = np.empty(limit, dtype=np.int32)
-    kept_vecs = np.empty((limit, base.shape[1]))
-    m = 0
-    for cid, cd2 in zip(candidate_ids, candidate_d2):
-        cid = int(cid)
-        if cid == node:
-            continue
-        v = base[cid]
-        if m:
-            diff = kept_vecs[:m] - v
-            if (cd2 >= np.einsum("ij,ij->i", diff, diff)).any():
-                continue
-        kept_ids[m] = cid
-        kept_vecs[m] = v
-        m += 1
-        if m == limit:
-            break
-    return kept_ids[:m].copy()
+    kept = np.zeros(ids.shape, dtype=bool)
+    width = ids.shape[1]
+    cap = width if K1 is None else K1
+    rows = max(1, _PRUNE_BYTES // max(1, 8 * width * base.shape[1]))
+    for lo in range(0, len(ids), rows):
+        block, dists, kept_block = ids[lo:lo + rows], d2[lo:lo + rows], kept[lo:lo + rows]
+        vecs = base[block]
+        open_ = (block >= 0) & (block != owners[lo:lo + rows, None])
+        keeps = np.zeros(len(block), dtype=np.int64)
+        for j in range(width):
+            take = open_[:, j] & (keeps < cap)
+            if j:
+                diff = vecs[:, :j] - vecs[:, j, None]
+                near = dists[:, j, None] >= np.einsum("bjd,bjd->bj", diff, diff)
+                take &= ~(kept_block[:, :j] & near).any(axis=1)
+            kept_block[:, j] = take
+            keeps += take
+    return kept
 
 
 def ndg_select(node: int, candidate_ids, base: np.ndarray,
@@ -203,40 +206,52 @@ def build_exact_ndg(dataset: Dataset) -> CsrEdges:
         raise UsageError(f"exact dominator graph gated to n <= {EXACT_NDG_MAX_N}")
     base = dataset.data.astype(np.float64)
 
-    # every node's candidate set plus itself is the whole dataset, so the
-    # acceptance test reduces to one global weak self-domination census
+    # every node's candidate set plus itself is the whole dataset, so a node
+    # accepts its best candidate and every weak self-dominator but itself
     self_dots, best_cross = best_cross_inner_product(base)
-    weak_dominator = self_dots >= best_cross
-    by_ip = _by_inner_product(base)
-    ids = np.arange(n)
-    rows = []
-    for i in range(n):
-        order = by_ip(i, ids[ids != i])
-        rows.append(order[(np.arange(len(order)) == 0) | weak_dominator[order]])
-    return _merge_reverse(CsrEdges.from_rows(rows), by_ip)
+    weak = np.flatnonzero(self_dots >= best_cross)
+    best = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _GRAM_CHUNK):
+        ips = np.vecdot(base[start:start + _GRAM_CHUNK, None], base)
+        ips[np.arange(len(ips)), np.arange(start, start + len(ips))] = -np.inf
+        best[start:start + len(ips)] = ips.argmax(axis=1)  # first = lowest id
+    src = np.concatenate((np.arange(n), np.repeat(np.arange(n), len(weak))))
+    dst = np.concatenate((best, np.tile(weak, n)))
+    src, dst = _merge_reverse(src, dst, n)
+    src, dst, _ = _rank(src, dst, -_pair_scores(MetricKind.INNER_PRODUCT, base, src, dst))
+    return CsrEdges.from_pairs(src, dst, n)
 
 
-def _merge_reverse(edges: CsrEdges, rule: _RowRule) -> CsrEdges:
-    """Unite every row with the reverse copies of the edges that point at it.
-
-    ``rule(node, merged)`` then orders (and may cap) each merged row, which
-    it receives ascending by id with no self-loop.
-    """
-    n = edges.n
-    out_src, out_dst = edges.sources().astype(np.int64), edges.ids.astype(np.int64)
-    src = np.concatenate((out_src, out_dst))
-    dst = np.concatenate((out_dst, out_src))
-    pairs = np.unique((src * n + dst)[src != dst])
-    merged = CsrEdges(offsets=np.searchsorted(pairs // n, np.arange(n + 1)),
-                      ids=(pairs % n).astype(np.int32))
-    return CsrEdges.from_rows([rule(i, merged[i]) for i in range(n)])
+def _pair_scores(metric: MetricKind, base: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray) -> np.ndarray:
+    """Inner product or squared distance of base[src] and base[dst] per pair,
+    in slices; each kernel scores a pair the same whatever shares the call."""
+    out = np.empty(len(src))
+    step = max(1, _PRUNE_BYTES // (8 * base.shape[1]))
+    for lo in range(0, len(src), step):
+        a, b = base[src[lo:lo + step]], base[dst[lo:lo + step]]
+        out[lo:lo + step] = (np.vecdot(a, b) if metric.larger_is_better
+                             else np.einsum("ij,ij->i", b - a, b - a))
+    return out
 
 
-def _by_inner_product(base: np.ndarray, cap: int | None = None) -> _RowRule:
-    """Row rule for ``_merge_reverse``: descending <node, .> (ties by id), first cap."""
-    def rule(node: int, merged: np.ndarray) -> np.ndarray:
-        return merged[np.lexsort((merged, -(base[merged] @ base[node])))][:cap]
-    return rule
+def _merge_reverse(src: np.ndarray, dst: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs and their reverses, each once, no self-loops, sorted."""
+    src, dst = src.astype(np.int64), dst.astype(np.int64)
+    pairs = np.unique((np.concatenate((src, dst)) * n
+                       + np.concatenate((dst, src)))[np.tile(src != dst, 2)])
+    return pairs // n, pairs % n
+
+
+def _rank(src: np.ndarray, dst: np.ndarray, key: np.ndarray,
+          cap: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs and keys in (source, key, target) order, the first cap per source."""
+    order = np.lexsort((dst, key, src))
+    if cap is not None:
+        ranked = src[order]
+        order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < cap]
+    return src[order], dst[order], key[order]
 
 
 def count_strong_components(edges: CsrEdges) -> int:

@@ -6,7 +6,8 @@ Stage 2 runs an inner-product graph search from every node over the
 stage-1 graph, filters the candidates through dominator selection, and
 stores at most K2 IP-oriented edges alongside. The searches run as
 lockstep blocks of nodes on the query engine (``search._lockstep_pools``);
-dominator selection stays per node. At query time ``materialize``
+dominator selection stays per node. Node ranges run in-process, or on one
+process pool per build when workers > 1. At query time ``materialize``
 loads ceil(alpha * R) IP edges first and fills the remaining out-degree
 budget with Euclidean edges.
 
@@ -22,6 +23,8 @@ metadata byte length; UTF-8 JSON metadata.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import struct
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (CsrEdges, _by_inner_product, _merge_reverse,
+from .construction import (CsrEdges, _merge_reverse, _pair_scores, _rank,
                            build_exact_knn, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
@@ -92,23 +95,27 @@ class MagIndex:
                 raise UsageError("self-dominator flags disagree with the census")
 
 
-def _mirror_euclid(kept: CsrEdges, base: np.ndarray, K1: int) -> CsrEdges:
+def _mirror_euclid(src: np.ndarray, dst: np.ndarray, base: np.ndarray,
+                   K1: int) -> CsrEdges:
     """Add reverse edges, then re-prune any node whose list exceeds K1.
 
     Pruned-graph edges are conceptually undirected; without the reverse
     copies, outlying points that appear in nobody's K-NN lists end up with
     zero in-degree and become unreachable. Overflow is resolved with the
     same occlusion rule, which keeps far-but-unshadowed arrivals alive.
+    Rows stay in (distance, id) order; only the rows over K1 are pruned.
     """
-    def rule(i: int, merged: np.ndarray) -> np.ndarray:
-        diff = base[merged] - base[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((merged, d2))
-        merged, d2 = merged[order], d2[order]
-        if len(merged) > K1:
-            return mrng_prune(i, merged, d2, base, K1)
-        return merged
-    return _merge_reverse(kept, rule)
+    n = len(base)
+    src, dst = _merge_reverse(src, dst, n)
+    src, dst, d2 = _rank(src, dst, _pair_scores(MetricKind.EUCLIDEAN, base, src, dst))
+    col = np.arange(len(src)) - np.searchsorted(src, src)
+    ids = np.full((n, col.max(initial=-1) + 1), -1)
+    dists = np.full(ids.shape, np.inf)
+    ids[src, col], dists[src, col] = dst, d2
+    keep = ids >= 0
+    over = keep.sum(axis=1) > K1
+    keep[over] = mrng_prune(np.flatnonzero(over), ids[over], dists[over], base, K1)
+    return CsrEdges.from_pairs(np.nonzero(keep)[0], ids[keep], n)
 
 
 def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
@@ -121,9 +128,8 @@ def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
         raise UsageError(f"need 1 <= K1 <= K < n, got K1={K1}, K={K}, n={n}")
     knn = build_exact_knn(dataset, K)
     base = dataset.data.astype(np.float64)
-    kept = CsrEdges.from_rows([mrng_prune(i, knn.neighbors[i], knn.dists[i],
-                                          base, K1) for i in range(n)])
-    euclid = _mirror_euclid(kept, base, K1)
+    mask = mrng_prune(np.arange(n), knn.neighbors, knn.dists, base, K1)
+    euclid = _mirror_euclid(np.nonzero(mask)[0], knn.neighbors[mask], base, K1)
     # the K-NN mode and its iteration count stay in the metadata: the index
     # bytes then equal those of earlier versions, which also offered an
     # approximate K-NN graph
@@ -132,20 +138,6 @@ def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
     return MagIndex(n=n, dim=dataset.dim, K1=K1, K2=0, euclid=euclid,
                     ip=CsrEdges.empty(n), self_dominator=knn.self_dominator,
                     metadata=meta)
-
-
-# module globals for worker processes (set once per worker by _stage2_init)
-_S2_GRAPH: SearchGraph | None = None
-_S2_DATASET: Dataset | None = None
-_S2_ARGS: tuple | None = None
-
-
-def _stage2_init(adjacency, counts, data, accepted, K2, ls, seed, passno):
-    global _S2_GRAPH, _S2_DATASET, _S2_ARGS
-    _S2_GRAPH = SearchGraph(R=adjacency.shape[1], alpha=0.0,
-                            adjacency=adjacency, counts=counts)
-    _S2_DATASET = Dataset(data)
-    _S2_ARGS = (accepted, K2, ls, seed, passno)
 
 
 def _stage2_entries(nodes: np.ndarray, graph: SearchGraph, n: int,
@@ -176,18 +168,20 @@ def _stage2_entries(nodes: np.ndarray, graph: SearchGraph, n: int,
     return entries, seen
 
 
-def _stage2_rows(start: int, stop: int, graph: SearchGraph, dataset: Dataset,
-                 base64: np.ndarray, accepted: CsrEdges | None, K2: int,
-                 ls: int, seed: int, passno: int) -> list[np.ndarray]:
-    """Dominator edges of nodes start..stop-1: an inner-product search from
-    each node, run as lockstep blocks, then dominator selection over the
-    node's final pool, best first.
+def _stage2_rows(bounds: tuple[int, int], graph: SearchGraph, dataset: Dataset,
+                 accepted: CsrEdges | None, K2: int, ls: int, seed: int,
+                 passno: int) -> list[np.ndarray]:
+    """Dominator edges of the nodes in [start, stop): an inner-product
+    search from each node, run as lockstep blocks, then dominator selection
+    over the node's final pool, best first.
 
     Blocks are sized from the widest entry row of any sweep,
     1 + out-degree + K2**2 + min(ls, n); the first sweep, which has no
     2-hop frontier, is sized the same way.
     """
+    start, stop = bounds
     n = dataset.n
+    base64 = dataset.data.astype(np.float64)
     accepted_pad = None
     if accepted is not None:
         # accepted edges padded to (n + 1, K2) with -1; row n, which a -1
@@ -210,28 +204,6 @@ def _stage2_rows(start: int, stop: int, graph: SearchGraph, dataset: Dataset,
     return rows
 
 
-def _stage2_chunk(bounds: tuple[int, int]) -> list[np.ndarray]:
-    base64 = _S2_DATASET.data.astype(np.float64)
-    return _stage2_rows(*bounds, _S2_GRAPH, _S2_DATASET, base64, *_S2_ARGS)
-
-
-def _stage2_sweep(graph: SearchGraph, dataset: Dataset,
-                  accepted: CsrEdges | None, K2: int, ls: int,
-                  seed: int, passno: int, workers: int) -> list[np.ndarray]:
-    n = dataset.n
-    if workers == 1:
-        base64 = dataset.data.astype(np.float64)
-        return _stage2_rows(0, n, graph, dataset, base64, accepted, K2, ls,
-                            seed, passno)
-    chunk = max(256, math.ceil(n / (workers * 4)))
-    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    with ProcessPoolExecutor(
-            max_workers=workers, initializer=_stage2_init,
-            initargs=(graph.adjacency, graph.counts, dataset.data,
-                      accepted, K2, ls, seed, passno)) as pool:
-        return [edges for part in pool.map(_stage2_chunk, bounds) for edges in part]
-
-
 def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
     """Merge the reverse copy of every dominator edge into its target's list,
     then keep each node's K2 best by descending inner product (ties by id).
@@ -240,7 +212,10 @@ def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
     On heavy-tailed norms the edges point at a few high-norm hubs, so most
     nodes keep no IP in-edge (9,029 of 10,000 on the acceptance c07 panel).
     """
-    return _merge_reverse(accepted, _by_inner_product(base, K2))
+    src, dst = _merge_reverse(accepted.sources(), accepted.ids, accepted.n)
+    ips = _pair_scores(MetricKind.INNER_PRODUCT, base, src, dst)
+    src, dst, _ = _rank(src, dst, -ips, K2)
+    return CsrEdges.from_pairs(src, dst, accepted.n)
 
 
 def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
@@ -281,20 +256,25 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
 
     n = stage1.n
     base64 = dataset.data.astype(np.float64)
+    chunk = max(256, math.ceil(n / (workers * 4)))
+    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
     current = stage1
     accepted: CsrEdges | None = None
-    for passno in range(1, passes + 1):
-        graph = materialize(current, R=max(1, current.K1 + current.K2), alpha=1.0)
-        accepted = CsrEdges.from_rows(_stage2_sweep(graph, dataset, accepted, K2,
-                                                    ls, seed, passno, workers))
-        ip_edges = _mirror_ip(accepted, base64, K2) if mirror else accepted
-        current = MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
-                           euclid=stage1.euclid, ip=ip_edges,
-                           self_dominator=stage1.self_dominator, metadata=meta)
-
-    return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
-                    euclid=stage1.euclid.copy(), ip=ip_edges,
-                    self_dominator=stage1.self_dominator.copy(), metadata=meta)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for passno in range(1, passes + 1):
+            graph = materialize(current, R=max(1, current.K1 + current.K2), alpha=1.0)
+            task = functools.partial(_stage2_rows, graph=graph, dataset=dataset,
+                                     accepted=accepted, K2=K2, ls=ls, seed=seed,
+                                     passno=passno)
+            parts = (pool.map if pool else map)(task, bounds)
+            accepted = CsrEdges.from_rows([row for part in parts for row in part])
+            ip_edges = _mirror_ip(accepted, base64, K2) if mirror else accepted
+            current = MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
+                               euclid=stage1.euclid.copy(), ip=ip_edges,
+                               self_dominator=stage1.self_dominator.copy(),
+                               metadata=meta)
+    return current
 
 
 def build_mag(dataset: Dataset, K: int, K1: int, K2: int, ls: int,
@@ -369,6 +349,8 @@ def load_index(path: str) -> MagIndex:
         metadata = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad metadata block: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise FormatError(f"{path}: metadata block is not a JSON object")
     index = MagIndex(n=n, dim=dim, K1=K1, K2=K2, euclid=CsrEdges.from_rows(euclid),
                      ip=CsrEdges.from_rows(ip), self_dominator=flags.astype(bool),
                      metadata=metadata)

@@ -41,8 +41,12 @@ def _read_records(path: str, value_dtype) -> np.ndarray:
 
 
 def read_fvecs(path: str) -> Dataset:
-    """Load an fvecs file into a Dataset."""
-    return Dataset(_read_records(path, "<f4").astype(np.float32))
+    """Load an fvecs file into a Dataset; a NaN or Inf value is a format error."""
+    vecs = _read_records(path, "<f4").astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+    if len(bad):
+        raise FormatError(f"{path}: record {bad[0]} contains NaN or Inf values")
+    return Dataset(vecs)
 
 
 def read_ivecs(path: str) -> np.ndarray:

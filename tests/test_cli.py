@@ -1,6 +1,7 @@
 """End-to-end CLI flows over the documented subcommands."""
 
 import json
+import struct
 
 import pytest
 
@@ -161,6 +162,13 @@ def test_gen_out_of_range_parameter_is_a_usage_error(option, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "error: need" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_data_is_a_format_error(tmp_path, capsys):
+    base = tmp_path / "nan.fvecs"
+    base.write_bytes(struct.pack("<i2f", 2, 1.0, float("nan")))
+    assert main(["stats", "--data", str(base)]) == 2
+    assert "nan.fvecs: record 0 contains NaN or Inf" in capsys.readouterr().err
 
 
 def test_missing_file_is_clean_error(tmp_path):

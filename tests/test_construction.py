@@ -6,7 +6,10 @@ import pytest
 from magsearch import (Dataset, MetricKind, UsageError, brute_force_topk,
                        build_exact_knn, build_exact_ndg, mrng_prune, ndg_select,
                        count_strong_components, self_dominator_set)
+from magsearch import construction, index as index_mod
+from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
+from magsearch.stats import best_cross_inner_product
 
 
 def f64(ds):
@@ -46,23 +49,29 @@ class TestExactKnn:
             build_exact_knn(small_gaussian, small_gaussian.n)
 
 
+def prune_row(node, ids, d2, base, K1):
+    """The ids ``mrng_prune`` keeps of one candidate row."""
+    ids = np.asarray(ids)
+    return ids[mrng_prune(np.array([node]), ids[None], np.asarray(d2)[None],
+                          base, K1)[0]]
+
+
 class TestMrngPrune:
     def test_hand_example(self):
         # node (0,0); keep (1,0) and (0,1.5); prune (2,0) which is closer
         # to (1,0) than to the node
         ds = Dataset.from_array([[0, 0], [1, 0], [0, 1.5], [2, 0]])
-        kept = mrng_prune(0, np.array([1, 2, 3]), np.array([1.0, 2.25, 4.0]),
-                          f64(ds), None)
+        kept = prune_row(0, [1, 2, 3], [1.0, 2.25, 4.0], f64(ds), None)
         assert kept.tolist() == [1, 2]
 
     def test_collinear_hand_example(self):
         ds = Dataset.from_array([[0.0], [1.0], [2.0]])
-        kept = mrng_prune(0, np.array([1, 2]), np.array([1.0, 4.0]), f64(ds), None)
+        kept = prune_row(0, [1, 2], [1.0, 4.0], f64(ds), None)
         assert kept.tolist() == [1]
 
     def test_single_candidate_kept(self):
         ds = Dataset.from_array([[0, 0], [5, 5]])
-        kept = mrng_prune(0, np.array([1]), np.array([50.0]), f64(ds), 4)
+        kept = prune_row(0, [1], [50.0], f64(ds), 4)
         assert kept.tolist() == [1]
 
     def test_nearest_always_kept_and_cap(self, rng):
@@ -73,10 +82,152 @@ class TestMrngPrune:
             d2 = np.einsum("ij,ij->i", diff, diff)
             others = np.array([i for i in range(100) if i != node])
             order = others[np.lexsort((others, d2[others]))]
-            kept = mrng_prune(node, order, d2[order], base, 5)
+            kept = prune_row(node, order, d2[order], base, 5)
             assert len(kept) <= 5
             assert kept[0] == order[0]
             assert node not in kept.tolist()
+
+
+def prune_reference(node, candidate_ids, candidate_d2, base, K1):
+    """The per-node occlusion prune: candidates in order, each kept unless
+    it is the node or a kept one lies at least as close to it as the node."""
+    limit = len(candidate_ids) if K1 is None else min(K1, len(candidate_ids))
+    kept = []
+    for cid, cd2 in zip(candidate_ids, candidate_d2):
+        cid = int(cid)
+        if cid == node:
+            continue
+        if kept:
+            diff = base[kept] - base[cid]
+            if (cd2 >= np.einsum("ij,ij->i", diff, diff)).any():
+                continue
+        kept.append(cid)
+        if len(kept) == limit:
+            break
+    return kept
+
+
+def prune_panel():
+    """(owners, -1 padded candidate rows, their d2, float64 base, row
+    lengths): a 5x5 integer grid (equal distances, a zero vector at the
+    origin), three duplicated grid points, and Gaussian points. Rows list
+    the nearest candidates by (d2, id) in lengths 3..39; even rows keep
+    the owner among its own candidates, odd rows drop it."""
+    rng = np.random.default_rng(3)
+    grid = np.array([[x, y] for x in range(-2, 3) for y in range(-2, 3)], float)
+    base = np.concatenate((grid, grid[[0, 12, 18]],
+                           rng.standard_normal((22, 2)) * 2))
+    n = len(base)
+    lengths, rows, dists = [], [], []
+    for node in range(n):
+        diff = base - base[node]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((np.arange(n), d2))
+        if node % 2:
+            order = order[order != node]
+        order = order[:3 + (7 * node) % 37]
+        lengths.append(len(order))
+        rows.append(order)
+        dists.append(d2[order])
+    width = max(lengths)
+    ids = np.full((n, width), -1)
+    d2s = np.full((n, width), np.inf)
+    for i, (row, dd) in enumerate(zip(rows, dists)):
+        ids[i, :len(row)], d2s[i, :len(row)] = row, dd
+    return np.arange(n), ids, d2s, base, lengths
+
+
+def merged_rows(edges):
+    """Each row united with the reverse edges that point at it, ascending,
+    without self-loops."""
+    rows = [set(row.tolist()) for row in edges]
+    for i, row in enumerate(edges):
+        for j in row.tolist():
+            rows[j].add(i)
+    return [np.array(sorted(row - {i}), dtype=np.int64) for i, row in enumerate(rows)]
+
+
+def by_ip_reference(i, row, base):
+    """A row ordered by descending <i, .>, ties by id. Scored by np.vecdot,
+    the kernel of the block rules, so the reference checks the ranking
+    and not the rounding of a different kernel."""
+    return row[np.lexsort((row, -np.vecdot(base[row], base[i])))]
+
+
+def rule_data(kind):
+    if kind == "duplicates":
+        pts = np.random.default_rng(9).standard_normal((150, 6)).astype(np.float32)
+        pts[[20, 41, 97, 120]] = pts[5]
+        pts[60:70] = pts[:10]
+        pts[63] = 0.0
+        return Dataset(pts)
+    return generate_synthetic(SyntheticSpec(kind, n=150, dim=6, seed=9))
+
+
+def random_edges(n, most, seed):
+    """Directed rows of 0..most random other nodes."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        rows.append(rng.choice(others, size=rng.integers(0, most + 1), replace=False))
+    return CsrEdges.from_rows(rows)
+
+
+class TestBlockRulesMatchPerRow:
+    @pytest.mark.parametrize("K1", [None, 1, 4, 40])
+    @pytest.mark.parametrize("slice_rows", [1, 2, 7, None])
+    def test_mrng_prune(self, K1, slice_rows, monkeypatch):
+        owners, ids, d2, base, lengths = prune_panel()
+        if slice_rows is not None:
+            monkeypatch.setattr(construction, "_PRUNE_BYTES",
+                                slice_rows * 8 * ids.shape[1] * base.shape[1])
+        kept = mrng_prune(owners, ids, d2, base, K1)
+        assert not kept[ids < 0].any()
+        for node, row, dd, keep, length in zip(owners, ids, d2, kept, lengths):
+            expected = prune_reference(node, row[:length], dd[:length], base, K1)
+            assert row[keep].tolist() == expected
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heavytail", "duplicates"])
+    def test_mirror_euclid(self, kind):
+        ds = rule_data(kind)
+        base = ds.data.astype(np.float64)
+        edges = random_edges(ds.n, 8, seed=1)
+        expected = []
+        for i, merged in enumerate(merged_rows(edges)):
+            diff = base[merged] - base[i]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            order = np.lexsort((merged, d2))
+            merged, d2 = merged[order], d2[order]
+            expected.append(prune_reference(i, merged, d2, base, 4)
+                            if len(merged) > 4 else merged.tolist())
+        got = index_mod._mirror_euclid(edges.sources(), edges.ids, base, 4)
+        assert [row.tolist() for row in got] == expected
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heavytail", "duplicates"])
+    def test_mirror_ip(self, kind):
+        ds = rule_data(kind)
+        base = ds.data.astype(np.float64)
+        edges = random_edges(ds.n, 6, seed=2)
+        expected = [by_ip_reference(i, merged, base)[:4].tolist()
+                    for i, merged in enumerate(merged_rows(edges))]
+        got = index_mod._mirror_ip(edges, base, 4)
+        assert [row.tolist() for row in got] == expected
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heavytail", "duplicates"])
+    def test_build_exact_ndg(self, kind):
+        ds = rule_data(kind)
+        base = ds.data.astype(np.float64)
+        self_dots, best_cross = best_cross_inner_product(base)
+        weak = self_dots >= best_cross
+        ids = np.arange(ds.n)
+        rows = []
+        for i in range(ds.n):
+            order = by_ip_reference(i, ids[ids != i], base)
+            rows.append(order[(np.arange(len(order)) == 0) | weak[order]])
+        expected = [by_ip_reference(i, merged, base).tolist()
+                    for i, merged in enumerate(merged_rows(CsrEdges.from_rows(rows)))]
+        assert [row.tolist() for row in build_exact_ndg(ds)] == expected
 
 
 class TestNdgSelect:

@@ -1,9 +1,11 @@
-"""Every package, test and demo module reads each name it imports.
+"""Every package, test and demo module reads each name it imports, and no
+package module rebinds module state with a ``global`` statement.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by ``import`` or ``from ... import`` must appear somewhere in the
 file as a loaded name. ``__init__.py`` is skipped, since its imports are
-the package's exports.
+the package's exports. Library state belongs to objects that callers
+create and pass, so one call (or test) cannot change the next.
 """
 
 import ast
@@ -12,8 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = (sorted(p for p in (ROOT / "src" / "magsearch").glob("*.py")
-                if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "magsearch").glob("*.py"))
+FILES = ([p for p in PACKAGE if p.name != "__init__.py"]
          + sorted((ROOT / "tests").glob("*.py"))
          + sorted((ROOT / "demos").glob("*.py")))
 
@@ -40,3 +42,19 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def global_statements(source: str) -> list[int]:
+    """Line numbers of the ``global`` statements in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)]
+
+
+def test_finds_a_global_statement():
+    source = "x = 0\n\ndef f():\n    global x\n    x = 1\n"
+    assert global_statements(source) == [4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -119,8 +120,8 @@ class TestStage2:
                 monkeypatch.setattr(search_mod, "_BLOCK_BYTES",
                                     block_rows * (ds.n + 8 * width * (ds.dim + 1)))
                 assert search_mod._block_size(ds.n, width, ds.dim) == block_rows
-            rows = index_mod._stage2_sweep(graph, ds, accepted, K2, ls, 4,
-                                           passno, workers=1)
+            rows = index_mod._stage2_rows((0, ds.n), graph, ds, accepted, K2,
+                                          ls, 4, passno)
             expected = _stage2_reference(graph, ds, accepted, K2, ls, 4, passno)
             assert [r.tolist() for r in rows] == [r.tolist() for r in expected]
             accepted = CsrEdges.from_rows(rows)
@@ -223,6 +224,26 @@ class TestStage2:
         b = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=4, passes=2)
         assert index_to_bytes(a) == index_to_bytes(b)
 
+    def test_one_pool_per_build(self, monkeypatch):
+        made = []
+
+        class Counting(index_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(index_mod, "ProcessPoolExecutor", Counting)
+        # n = 700 splits into three node ranges at every worker count here
+        ds = generate_synthetic(SyntheticSpec("gaussian", n=700, dim=6, seed=4))
+        stage1 = build_stage1(ds, K=12, K1=6)
+        blobs = []
+        for workers in (1, 2, 3):
+            made.clear()
+            blobs.append(index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24,
+                                                     workers=workers, passes=3)))
+            assert made == ([] if workers == 1 else [workers])
+        assert blobs[0] == blobs[1] == blobs[2]
+
     def test_flags_match_census_gate(self, built):
         data, index = built
         census = np.zeros(data.n, dtype=bool)
@@ -299,6 +320,20 @@ class TestPersistence:
         path = tmp_path / "flag.mag"
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="node 5: self-dominator flag"):
+            load_index(str(path))
+
+    @pytest.mark.parametrize("blob", [b"[]", b'"x"', b"3"])
+    def test_metadata_must_be_an_object(self, built, tmp_path, blob):
+        # JSON that is not an object used to load, and stage 2 then died on
+        # dict(metadata) with a bare ValueError or TypeError
+        _, index = built
+        raw = index_to_bytes(index)
+        meta = json.dumps(index.metadata, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "meta.mag"
+        path.write_bytes(raw[:len(raw) - 4 - len(meta.encode("utf-8"))]
+                         + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(FormatError,
+                           match="meta.mag: metadata block is not a JSON object"):
             load_index(str(path))
 
     def test_invalid_graph_is_a_format_error(self, built, tmp_path):

@@ -53,6 +53,16 @@ class TestFvecs:
         with pytest.raises(FormatError):
             read_fvecs(str(path))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.fvecs"
+        path.write_bytes(struct.pack("<i2f", 2, 1.0, 2.0) * 2
+                         + struct.pack("<i2f", 2, 3.0, bad)
+                         + struct.pack("<i2f", 2, bad, 0.0))
+        with pytest.raises(FormatError,
+                           match=r"bad\.fvecs: record 2 contains NaN or Inf"):
+            read_fvecs(str(path))
+
     def test_unwritable_path(self, tmp_path, rng):
         ds = Dataset(rng.standard_normal((2, 2)).astype(np.float32))
         with pytest.raises(OSError):
