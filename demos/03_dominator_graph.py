@@ -32,13 +32,13 @@ print("strongly connected:", count_strong_components(ndg) == 1)
 
 base = data.data.astype(np.float64)
 ids = np.arange(data.n)
-bad = 0
-for i in range(data.n):
-    ips = base @ base[i]
-    others = ids[ids != i]
-    order = others[np.lexsort((others, -ips[others]))]
-    accepted = ms.ndg_select(i, order, base, None)
-    bad += sum(1 for j in accepted[1:] if int(j) not in census)
+# every node's candidates are the other points by descending <i, .>, ties
+# by id; ndg_select takes all the rows as one block and returns the mask
+# of the accepted candidates
+rows = np.lexsort((np.tile(ids, (data.n, 1)), -(base @ base.T)))
+rows = rows[rows != ids[:, None]].reshape(data.n, data.n - 1)
+accepted = ms.ndg_select(ids, rows, base, None)
+bad = int((accepted[:, 1:] & ~np.isin(rows[:, 1:], list(census))).sum())
 print("accepted-beyond-first outside the census:", bad)
 
 # Euclidean pruning, for contrast: keep a candidate only when it is closer

@@ -4,7 +4,7 @@ Edge selection is what turns a raw K-NN graph into a navigable index:
 
 * Euclidean pruning keeps candidate p only when p is closer to the node
   than to every already-kept neighbor, which removes detour edges while
-  preserving monotone search paths; ``mrng_prune`` runs a block of rows.
+  preserving monotone search paths.
 * Dominator selection scans candidates in descending inner-product order.
   The first candidate (the potential out-dominator) is always accepted;
   every later candidate y is accepted iff nothing in the candidate set or
@@ -13,6 +13,9 @@ Edge selection is what turns a raw K-NN graph into a navigable index:
   the scanned set, which also guarantees the pairwise non-domination
   conditions among accepted points (no accepted point beyond the first
   can be dominated by, or dominate, another accepted non-first point).
+
+Both rules, ``mrng_prune`` and ``ndg_select``, take (B, W) candidate rows
+padded with -1 and return the (B, W) kept mask.
 
 Graph-side arithmetic runs in float64: these are construction-time
 decisions, so order stability against the float64 oracle matters more
@@ -173,24 +176,31 @@ def mrng_prune(owners: np.ndarray, ids: np.ndarray, d2: np.ndarray,
     return kept
 
 
-def ndg_select(node: int, candidate_ids, base: np.ndarray,
+def ndg_select(owners: np.ndarray, ids: np.ndarray, base: np.ndarray,
                K2: int | None) -> np.ndarray:
-    """Dominator edge selection over candidates sorted by descending <node, .>.
+    """Dominator selection over (B, W) candidate rows, each sorted by
+    descending inner product with its owner and padded with -1.
 
-    The first candidate is always accepted (the potential out-dominator);
-    each later one is accepted iff it is a self-dominator of the scanned
-    set: <y,y> >= <y,z> for every other candidate z and for the owner.
-    Returns at most K2 ids in acceptance (= list) order. ``base`` is the
-    float64 copy of the dataset.
+    Returns the (B, W) kept mask. A row never keeps padding or its owner.
+    It keeps its first candidate (the potential out-dominator), and a later
+    candidate y iff <y,y> >= <y,z> for every other z of the row and for the
+    owner, up to K2 keeps (None: no cap). ``base`` is the float64 dataset.
     """
-    cand = np.asarray(candidate_ids, dtype=np.int64)
-    cand = cand[cand != node]
-    if len(cand) == 0 or K2 == 0:
-        return np.empty(0, dtype=np.int32)
-    self_dots, best_cross = best_cross_inner_product(base[np.append(cand, node)])
-    kept = self_dots[:len(cand)] >= best_cross[:len(cand)]
-    kept[0] = True
-    return cand[kept][:K2].astype(np.int32)
+    width = ids.shape[1]
+    cap = width if K2 is None else K2
+    kept = np.zeros(ids.shape, dtype=bool)
+    rows = max(1, _PRUNE_BYTES // (8 * (width + 1) * (width + 1 + base.shape[1])))
+    for lo in range(0, len(ids), rows):
+        block, own = ids[lo:lo + rows], owners[lo:lo + rows, None]
+        open_ = (block >= 0) & (block != own)
+        # the owner fills the last column and stands in for the padding and
+        # for its own column: a repeated <y, owner> cannot change a maximum
+        vecs = base[np.concatenate((np.where(open_, block, own), own), axis=1)]
+        self_dots, best_cross = _chunk_best_cross(vecs @ vecs.transpose(0, 2, 1), 0)
+        take = open_ & ((self_dots >= best_cross)[:, :-1]
+                        | (np.cumsum(open_, axis=1) == 1))
+        kept[lo:lo + rows] = take & (np.cumsum(take, axis=1) <= cap)
+    return kept
 
 
 def build_exact_ndg(dataset: Dataset) -> CsrEdges:
@@ -239,8 +249,9 @@ def _merge_reverse(src: np.ndarray, dst: np.ndarray,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs and their reverses, each once, no self-loops, sorted."""
     src, dst = src.astype(np.int64), dst.astype(np.int64)
-    pairs = np.unique((np.concatenate((src, dst)) * n
-                       + np.concatenate((dst, src)))[np.tile(src != dst, 2)])
+    pairs = np.sort((np.concatenate((src, dst)) * n
+                     + np.concatenate((dst, src)))[np.tile(src != dst, 2)])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     return pairs // n, pairs % n
 
 

@@ -6,7 +6,8 @@ Stage 2 runs an inner-product graph search from every node over the
 stage-1 graph, filters the candidates through dominator selection, and
 stores at most K2 IP-oriented edges alongside. The searches run as
 lockstep blocks of nodes on the query engine (``search._lockstep_pools``);
-dominator selection stays per node. Node ranges run in-process, or on one
+dominator selection takes each block's final pools at once, and a node
+range hands back (source, target) arrays. Ranges run in-process, or on one
 process pool per build when workers > 1. At query time ``materialize``
 loads ceil(alpha * R) IP edges first and fills the remaining out-degree
 budget with Euclidean edges.
@@ -170,10 +171,11 @@ def _stage2_entries(nodes: np.ndarray, graph: SearchGraph, n: int,
 
 def _stage2_rows(bounds: tuple[int, int], graph: SearchGraph, dataset: Dataset,
                  accepted: CsrEdges | None, K2: int, ls: int, seed: int,
-                 passno: int) -> list[np.ndarray]:
-    """Dominator edges of the nodes in [start, stop): an inner-product
-    search from each node, run as lockstep blocks, then dominator selection
-    over the node's final pool, best first.
+                 passno: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dominator edges of the nodes in [start, stop) as (source, target)
+    arrays, grouped by ascending source: an inner-product search from each
+    node, run as lockstep blocks, then dominator selection over each
+    block's final pools, best first.
 
     Blocks are sized from the widest entry row of any sweep,
     1 + out-degree + K2**2 + min(ls, n); the first sweep, which has no
@@ -191,7 +193,7 @@ def _stage2_rows(bounds: tuple[int, int], graph: SearchGraph, dataset: Dataset,
         accepted_pad[src, np.arange(len(src)) - accepted.offsets[src]] = accepted.ids
     width = 1 + graph.adjacency.shape[1] + K2 * K2 + min(ls, n)
     block = _block_size(n, width, dataset.dim)
-    rows = []
+    srcs, dsts = [], []
     for lo in range(start, stop, block):
         nodes = np.arange(lo, min(lo + block, stop))
         entries, seen = _stage2_entries(nodes, graph, n, accepted_pad, ls, seed,
@@ -199,9 +201,11 @@ def _stage2_rows(bounds: tuple[int, int], graph: SearchGraph, dataset: Dataset,
         keys, _, _ = _lockstep_pools(graph, dataset.data, dataset.data[nodes],
                                      entries, seen, ls, 0,
                                      MetricKind.INNER_PRODUCT)
-        rows += [ndg_select(node, pool, base64, K2)
-                 for node, pool in zip(nodes.tolist(), _key_ids(keys))]
-    return rows
+        pools = _key_ids(keys)
+        kept = ndg_select(nodes, pools, base64, K2)
+        srcs.append(nodes[np.nonzero(kept)[0]])
+        dsts.append(pools[kept])
+    return np.concatenate(srcs), np.concatenate(dsts)
 
 
 def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
@@ -268,7 +272,8 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
                                      accepted=accepted, K2=K2, ls=ls, seed=seed,
                                      passno=passno)
             parts = (pool.map if pool else map)(task, bounds)
-            accepted = CsrEdges.from_rows([row for part in parts for row in part])
+            # one statement, so that no task's (source, target) arrays outlive it
+            accepted = CsrEdges.from_pairs(*map(np.concatenate, zip(*parts)), n)
             ip_edges = _mirror_ip(accepted, base64, K2) if mirror else accepted
             current = MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
                                euclid=stage1.euclid.copy(), ip=ip_edges,

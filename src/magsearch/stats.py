@@ -131,12 +131,7 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
         for c in range(n_clusters):
             if (new_assignment == c).any():
                 continue
-            if metric == "cosine":
-                cn = centroids[c] / np.linalg.norm(centroids[c])
-                gap = 1.0 - pts @ cn
-            else:
-                diff = pts - centroids[c]
-                gap = np.einsum("ij,ij->i", diff, diff)
+            gap = dist_to(centroids[c])
             counts = np.bincount(new_assignment, minlength=n_clusters)
             movable = counts[new_assignment] > 1
             gap[~movable] = -np.inf
@@ -203,7 +198,8 @@ def best_cross_inner_product(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Both come from the same 512-row gram chunks, so a self dot carries the
     rounding of the cross products it is compared with. The self-dominator
-    census and dominator selection both rest on this comparison.
+    census rests on this comparison, and dominator selection makes it on
+    stacked grams through ``_chunk_best_cross``.
     """
     n = len(vecs)
     self_dots = np.empty(n)
@@ -216,12 +212,14 @@ def best_cross_inner_product(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunk_best_cross(gram: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Self dots and best cross products of the gram rows from ``start``;
-    leaves -inf on the diagonal, so the buffer stays reusable."""
-    diag = (np.arange(len(gram)), np.arange(start, start + len(gram)))
+    """Self dots and best cross products of the gram rows from ``start``,
+    of one gram or of a stack of them; leaves -inf on the diagonal, so the
+    buffer stays reusable."""
+    rows = gram.shape[-2]
+    diag = (..., np.arange(rows), np.arange(start, start + rows))
     self_dots = gram[diag]
     gram[diag] = -np.inf
-    return self_dots, gram.max(axis=1)
+    return self_dots, gram.max(axis=-1)
 
 
 def self_dominator_set(dataset: Dataset) -> np.ndarray:

@@ -47,13 +47,14 @@ def theorem1_runs():
     for ds in datasets:
         base = ds.data.astype(np.float64)
         ids = np.arange(ds.n)
-        per_node = []
+        rows = []
         for i in range(ds.n):
             ips = base @ base[i]
             others = ids[ids != i]
-            order = others[np.lexsort((others, -ips[others]))]
-            per_node.append(ms.ndg_select(i, order, base, None))
-        accepted_lists.append(per_node)
+            rows.append(others[np.lexsort((others, -ips[others]))])
+        rows = np.array(rows)
+        kept = ms.ndg_select(ids, rows, base, None)
+        accepted_lists.append([row[keep] for row, keep in zip(rows, kept)])
         censuses.append(set(self_dominator_set(ds).tolist()))
     return datasets, ndgs, accepted_lists, censuses, build_seconds
 

@@ -56,6 +56,12 @@ def prune_row(node, ids, d2, base, K1):
                           base, K1)[0]]
 
 
+def select_row(node, ids, base, K2):
+    """The ids ``ndg_select`` keeps of one candidate row."""
+    ids = np.asarray(ids)
+    return ids[ndg_select(np.array([node]), ids[None], base, K2)[0]]
+
+
 class TestMrngPrune:
     def test_hand_example(self):
         # node (0,0); keep (1,0) and (0,1.5); prune (2,0) which is closer
@@ -154,6 +160,45 @@ def by_ip_reference(i, row, base):
     return row[np.lexsort((row, -np.vecdot(base[row], base[i])))]
 
 
+def select_reference(node, candidate_ids, base, K2):
+    """The per-node dominator selection: drop the node, then keep the first
+    candidate and every later y with <y,y> >= <y,z> for every other z of
+    the candidates and the node, the first K2 of them."""
+    cand = np.asarray(candidate_ids, dtype=np.int64)
+    cand = cand[cand != node]
+    if len(cand) == 0 or K2 == 0:
+        return []
+    self_dots, best_cross = best_cross_inner_product(base[np.append(cand, node)])
+    kept = self_dots[:len(cand)] >= best_cross[:len(cand)]
+    kept[0] = True
+    return cand[kept][:K2].tolist()
+
+
+def select_panel():
+    """(owners, -1 padded candidate rows, float64 base, row lengths): the
+    points of ``prune_panel`` (an integer grid with equal inner products
+    and a zero vector, duplicated grid points, Gaussian points) and four of
+    them stretched 4x, which as owners dominate their candidates. A row
+    lists random candidates by descending <owner, .>, ties by id, in
+    lengths 0..12, 5 in 17 of them unpadded; even rows that are not empty
+    hold their owner, odd rows do not, and row 2 holds only its owner."""
+    _, _, _, base, _ = prune_panel()
+    base = np.concatenate((base, 4 * base[[6, 13, 31, 40]]))
+    n = len(base)
+    rng = np.random.default_rng(4)
+    ids = np.full((n, 12), -1)
+    lengths = []
+    for node in range(n):
+        length = 1 if node == 2 else min(12, (5 * node) % 17)
+        pick = rng.choice(np.delete(np.arange(n), node), size=length, replace=False)
+        if node % 2 == 0 and length:
+            pick[0] = node
+        row = pick[np.lexsort((pick, -(base[pick] @ base[node])))]
+        ids[node, :length] = row
+        lengths.append(length)
+    return np.arange(n), ids, base, lengths
+
+
 def rule_data(kind):
     if kind == "duplicates":
         pts = np.random.default_rng(9).standard_normal((150, 6)).astype(np.float32)
@@ -187,6 +232,20 @@ class TestBlockRulesMatchPerRow:
         for node, row, dd, keep, length in zip(owners, ids, d2, kept, lengths):
             expected = prune_reference(node, row[:length], dd[:length], base, K1)
             assert row[keep].tolist() == expected
+
+    @pytest.mark.parametrize("K2", [None, 0, 1, 3])
+    @pytest.mark.parametrize("slice_rows", [1, 2, 7, None])
+    def test_ndg_select(self, K2, slice_rows, monkeypatch):
+        owners, ids, base, lengths = select_panel()
+        width = ids.shape[1]
+        if slice_rows is not None:
+            monkeypatch.setattr(construction, "_PRUNE_BYTES",
+                                slice_rows * 8 * (width + 1) * (width + 1 + base.shape[1]))
+        kept = ndg_select(owners, ids, base, K2)
+        assert not kept[ids < 0].any()
+        assert not kept[ids == owners[:, None]].any()
+        for node, row, keep, length in zip(owners, ids, kept, lengths):
+            assert row[keep].tolist() == select_reference(node, row[:length], base, K2)
 
     @pytest.mark.parametrize("kind", ["gaussian", "heavytail", "duplicates"])
     def test_mirror_euclid(self, kind):
@@ -234,17 +293,17 @@ class TestNdgSelect:
     def test_hand_example(self):
         # node a=(2,0); L(a) = [c (1.8), b (0)]; both accepted
         ds = Dataset.from_array([[2, 0], [0, 2], [0.9, 0.9]])
-        assert ndg_select(0, np.array([2, 1]), f64(ds), None).tolist() == [2, 1]
+        assert select_row(0, np.array([2, 1]), f64(ds), None).tolist() == [2, 1]
 
     def test_single_candidate_accepted(self):
         ds = Dataset.from_array([[1, 0], [0, 1]])
-        assert ndg_select(0, np.array([1]), f64(ds), None).tolist() == [1]
+        assert select_row(0, np.array([1]), f64(ds), None).tolist() == [1]
 
     def test_dominated_candidate_rejected(self):
         # y_k = 2 * y_j dominates y_j: <yj,yj> < <yj,yk>
         ds = Dataset.from_array([[0, 1], [1, 0], [2, 0]])
         # L(node 0): candidates sorted by <node,.>; force [2*yj, yj] order
-        out = ndg_select(0, np.array([2, 1]), f64(ds), None)
+        out = select_row(0, np.array([2, 1]), f64(ds), None)
         assert 1 not in out.tolist()
         assert out.tolist() == [2]
 
@@ -252,7 +311,7 @@ class TestNdgSelect:
         # node o=(2,0) scans f=(0.9,-1) then w=(0.8,0.6); only the owner
         # dominates w: <w,w>=1 < <w,o>=1.6, while <w,f>=0.12
         ds = Dataset.from_array([[2, 0], [0.9, -1], [0.8, 0.6]])
-        assert ndg_select(0, np.array([1, 2]), f64(ds), None).tolist() == [1]
+        assert select_row(0, np.array([1, 2]), f64(ds), None).tolist() == [1]
 
     def test_truncates_to_k2(self, rng):
         ds = Dataset(rng.standard_normal((80, 6)).astype(np.float32))
@@ -260,8 +319,8 @@ class TestNdgSelect:
         ips = base @ base[0]
         others = np.array([i for i in range(80) if i != 0])
         order = others[np.lexsort((others, -ips[others]))]
-        full = ndg_select(0, order, base, None)
-        only3 = ndg_select(0, order, base, 3)
+        full = select_row(0, order, base, None)
+        only3 = select_row(0, order, base, 3)
         assert len(only3) <= 3
         assert only3.tolist() == full[:3].tolist()
 
@@ -271,7 +330,7 @@ class TestNdgSelect:
         ds = Dataset(eye)
         for node in range(12):
             others = np.array([i for i in range(12) if i != node])
-            out = ndg_select(node, others, f64(ds), None)
+            out = select_row(node, others, f64(ds), None)
             assert sorted(out.tolist()) == others.tolist()
 
     def test_matches_bruteforce_reimplementation(self, rng):
@@ -285,7 +344,7 @@ class TestNdgSelect:
             others = np.array([i for i in range(60) if i != node])
             ips = base @ base[node]
             order = others[np.lexsort((others, -ips[others]))]
-            got = ndg_select(node, order, base, None).tolist()
+            got = select_row(node, order, base, None).tolist()
             expected = [int(order[0])]
             group = np.concatenate((order, [node]))
             for y in order[1:]:
@@ -323,13 +382,36 @@ class TestExactNdg:
             ips = base @ base[i]
             others = ids[ids != i]
             order = others[np.lexsort((others, -ips[others]))]
-            accepted = ndg_select(i, order, base, None)
+            accepted = select_row(i, order, base, None)
             for j in accepted[1:]:
                 assert int(j) in census
 
     def test_gate(self, rng):
         with pytest.raises(UsageError):
             build_exact_ndg(Dataset(np.zeros((1, 2), dtype=np.float32)))
+
+
+class TestMergeReverse:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_unique(self, seed):
+        # random pairs with repeats, with reverse copies and with self-loops
+        n = 30
+        rng = np.random.default_rng(seed)
+        src, dst = rng.integers(0, n, 300), rng.integers(0, n, 300)
+        src = np.concatenate((src, src[:40], dst[40:80], np.arange(0, n, 3)))
+        dst = np.concatenate((dst, dst[:40], src[40:80], np.arange(0, n, 3)))
+        keep = src != dst
+        codes = np.unique(np.concatenate((src[keep] * n + dst[keep],
+                                          dst[keep] * n + src[keep])))
+        got_src, got_dst = construction._merge_reverse(src, dst, n)
+        assert np.array_equal(got_src, codes // n)
+        assert np.array_equal(got_dst, codes % n)
+
+    @pytest.mark.parametrize("pairs", [[], [(3, 3), (0, 0)]])
+    def test_no_edges(self, pairs):
+        src, dst = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+        got_src, got_dst = construction._merge_reverse(src, dst, 5)
+        assert got_src.tolist() == [] and got_dst.tolist() == []
 
 
 class TestStrongComponents:

@@ -1,5 +1,6 @@
-"""Every package, test and demo module reads each name it imports, and no
-package module rebinds module state with a ``global`` statement.
+"""Every package, test and demo module reads each name it imports, no
+package module rebinds module state with a ``global`` statement, and every
+top-level name of the package is read by a package module or exported.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by ``import`` or ``from ... import`` must appear somewhere in the
@@ -58,3 +59,41 @@ def test_finds_a_global_statement():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_global_statements(path):
     assert global_statements(path.read_text()) == []
+
+
+def dead_names(modules: dict[str, str]) -> list[str]:
+    """``module.name`` for each top-level function, class or constant that
+    no module reads, as a name or an attribute, and ``__init__`` does not
+    export; ``__version__`` is exempt."""
+    defined, read = [], {"__version__"}
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and module == "__init__":
+                read |= {a.name for a in node.names}
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_finds_a_dead_name():
+    modules = {"__init__": "from .a import exported\n__version__ = '1'\n",
+               "a": ("LIMIT = 3\nSPARE: int = 4\nTABLE = 5\n"
+                     "def exported():\n    return helper() + LIMIT\n"
+                     "def helper():\n    return 1\n"
+                     "def dead():\n    pass\n"
+                     "class Dead:\n    pass\n"),
+               "b": "from . import a\nprint(a.TABLE)\n"}
+    assert dead_names(modules) == ["a.Dead", "a.SPARE", "a.dead"]
+
+
+def test_no_dead_names():
+    assert dead_names({p.stem: p.read_text() for p in PACKAGE}) == []

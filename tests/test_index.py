@@ -66,8 +66,14 @@ def _stage2_width(graph, n, K2, ls):
     return 1 + graph.adjacency.shape[1] + K2 * K2 + min(ls, n)
 
 
+def select_row(node, ids, base, K2):
+    """The ids ``ndg_select`` keeps of one candidate row."""
+    return ids[ndg_select(np.array([node]), ids[None], base, K2)[0]]
+
+
 def _stage2_reference(graph, ds, accepted, K2, ls, seed, passno):
-    """Stage 2 as one scalar float32 search per node, then ndg_select.
+    """Stage 2 as one scalar float32 search per node, then ndg_select on
+    the node's row.
 
     A node's entries, deduplicated in order, are all scored and offered to
     a pool of ls; the pool then expands to exhaustion.
@@ -92,7 +98,7 @@ def _stage2_reference(graph, ds, accepted, K2, ls, seed, passno):
         seen[entries] = True
         search_mod._expand_loop(pool, graph, ds, q, ip, seen, SearchStats())
         ids = pool.ids_best_first()
-        rows.append(ndg_select(node, ids[ids != node], base, K2))
+        rows.append(select_row(node, ids[ids != node], base, K2))
     return rows
 
 
@@ -120,11 +126,11 @@ class TestStage2:
                 monkeypatch.setattr(search_mod, "_BLOCK_BYTES",
                                     block_rows * (ds.n + 8 * width * (ds.dim + 1)))
                 assert search_mod._block_size(ds.n, width, ds.dim) == block_rows
-            rows = index_mod._stage2_rows((0, ds.n), graph, ds, accepted, K2,
-                                          ls, 4, passno)
+            src, dst = index_mod._stage2_rows((0, ds.n), graph, ds, accepted,
+                                              K2, ls, 4, passno)
             expected = _stage2_reference(graph, ds, accepted, K2, ls, 4, passno)
-            assert [r.tolist() for r in rows] == [r.tolist() for r in expected]
-            accepted = CsrEdges.from_rows(rows)
+            accepted = CsrEdges.from_pairs(src, dst, ds.n)
+            assert [r.tolist() for r in accepted] == [r.tolist() for r in expected]
             current = MagIndex(n=ds.n, dim=ds.dim, K1=K1, K2=K2,
                                euclid=stage1.euclid,
                                ip=index_mod._mirror_ip(accepted, base, K2),
@@ -170,7 +176,7 @@ class TestStage2:
             ips = base @ base[i]
             others = ids[ids != i]
             order = others[np.lexsort((others, -ips[others]))]
-            assert idx.ip[i].tolist() == ndg_select(i, order, base, 6).tolist()
+            assert idx.ip[i].tolist() == select_row(i, order, base, 6).tolist()
 
     def test_mirror_flag_recorded_by_stage2(self, rng):
         ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))

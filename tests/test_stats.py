@@ -7,7 +7,8 @@ import pytest
 
 from magsearch import Dataset, UsageError
 from magsearch.construction import build_exact_knn
-from magsearch.stats import (coefficient_of_variation, compute_stats,
+from magsearch.stats import (_chunk_best_cross, coefficient_of_variation,
+                             compute_stats,
                              davies_bouldin, dominator_probability,
                              dominator_probability_mc, estimate_nn_angle,
                              expected_self_dominators, kmeans,
@@ -89,6 +90,19 @@ class TestKmeans:
         clus = kmeans(small_gaussian, 4, metric="cosine", seed=2)
         assert np.allclose(np.linalg.norm(clus.centroids, axis=1), 1.0)
 
+    def test_empty_cluster_takes_the_worst_served_point(self):
+        # a Lloyd step of this cosine case leaves cluster 0 empty, so it
+        # takes the movable point farthest from its centroid; output pinned
+        rng = np.random.default_rng(384)
+        pts = rng.standard_normal((12, 2)) * rng.lognormal(0, 1, (12, 1))
+        clus = kmeans(Dataset(pts.astype(np.float32)), 4, metric="cosine", seed=0)
+        assert clus.assignment.tolist() == [2, 3, 2, 0, 1, 1, 2, 1, 3, 2, 3, 0]
+        assert clus.centroids.tolist() == [
+            [0.018267309450059097, 0.9998331387813948],
+            [0.8684053795452434, 0.4958549150476193],
+            [-0.6931621758053018, -0.7207816576695468],
+            [0.41977915305537916, -0.9076262791810893]]
+
 
 class TestDaviesBouldin:
     def _two_pair_clustering(self):
@@ -167,6 +181,16 @@ class TestSelfDominators:
             census = self_dominator_set(Dataset(dup))
             assert a not in census and b not in census
             assert np.array_equal(census, census_reference(Dataset(dup)))
+
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_stacked_grams_match_per_gram(self, start):
+        # integer entries, so rows hold equal cross products
+        grams = np.random.default_rng(6).integers(-3, 4, size=(5, 4, 9)).astype(float)
+        self_dots, best_cross = _chunk_best_cross(grams.copy(), start)
+        for gram, dots, best in zip(grams, self_dots, best_cross):
+            expected = _chunk_best_cross(gram.copy(), start)
+            assert np.array_equal(dots, expected[0])
+            assert np.array_equal(best, expected[1])
 
     def test_exact_knn_census(self, rng):
         # the exact K-NN pass takes the census from its own gram chunks:
