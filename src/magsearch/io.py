@@ -85,9 +85,10 @@ class GroundTruth:
     def validate(self, n: int | None = None) -> None:
         if self.rows.ndim != 2 or self.rows.shape[1] != self.k:
             raise UsageError(f"ground truth rows must be (n_queries, {self.k})")
-        for i, row in enumerate(self.rows):
-            if len(np.unique(row)) != self.k:
-                raise UsageError(f"ground truth row {i} has duplicate ids")
+        ordered = np.sort(self.rows, axis=1)
+        dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if dup.any():
+            raise UsageError(f"ground truth row {dup.argmax()} has duplicate ids")
         if n is not None and ((self.rows < 0) | (self.rows >= n)).any():
             raise UsageError(f"ground truth ids out of range [0, {n})")
 

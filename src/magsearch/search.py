@@ -20,6 +20,14 @@ single-query path for one query, and both pick the same ids.
 Scores are float32 on both paths, and the engine's pool keys hold float32
 scores. The stage-2 construction searches run on the lockstep engine
 (``_lockstep_pools``), as query panels do.
+
+The engine's step is array bookkeeping around one ``score_batch`` call,
+so it keeps that bookkeeping small. It gathers with ``np.take``, which
+beats fancy indexing on these shapes. It walks a copy of the neighbour
+rows padded with each row's own id, which the seen mask always rejects,
+so a step needs no padding mask. And it counts distance computations
+once, off the seen masks at the end, since every scored id is marked
+seen exactly once.
 """
 
 from __future__ import annotations
@@ -327,9 +335,10 @@ def _pool_keys(metric: MetricKind, scores: np.ndarray, ids: np.ndarray,
     NaN, which is why queries must be finite.
     """
     s = (-scores if metric.larger_is_better else scores) + np.float32(0.0)
-    bits = s.astype(np.float32, copy=False).view(np.uint32)
-    bits = bits ^ ((bits >> np.uint32(31)) * np.uint32(0x7FFFFFFF)
-                   | np.uint32(0x80000000))
+    bits = s.astype(np.float32, copy=False).view(np.int32)
+    # the arithmetic shift spreads the sign: flip every bit of a negative
+    # float, only the sign bit of the others
+    bits = (bits ^ (bits >> 31 | np.int32(-2 ** 31))).view(np.uint32)
     return ((bits.astype(np.uint64) << np.uint64(32))
             | (ids.astype(np.uint64) << np.uint64(1)) | visited)
 
@@ -362,35 +371,41 @@ def _seed_block(keys: np.ndarray, n: int, c: int) -> tuple[np.ndarray, np.ndarra
     return entries, seen
 
 
-def _lockstep_expand(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
-                     keys: np.ndarray, seen: np.ndarray, comps: np.ndarray,
-                     hops: np.ndarray, metric: MetricKind,
+def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
+                     keys: np.ndarray, seen: np.ndarray, hops: np.ndarray,
+                     metric: MetricKind,
                      max_expansions: int | None = None) -> None:
     """``_expand_loop`` for a block of queries, one expansion each per step.
 
-    keys is the (B, L) sorted pools, seen the (B, n) masks, comps and hops
-    the (B,) counters; all are updated in place. A query leaves the step
-    loop when its pool has no unvisited entry or after max_expansions.
+    adjacency is the graph's (n, R) rows padded with each row's own id;
+    keys is the (B, L) sorted pools, seen the (B, n) masks and hops the
+    (B,) counters, all updated in place. A query leaves the step loop when
+    its pool has no unvisited entry or after max_expansions.
 
     The live rows' pools sit in one compact array; a row that closes is
     written back to keys and dropped from it. A step marks each live row's
-    best unvisited entry, reads and sets the seen cells of its neighbours
-    through the flat mask, scores the fresh ones in one ``score_batch``
-    call, and merges those better than the row's worst entry into the
-    rows they touch: each row's candidates sorted, then merged with its
-    sorted pool by a stable sort, which merges the two runs.
+    best unvisited entry, gathers its neighbour row, and reads and sets
+    their seen cells through the flat mask. The expanded node is seen, so
+    a cell padded with its id is never fresh. The fresh neighbours are
+    scored in one ``score_batch`` call and scattered into a (live, R) row
+    of candidate keys. A row whose best candidate beats its worst pool
+    entry merges its sorted candidates with its sorted pool by a stable
+    sort, which merges the two runs; a candidate no better than the worst
+    entry sorts past the cut. Every gather is an ``np.take``.
     """
-    width, R = keys.shape[1], graph.adjacency.shape[1]
+    width, R = keys.shape[1], adjacency.shape[1]
     n = seen.shape[1]
     flat_seen = seen.reshape(-1)  # a view: the masks are C-contiguous
     live = np.arange(len(keys))
     pool = keys  # until a row closes; then a compact copy of the live rows
-    starts = live * width  # of the pool rows in pool.reshape(-1)
+    rows = qs  # the live rows' queries
+    starts = live * width  # of the pool rows in the flat pool
+    offsets = (live * n)[:, None]  # of the live rows' masks in flat_seen
     step = 0
     while max_expansions is None or step < max_expansions:
         unvisited = (pool & np.uint64(1)) == 0
         best = starts + unvisited.argmax(axis=1)
-        open_ = unvisited.reshape(-1)[best]  # argmax is 0 in a closed row
+        open_ = np.take(unvisited, best)  # argmax is 0 in a closed row
         if not open_.all():
             shut = ~open_
             if pool is not keys:
@@ -399,34 +414,30 @@ def _lockstep_expand(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
             live, pool = live[open_], pool[open_]
             if not live.size:
                 break
+            rows = np.take(qs, live, axis=0)
             starts = starts[:len(live)]
+            offsets = (live * n)[:, None]
             best = starts + best[open_] % width
-        picked = pool.reshape(-1)[best] | np.uint64(1)
+        picked = np.take(pool, best) | np.uint64(1)
         pool.reshape(-1)[best] = picked
-        node = _key_ids(picked)
         step += 1
-        valid = np.arange(R) < graph.counts[node][:, None]
-        nbrs = np.where(valid, graph.adjacency[node], 0)
-        cells = nbrs + (live * n)[:, None]
-        # only the fresh cells count: a padded cell reads node 0 as well
-        fresh = valid & ~flat_seen[cells]
-        comps[live] += fresh.sum(axis=1)
-        at = np.flatnonzero(fresh)
-        flat_seen[cells.reshape(-1)[at]] = True
-        who = at // R
-        vid = nbrs.reshape(-1)[at]
-        new = _pool_keys(metric, score_batch(metric, qs[live[who]], data[vid]), vid)
-        # pools are full from seeding on: a key no better than the worst
-        # entry cannot get in
-        better = new < pool[:, width - 1][who]
-        hit = np.zeros(len(live), dtype=bool)
-        hit[who[better]] = True
-        touched = np.flatnonzero(hit)
+        nbrs = np.take(adjacency, _key_ids(picked), axis=0)
+        cells = nbrs + offsets
+        at = np.flatnonzero(~np.take(flat_seen, cells))
+        flat_seen[np.take(cells, at)] = True
+        vid = np.take(nbrs, at)
+        scores = score_batch(metric, np.take(rows, at // R, axis=0),
+                             np.take(data, vid, axis=0))
         cand = np.full(nbrs.shape, _NO_KEY)
-        cand.reshape(-1)[at[better]] = new[better]
-        cand = np.sort(cand[touched], axis=1)
-        pool[touched] = np.sort(np.concatenate((pool[touched], cand), axis=1),
-                                axis=1, kind="stable")[:, :width]
+        cand.reshape(-1)[at] = _pool_keys(metric, scores, vid)
+        # pools are full from seeding on: a row gains nothing unless a
+        # candidate beats its worst entry
+        touched = np.flatnonzero(cand.min(axis=1, initial=_NO_KEY)
+                                 < np.take(pool, starts + width - 1))
+        cand = np.sort(np.take(cand, touched, axis=0), axis=1)
+        pool[touched] = np.sort(
+            np.concatenate((np.take(pool, touched, axis=0), cand), axis=1),
+            axis=1, kind="stable")[:, :width]
     if pool is not keys:
         keys[live] = pool
     hops[live] += step
@@ -440,37 +451,44 @@ def _lockstep_pools(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
 
     entries is (B, W): each row's distinct entry ids, padded with -1, and
     at least L = min(ls, n) of them per row; seen is the (B, n) masks that
-    mark them. Every entry is scored and counted, each pool keeps its best
-    L, then the rows expand as ``_search`` does: m Euclidean expansions and
-    the re-score at the switch when m > 0, then ``metric`` to exhaustion.
+    mark them. Every entry is scored, each pool keeps its best L, then the
+    rows expand as ``_search`` does: m Euclidean expansions and the
+    re-score at the switch when m > 0, then ``metric`` to exhaustion.
     Returns the (B, L) sorted pools as ``_pool_keys`` and the (B,) comps
     and hops.
+
+    Every scored id is marked seen exactly once, so comps is read off the
+    seen masks at the end, plus the L re-scores at the switch. The steps
+    gather neighbour rows padded with the row's own id, a copy made here:
+    ``graph`` is shared and stays as it is.
 
     Rows are scored and cut in runs of B·L // W, so that wide entry rows
     hold no more at once than a block's pools do: one run when W = L.
     """
     nq, width = entries.shape
     L = min(ls, graph.n)
-    comps = (entries >= 0).sum(axis=1)
+    adjacency = np.where(np.arange(graph.adjacency.shape[1]) < graph.counts[:, None],
+                         graph.adjacency,
+                         np.arange(graph.n, dtype=graph.adjacency.dtype)[:, None])
     hops = np.zeros(nq, dtype=np.int64)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
     run = max(1, nq * L // width)
     pools = []
     for s in range(0, nq, run):
         ids = entries[s:s + run]
-        scores = score_batch(first, qs[s:s + run, None], data[ids])
+        scores = score_batch(first, qs[s:s + run, None], np.take(data, ids, axis=0))
         keys = np.where(ids >= 0, _pool_keys(first, scores, ids), _NO_KEY)
         pools.append(np.sort(keys, axis=1)[:, :L])
     keys = np.concatenate(pools)
     if m > 0:  # metric is inner product here
-        _lockstep_expand(graph, data, qs, keys, seen, comps, hops, first,
+        _lockstep_expand(adjacency, data, qs, keys, seen, hops, first,
                          max_expansions=m)
         ids = _key_ids(keys)
-        scores = score_batch(metric, qs[:, None], data[ids])
+        scores = score_batch(metric, qs[:, None], np.take(data, ids, axis=0))
         keys = np.sort(_pool_keys(metric, scores, ids, keys & np.uint64(1)),
                        axis=1)
-        comps += keys.shape[1]
-    _lockstep_expand(graph, data, qs, keys, seen, comps, hops, metric)
+    _lockstep_expand(adjacency, data, qs, keys, seen, hops, metric)
+    comps = seen.sum(axis=1) + (L if m > 0 else 0)
     return keys, comps, hops
 
 
@@ -497,9 +515,10 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
     ``SearchParams(ls, k, m, seed=(seed, i))``. Blocks of queries advance
     in lockstep, one expansion per open query per step, over a compact
     array of the open queries' pools held as ``_pool_keys``
-    (``_lockstep_expand``): one neighbour gather, one flat seen-mask
-    read and write, one ``score_batch`` call, and a merge of each touched
-    pool with its sorted candidates.
+    (``_lockstep_expand``): one ``np.take`` of self-padded neighbour rows,
+    one flat seen-mask read and write, one ``score_batch`` call, and a
+    merge of each touched pool with its sorted candidates. dist_comps is
+    read off the seen masks when the block ends.
     """
     head = SearchParams(ls=ls, k=k, m=m, seed=seed)._key  # checks the arguments
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:

@@ -146,6 +146,12 @@ class TestComputeGroundTruth:
                 brute_force_topk(data, queries.vector(i), 7, MetricKind.EUCLIDEAN))
         gt.validate(n=data.n)
 
+    def test_duplicate_ids_name_the_first_bad_row(self):
+        rows = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 6], [9, 9, 8]], dtype=np.int32)
+        with pytest.raises(UsageError, match="row 2 has duplicate ids"):
+            GroundTruth(k=3, rows=rows).validate(n=10)
+        GroundTruth(k=3, rows=rows[:2]).validate(n=10)
+
     def test_duplicate_queries_identical_rows(self, small_gaussian):
         q = small_gaussian.data[:1]
         queries = Dataset(np.vstack([q, q]).astype(np.float32))

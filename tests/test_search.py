@@ -441,6 +441,49 @@ class TestLockstep:
         assert (graph.counts < 7).any() and (graph.adjacency == 0).any()
         assert_matches_scalar(graph, data, queries, ls=6, k=4, m=m, seed=9)
 
+    @pytest.fixture
+    def sparse(self):
+        """A graph where every fifth node has no out-edges, its row all
+        padding, and whose last column is padding in every row; with queries
+        and (B, 24) entry rows of 8 to 20 ids among -1 padding. Built per
+        test, so a test that wrote into the graph cannot hide it from the
+        next."""
+        rng = np.random.default_rng(71)
+        n, R = 60, 6
+        graph = random_graph(n, R - 1, seed=14)
+        adj = np.full((n, R), -1, dtype=np.int32)
+        adj[:, :R - 1] = graph.adjacency
+        counts = graph.counts.copy()
+        adj[::5] = -1
+        counts[::5] = 0
+        graph = SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
+        data = Dataset(rng.standard_normal((n, 5)).astype(np.float32))
+        queries = Dataset(rng.standard_normal((30, 5)).astype(np.float32))
+        entries = np.full((queries.n, 24), -1)
+        for row in entries:
+            c = rng.integers(8, 21)
+            row[rng.permutation(24)[:c]] = rng.choice(n, c, replace=False)
+        return graph, data, queries, entries
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_rows_with_no_out_edges(self, sparse, m):
+        graph, data, queries, entries = sparse
+        empty = set(np.flatnonzero(graph.counts == 0).tolist())
+        got = assert_matches_scalar(graph, data, queries, ls=8, k=8, m=m, seed=15)
+        # every id of an exhausted pool was expanded, empty rows included
+        assert any(empty & set(r.ids.tolist()) for r in got)
+        assert_pools_match(graph, data, queries.data, entries, 8, m,
+                           MetricKind.INNER_PRODUCT)
+
+    def test_shared_graph_is_not_written(self, sparse):
+        graph, data, queries, entries = sparse
+        adjacency, counts = graph.adjacency.copy(), graph.counts.copy()
+        lockstep_search(graph, data, queries.data, ls=8, k=4, m=2, seed=16)
+        assert_pools_match(graph, data, queries.data, entries, 8, 0,
+                           MetricKind.INNER_PRODUCT)
+        assert graph.adjacency.tobytes() == adjacency.tobytes()
+        assert graph.counts.tobytes() == counts.tobytes()
+
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_duplicate_vectors_tie_by_id(self, rng, metric):
         unique = rng.standard_normal((20, 5)).astype(np.float32)
