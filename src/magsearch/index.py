@@ -198,9 +198,8 @@ def _stage2_rows(bounds: tuple[int, int], graph: SearchGraph, dataset: Dataset,
         nodes = np.arange(lo, min(lo + block, stop))
         entries, seen = _stage2_entries(nodes, graph, n, accepted_pad, ls, seed,
                                         passno)
-        keys, _, _ = _lockstep_pools(graph, dataset.data, dataset.data[nodes],
-                                     entries, seen, ls, 0,
-                                     MetricKind.INNER_PRODUCT)
+        keys, _ = _lockstep_pools(graph, dataset, dataset.data[nodes], entries,
+                                  seen, ls, 0, MetricKind.INNER_PRODUCT)
         pools = _key_ids(keys)
         kept = ndg_select(nodes, pools, base64, K2)
         srcs.append(nodes[np.nonzero(kept)[0]])

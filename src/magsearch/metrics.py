@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,12 @@ class Dataset:
 
     def vector(self, i: int) -> np.ndarray:
         return self.data[i]
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """(n,) float32 squared norms, each row's ``np.vecdot`` with itself;
+        made on first use and kept."""
+        return np.vecdot(self.data, self.data)
 
 
 def sort_key(metric: MetricKind, raw_score: float, vid: int) -> tuple[float, int]:

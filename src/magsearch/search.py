@@ -4,10 +4,17 @@ The traversal loop: seed a bounded candidate pool, repeatedly expand the
 best unvisited entry, score its unseen neighbors, insert them, truncate
 to the pool bound, and stop when every pool entry has been expanded.
 
-The two-stage variant runs that loop under squared Euclidean distance for
-m expansions (pulling the pool toward the query direction), then re-scores
-the surviving pool under inner product — visited flags intact — and runs
-to termination. m=0 is exactly the plain inner-product search.
+The two-stage variant runs that loop under Euclidean distance for m
+expansions (pulling the pool toward the query direction), then switches
+the surviving pool to inner product — visited flags intact — and runs to
+termination. m=0 is exactly the plain inner-product search. The Euclidean
+phase scores a node x as |x|² - 2<x,q> (``Dataset.sq_norms``): the
+squared distance to q less |q|², which ranks nodes as that distance does
+up to float32 rounding (the split FAISS uses; Johnson, Douze & Jégou,
+IEEE Trans. Big Data 2019). It keeps every <x,q> it computes, and the
+switch re-keys the pool from those products. So the switch costs no
+distance computation, and the IP phase sees the very scores a fresh
+``np.vecdot`` would give.
 
 A query's pool starts from min(ls, n) distinct ids, a pure function of
 its seed words, n and ls. splitmix64's finaliser (Steele, Lea & Flood,
@@ -24,16 +31,17 @@ scores. The stage-2 construction searches run on the lockstep engine
 The engine's step is array bookkeeping around one ``score_batch`` call,
 so it keeps that bookkeeping small. It gathers with ``np.take``, which
 beats fancy indexing on these shapes. It walks a copy of the neighbour
-rows padded with each row's own id, which the seen mask always rejects,
-so a step needs no padding mask. And it counts distance computations
-once, off the seen masks at the end, since every scored id is marked
-seen exactly once.
+rows padded with each row's own id (``SearchGraph.padded``, made once
+per graph), which the seen mask always rejects, so a step needs no
+padding mask. And it counts distance computations once, off the seen
+masks at the end, since every scored id is marked seen exactly once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +64,14 @@ class SearchGraph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.adjacency[i, :self.counts[i]]
+
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """The adjacency with each padding cell holding its row's own id,
+        made on first use and kept; the lockstep engine walks it."""
+        return np.where(np.arange(self.adjacency.shape[1]) < self.counts[:, None],
+                        self.adjacency,
+                        np.arange(self.n, dtype=self.adjacency.dtype)[:, None])
 
 
 @dataclass(frozen=True)
@@ -226,11 +242,28 @@ def _seed_ids(n: int, params: SearchParams) -> np.ndarray:
     return ids
 
 
+def _euclid_scores(ips: np.ndarray, sq: np.ndarray, data: np.ndarray,
+                   q: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """sq[x] - 2<x,q> for each x in ids, keeping <x,q> in ips[x]."""
+    ip = np.vecdot(data[ids], q)
+    ips[ids] = ip
+    return sq[ids] - (ip + ip)  # ip + ip is 2·ip exactly
+
+
 def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
                  q: np.ndarray, metric: MetricKind, seen: np.ndarray,
                  stats: SearchStats, max_expansions: int | None = None,
-                 debug: bool = False) -> None:
-    data = dataset.data
+                 debug: bool = False, ips: np.ndarray | None = None) -> None:
+    """Expand the pool's best unvisited entry until none is left or after
+    max_expansions. Given ips, an (n,) float32 array, the loop runs the
+    Euclidean phase: it scores through ``_euclid_scores`` and keeps every
+    <x,q> in ips.
+
+    The loop calls ``np.vecdot`` itself for inner products, without
+    ``score_batch``'s per-call checks, and walks ``graph.padded``: every
+    node in the pool is seen, so its padding cells are never fresh."""
+    data, rows = dataset.data, graph.padded
+    sq = None if ips is None else dataset.sq_norms
     flip = metric.larger_is_better
     insert = pool._insert_key
     pop = pool.pop_best_unvisited
@@ -241,14 +274,17 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
             break
         stats.hops += 1
         done += 1
-        nbrs = graph.neighbors(vid)
+        nbrs = rows[vid]
         fresh = nbrs[~seen[nbrs]]
         if fresh.size:
             seen[fresh] = True
-            scores = score_batch(metric, q, data[fresh])
+            if ips is not None:
+                scores = _euclid_scores(ips, sq, data, q, fresh)
+            elif flip:
+                scores = -np.vecdot(data[fresh], q)
+            else:
+                scores = score_batch(metric, q, data[fresh])
             stats.dist_comps += fresh.size
-            if flip:
-                scores = -scores
             for key in zip(scores.tolist(), fresh.tolist()):
                 insert(key)
         if debug:
@@ -275,15 +311,23 @@ def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
 def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
             metric: MetricKind, m: int, debug: bool) -> SearchResult:
     """One query: m expansions under Euclidean distance (none when m = 0),
-    a re-score of the surviving pool under ``metric`` with visited flags
-    kept, then expansion to pool exhaustion under ``metric``."""
+    the switch of the surviving pool to ``metric`` with visited flags
+    kept, then expansion to pool exhaustion under ``metric``.
+
+    The Euclidean phase keeps each <x,q> it computes in an (n,) array
+    beside the seen mask, and the switch re-keys the pool from it, so the
+    switch adds no distance computation."""
     qv = _check_query(graph, dataset, q, params.k)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
     entries = _seed_ids(graph.n, params)
     pool = CandidatePool(params.ls, first)
     seen = np.zeros(graph.n, dtype=bool)
     seen[entries] = True
-    scores = score_batch(first, qv, dataset.data[entries])
+    if m > 0:
+        ips = np.empty(graph.n, dtype=np.float32)
+        scores = _euclid_scores(ips, dataset.sq_norms, dataset.data, qv, entries)
+    else:
+        scores = score_batch(first, qv, dataset.data[entries])
     stats = SearchStats(dist_comps=len(entries))
     if first.larger_is_better:
         scores = -scores
@@ -291,11 +335,9 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
         pool._insert_key(key)
     if m > 0:
         _expand_loop(pool, graph, dataset, qv, first, seen, stats,
-                     max_expansions=m, debug=debug)
+                     max_expansions=m, debug=debug, ips=ips)
         ids = pool.ids_best_first()
-        scores = score_batch(metric, qv, dataset.data[ids])
-        stats.dist_comps += len(ids)
-        pool.resort(metric, dict(zip(ids.tolist(), scores.tolist())))
+        pool.resort(metric, dict(zip(ids.tolist(), ips[ids].tolist())))
     _expand_loop(pool, graph, dataset, qv, metric, seen, stats, debug=debug)
     return SearchResult(ids=pool.ids_best_first()[:params.k], stats=stats)
 
@@ -310,9 +352,9 @@ def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
                 debug: bool = False) -> SearchResult:
     """Euclidean navigation for params.m expansions, then switch to IP.
 
-    The switch re-scores the surviving pool under inner product (counted
-    as distance computations). m = 0 is plain inner-product search.
-    Returns the top k by inner product.
+    The switch re-keys the surviving pool by the inner products that the
+    Euclidean phase kept, so it adds no distance computation. m = 0 is
+    plain inner-product search. Returns the top k by inner product.
     """
     return _search(graph, dataset, q, params, MetricKind.INNER_PRODUCT,
                    params.m, debug)
@@ -347,11 +389,14 @@ def _key_ids(keys: np.ndarray) -> np.ndarray:
     return ((keys & np.uint64(0xFFFFFFFF)) >> np.uint64(1)).astype(np.intp)
 
 
-def _block_size(n: int, width: int, dim: int) -> int:
-    """Queries per block: each holds an n-byte seen mask, ``width`` uint64
-    pool keys, and at seeding a (width, dim) float32 gather and its L2
-    difference."""
-    return max(1, _BLOCK_BYTES // (n + 8 * width * (dim + 1)))
+def _block_size(n: int, width: int, dim: int, m: int = 0) -> int:
+    """Queries per block. Each holds an n-byte seen mask, ``width`` uint64
+    pool keys and, at seeding, a (width, dim) float32 gather. At m = 0 a
+    query also holds the gather's L2 difference, which only an l2 search
+    makes; at m > 0 it holds instead the (n,) float32 inner products that
+    the Euclidean phase keeps."""
+    scratch = 4 * n if m > 0 else 4 * width * dim
+    return max(1, _BLOCK_BYTES // (n + 8 * width + 4 * width * dim + scratch))
 
 
 def _seed_block(keys: np.ndarray, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -373,14 +418,18 @@ def _seed_block(keys: np.ndarray, n: int, c: int) -> tuple[np.ndarray, np.ndarra
 
 def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
                      keys: np.ndarray, seen: np.ndarray, hops: np.ndarray,
-                     metric: MetricKind,
-                     max_expansions: int | None = None) -> None:
+                     metric: MetricKind, max_expansions: int | None = None,
+                     ips: np.ndarray | None = None,
+                     sq: np.ndarray | None = None) -> None:
     """``_expand_loop`` for a block of queries, one expansion each per step.
 
-    adjacency is the graph's (n, R) rows padded with each row's own id;
-    keys is the (B, L) sorted pools, seen the (B, n) masks and hops the
-    (B,) counters, all updated in place. A query leaves the step loop when
-    its pool has no unvisited entry or after max_expansions.
+    adjacency is the graph's (n, R) rows padded with each row's own id
+    (``SearchGraph.padded``); keys is the (B, L) sorted pools, seen the
+    (B, n) masks and hops the (B,) counters, all updated in place. A query
+    leaves the step loop when its pool has no unvisited entry or after
+    max_expansions. Given the (B, n) float32 ips and the squared norms sq,
+    the step runs the Euclidean phase: it scores x as sq[x] - 2<x,q> and
+    writes each <x,q> into ips at x's seen cell.
 
     The live rows' pools sit in one compact array; a row that closes is
     written back to keys and dropped from it. A step marks each live row's
@@ -396,6 +445,7 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
     width, R = keys.shape[1], adjacency.shape[1]
     n = seen.shape[1]
     flat_seen = seen.reshape(-1)  # a view: the masks are C-contiguous
+    flat_ips = None if ips is None else ips.reshape(-1)
     live = np.arange(len(keys))
     pool = keys  # until a row closes; then a compact copy of the live rows
     rows = qs  # the live rows' queries
@@ -424,10 +474,15 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
         nbrs = np.take(adjacency, _key_ids(picked), axis=0)
         cells = nbrs + offsets
         at = np.flatnonzero(~np.take(flat_seen, cells))
-        flat_seen[np.take(cells, at)] = True
+        fresh = np.take(cells, at)
+        flat_seen[fresh] = True
         vid = np.take(nbrs, at)
-        scores = score_batch(metric, np.take(rows, at // R, axis=0),
+        scores = score_batch(metric if ips is None else MetricKind.INNER_PRODUCT,
+                             np.take(rows, at // R, axis=0),
                              np.take(data, vid, axis=0))
+        if ips is not None:
+            flat_ips[fresh] = scores
+            scores = np.take(sq, vid) - (scores + scores)
         cand = np.full(nbrs.shape, _NO_KEY)
         cand.reshape(-1)[at] = _pool_keys(metric, scores, vid)
         # pools are full from seeding on: a row gains nothing unless a
@@ -443,62 +498,70 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
     hops[live] += step
 
 
-def _lockstep_pools(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
+def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
                     entries: np.ndarray, seen: np.ndarray, ls: int, m: int,
-                    metric: MetricKind
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    metric: MetricKind) -> tuple[np.ndarray, np.ndarray]:
     """The lockstep engine from a block's entries to its final pools.
 
     entries is (B, W): each row's distinct entry ids, padded with -1, and
     at least L = min(ls, n) of them per row; seen is the (B, n) masks that
     mark them. Every entry is scored, each pool keeps its best L, then the
-    rows expand as ``_search`` does: m Euclidean expansions and the
-    re-score at the switch when m > 0, then ``metric`` to exhaustion.
-    Returns the (B, L) sorted pools as ``_pool_keys`` and the (B,) comps
-    and hops.
+    rows expand as ``_search`` does: when m > 0, m Euclidean expansions
+    and the switch, then ``metric`` to exhaustion. Returns the (B, L)
+    sorted pools as ``_pool_keys`` and the (B,) hops.
 
-    Every scored id is marked seen exactly once, so comps is read off the
-    seen masks at the end, plus the L re-scores at the switch. The steps
-    gather neighbour rows padded with the row's own id, a copy made here:
-    ``graph`` is shared and stays as it is.
+    At m > 0 a (B, n) float32 array keeps each <x,q> of the Euclidean
+    phase at x's seen cell (padding entries write nothing), and the switch
+    re-keys the pools from it under ``metric``, which is inner product
+    there. Every scored id is marked seen exactly once, so a row's comps
+    is its mask's count. The steps walk ``graph.padded``; ``graph`` itself
+    stays as it is.
 
     Rows are scored and cut in runs of B·L // W, so that wide entry rows
     hold no more at once than a block's pools do: one run when W = L.
     """
     nq, width = entries.shape
-    L = min(ls, graph.n)
-    adjacency = np.where(np.arange(graph.adjacency.shape[1]) < graph.counts[:, None],
-                         graph.adjacency,
-                         np.arange(graph.n, dtype=graph.adjacency.dtype)[:, None])
+    n, data = graph.n, dataset.data
+    L = min(ls, n)
     hops = np.zeros(nq, dtype=np.int64)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
+    if m > 0:
+        sq = dataset.sq_norms
+        ips = np.empty((nq, n), dtype=np.float32)
     run = max(1, nq * L // width)
     pools = []
     for s in range(0, nq, run):
         ids = entries[s:s + run]
-        scores = score_batch(first, qs[s:s + run, None], np.take(data, ids, axis=0))
-        keys = np.where(ids >= 0, _pool_keys(first, scores, ids), _NO_KEY)
+        real = ids >= 0
+        # metric is inner product at m > 0: the kernel of both phases
+        scores = score_batch(metric, qs[s:s + run, None], np.take(data, ids, axis=0))
+        if m > 0:
+            cells = ids + ((s + np.arange(len(ids))) * n)[:, None]
+            ips.reshape(-1)[cells[real]] = scores[real]
+            scores = np.take(sq, ids) - (scores + scores)
+        keys = np.where(real, _pool_keys(first, scores, ids), _NO_KEY)
         pools.append(np.sort(keys, axis=1)[:, :L])
     keys = np.concatenate(pools)
-    if m > 0:  # metric is inner product here
-        _lockstep_expand(adjacency, data, qs, keys, seen, hops, first,
-                         max_expansions=m)
+    if m > 0:
+        _lockstep_expand(graph.padded, data, qs, keys, seen, hops, first,
+                         max_expansions=m, ips=ips, sq=sq)
         ids = _key_ids(keys)
-        scores = score_batch(metric, qs[:, None], np.take(data, ids, axis=0))
+        scores = np.take(ips, ids + (np.arange(nq) * n)[:, None])
+        del ips
         keys = np.sort(_pool_keys(metric, scores, ids, keys & np.uint64(1)),
                        axis=1)
-    _lockstep_expand(adjacency, data, qs, keys, seen, hops, metric)
-    comps = seen.sum(axis=1) + (L if m > 0 else 0)
-    return keys, comps, hops
+    _lockstep_expand(graph.padded, data, qs, keys, seen, hops, metric)
+    return keys, hops
 
 
-def _lockstep_block(graph: SearchGraph, data: np.ndarray, qs: np.ndarray,
+def _lockstep_block(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
                     ls: int, k: int, m: int, keys: np.ndarray,
                     metric: MetricKind) -> list[SearchResult]:
     """One block of ``lockstep_search``; query i is seeded with keys[i]."""
     entries, seen = _seed_block(keys, graph.n, min(ls, graph.n))
-    keys, comps, hops = _lockstep_pools(graph, data, qs, entries, seen, ls, m,
-                                        metric)
+    keys, hops = _lockstep_pools(graph, dataset, qs, entries, seen, ls, m,
+                                 metric)
+    comps = seen.sum(axis=1)
     ids = _key_ids(keys[:, :k]).astype(np.int32)
     return [SearchResult(ids=row, stats=SearchStats(dist_comps=c, hops=h))
             for row, c, h in zip(ids, comps.tolist(), hops.tolist())]
@@ -517,8 +580,9 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
     array of the open queries' pools held as ``_pool_keys``
     (``_lockstep_expand``): one ``np.take`` of self-padded neighbour rows,
     one flat seen-mask read and write, one ``score_batch`` call, and a
-    merge of each touched pool with its sorted candidates. dist_comps is
-    read off the seen masks when the block ends.
+    merge of each touched pool with its sorted candidates. The switch
+    re-keys the pools from the Euclidean phase's kept inner products.
+    dist_comps is read off the seen masks when the block ends.
     """
     head = SearchParams(ls=ls, k=k, m=m, seed=seed)._key  # checks the arguments
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:
@@ -527,11 +591,11 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
     # _seed_key((seed, i)): the fold's last step, taken for every i at once
     keys = _mix64((np.uint64(head) ^ np.arange(len(qs), dtype=np.uint64))
                   + _GOLDEN & _MASK64)
-    block = _block_size(graph.n, min(ls, graph.n), dataset.dim)
+    block = _block_size(graph.n, min(ls, graph.n), dataset.dim, m)
     results: list[SearchResult] = []
     for start in range(0, len(qs), block):
         stop = min(start + block, len(qs))
-        results.extend(_lockstep_block(graph, dataset.data, qs[start:stop], ls,
+        results.extend(_lockstep_block(graph, dataset, qs[start:stop], ls,
                                        k, m, keys[start:stop], metric))
     return results
 

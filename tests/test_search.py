@@ -1,5 +1,8 @@
 """Candidate pool mechanics, greedy traversal, and the metric switch."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
 
@@ -24,12 +27,61 @@ def searchable():
     return data, graph
 
 
+@pytest.fixture(scope="module")
+def trap():
+    """A small version of the c06 trap: an answer blob along u on the rim
+    of a background cloud, and high-norm outliers nearly orthogonal to u
+    that bait inner-product navigation. Queries sit at the blob; entry
+    rows hold 48 distinct ids."""
+    rng = np.random.default_rng(81)
+    dim = 8
+    u = np.eye(dim)[0]
+    v = rng.standard_normal((40, dim))
+    v[:, 0] = 0.0
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    angle = np.deg2rad(87.0)
+    points = np.vstack([4.0 * u + 0.3 * rng.standard_normal((40, dim)),
+                        30.0 * (np.cos(angle) * u + np.sin(angle) * v)
+                        + 0.3 * rng.standard_normal((40, dim)),
+                        0.9 * rng.standard_normal((500, dim))])
+    data = Dataset(points.astype(np.float32)[rng.permutation(len(points))])
+    qs = (4.0 * u + 0.04 * rng.standard_normal((20, dim))).astype(np.float32)
+    graph = materialize(build_mag(data, K=16, K1=8, K2=8, ls=32, seed=1),
+                        R=12, alpha=0.5)
+    entries = np.stack([rng.choice(data.n, 48, replace=False) for _ in qs])
+    return graph, data, qs, entries
+
+
 def complete_graph(n):
     adj = np.zeros((n, n - 1), dtype=np.int32)
     for i in range(n):
         adj[i] = [j for j in range(n) if j != i]
     return SearchGraph(R=n - 1, alpha=0.0, adjacency=adj,
                        counts=np.full(n, n - 1, dtype=np.int32))
+
+
+@contextlib.contextmanager
+def counting_kernels():
+    """Count the rows that ``np.vecdot`` scores inside the block, and the
+    distinct vectors among its first operand's rows.
+
+    Every kernel of the search runs on ``np.vecdot``: ``score_batch`` under
+    either metric, and the Euclidean phase of the metric switch. Touch
+    ``Dataset.sq_norms`` before the block, or its one-off product counts
+    too."""
+    real = np.vecdot
+    counted = {"rows": 0, "vectors": set()}
+
+    def counting(a, b):
+        counted["rows"] += math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        counted["vectors"].update(row.tobytes() for row in a.reshape(-1, a.shape[-1]))
+        return real(a, b)
+
+    np.vecdot = counting
+    try:
+        yield counted
+    finally:
+        np.vecdot = real
 
 
 def expansion_order(monkeypatch, search):
@@ -140,19 +192,13 @@ class TestGreedySearch:
                             MetricKind.EUCLIDEAN)
         assert res.stats.dist_comps == scored["count"]
 
-    def test_counter_matches_kernel_calls_anms(self, searchable, monkeypatch):
+    def test_counter_matches_kernel_calls_anms(self, searchable):
         data, graph = searchable
-        scored = {"count": 0}
-        real = search_mod.score_batch
-
-        def counting(metric, q, block):
-            scored["count"] += len(np.atleast_2d(block))
-            return real(metric, q, block)
-
-        monkeypatch.setattr(search_mod, "score_batch", counting)
-        res = anms_search(graph, data, np.ones(8, np.float32),
-                          SearchParams(ls=32, k=5, m=6, seed=4))
-        assert res.stats.dist_comps == scored["count"]
+        assert data.sq_norms.shape == (data.n,)
+        with counting_kernels() as counted:
+            res = anms_search(graph, data, np.ones(8, np.float32),
+                              SearchParams(ls=32, k=5, m=6, seed=4))
+        assert res.stats.dist_comps == counted["rows"]
 
     def test_debug_mode_clean(self, searchable):
         data, graph = searchable
@@ -218,12 +264,24 @@ class TestAnms:
             assert len(a) > m and len(b) > m
             assert a[:m] == b[:m]
 
-    def test_switch_rescores_pool(self, searchable):
-        # dist_comps of the switch include one re-score per surviving entry
+    def test_switch_adds_no_comps(self, searchable):
+        # the switch re-keys the pool from the Euclidean phase's inner
+        # products: every row scored, on either path, is a distinct vector
+        # scored once, and dist_comps counts exactly those
         data, graph = searchable
         q = np.ones(8, dtype=np.float32)
-        res = anms_search(graph, data, q, SearchParams(ls=16, k=4, m=2, seed=6))
-        assert res.stats.dist_comps > 16
+        assert len(np.unique(data.data, axis=0)) == data.n
+        assert data.sq_norms.shape == (data.n,)
+        with counting_kernels() as scalar:
+            res = anms_search(graph, data, q, SearchParams(ls=16, k=4, m=2,
+                                                           seed=(6, 0)))
+        with counting_kernels() as engine:
+            [got] = lockstep_search(graph, data, q[None], ls=16, k=4, m=2, seed=6)
+        assert res.stats.hops > 2 and res.stats.dist_comps > 16
+        for counted, comps in ((scalar, res.stats.dist_comps),
+                               (engine, got.stats.dist_comps)):
+            assert comps == counted["rows"] == len(counted["vectors"])
+        assert got.ids.tolist() == res.ids.tolist()
 
 
 class TestRecallBehavior:
@@ -282,48 +340,63 @@ def assert_matches_scalar(graph, data, queries, ls, k, m=0, seed=0,
     return got
 
 
-def scalar_pools(graph, data, qs, entries, ls, m, metric):
+def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
     """``_lockstep_pools`` replayed one row at a time on ``CandidatePool``
     and ``_expand_loop``, as ``_search`` runs a query: per row the pool ids
-    best first, their visited flags, the seen mask, comps and hops."""
+    best first, their visited flags, the seen mask, the rows that every
+    kernel the replay calls scored, and hops.
+
+    At m > 0 the Euclidean phase scores x as |x|² - 2<x,q> and keeps
+    <x,q>; the switch re-keys the pool from the kept products, or with
+    old_switch re-scores it with a fresh ``np.vecdot``."""
     first = MetricKind.EUCLIDEAN if m > 0 else metric
+    sq = data.sq_norms
     rows = []
     for q, row in zip(qs, entries):
         ids = row[row >= 0]
         pool = CandidatePool(min(ls, graph.n), first)
         seen = np.zeros(graph.n, dtype=bool)
         seen[ids] = True
-        stats = SearchStats(dist_comps=len(ids))
-        for vid, score in zip(ids.tolist(),
-                              score_batch(first, q, data.data[ids]).tolist()):
-            pool.insert(vid, score)
-        if m > 0:
-            _expand_loop(pool, graph, data, q, first, seen, stats, max_expansions=m)
-            kept = pool.ids_best_first()
-            scores = score_batch(metric, q, data.data[kept])
-            stats.dist_comps += len(kept)
-            pool.resort(metric, dict(zip(kept.tolist(), scores.tolist())))
-        _expand_loop(pool, graph, data, q, metric, seen, stats)
+        ips = np.empty(graph.n, dtype=np.float32)
+        stats = SearchStats()
+        with counting_kernels() as counted:
+            if m > 0:
+                ips[ids] = np.vecdot(data.data[ids], q)
+                scores = sq[ids] - 2 * ips[ids]
+            else:
+                scores = score_batch(first, q, data.data[ids])
+            for vid, score in zip(ids.tolist(), scores.tolist()):
+                pool.insert(vid, score)
+            if m > 0:
+                _expand_loop(pool, graph, data, q, first, seen, stats,
+                             max_expansions=m, ips=ips)
+                kept = pool.ids_best_first()
+                scores = np.vecdot(data.data[kept], q) if old_switch else ips[kept]
+                pool.resort(metric, dict(zip(kept.tolist(), scores.tolist())))
+            _expand_loop(pool, graph, data, q, metric, seen, stats)
         rows.append((pool.ids_best_first().tolist(), list(pool._visited), seen,
-                     stats.dist_comps, stats.hops))
+                     counted["rows"], stats.hops))
     return rows
 
 
-def assert_pools_match(graph, data, qs, entries, ls, m, metric):
+def assert_pools_match(graph, data, qs, entries, ls, m, metric, old_switch=False):
     """Every row's whole final pool, visited bits, seen mask and counters
-    from one ``_lockstep_pools`` call equal the scalar replay's; returns
-    the hops."""
+    from one ``_lockstep_pools`` call equal the scalar replay's; a row's
+    comps is its seen mask's count. Against the old switch's replay the
+    replay's comps are min(ls, n) higher at m > 0. Returns the hops."""
     seen = np.zeros((len(entries), graph.n), dtype=bool)
     for mask, row in zip(seen, entries):
         mask[row[row >= 0]] = True
-    keys, comps, hops = search_mod._lockstep_pools(graph, data.data, qs, entries,
-                                                   seen, ls, m, metric)
-    want = scalar_pools(graph, data, qs, entries, ls, m, metric)
+    keys, hops = search_mod._lockstep_pools(graph, data, qs, entries, seen, ls,
+                                            m, metric)
+    comps = seen.sum(axis=1)
+    extra = min(ls, graph.n) if old_switch and m > 0 else 0
+    want = scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch)
     for i, (ids, visited, mask, dist_comps, n_hops) in enumerate(want):
         assert search_mod._key_ids(keys[i]).tolist() == ids, i
         assert ((keys[i] & np.uint64(1)) == 1).tolist() == visited, i
         assert np.array_equal(seen[i], mask), i
-        assert (comps[i], hops[i]) == (dist_comps, n_hops), i
+        assert (comps[i] + extra, hops[i]) == (dist_comps, n_hops), i
     return hops
 
 
@@ -428,6 +501,66 @@ class TestLockstep:
             oracle = brute_force_topk(data, panel.vector(qid), 10, metric)
             assert res.ids.tolist() == oracle.tolist()
 
+    def test_saturated_pool_with_switch_is_exact(self, searchable, panel):
+        data, graph = searchable
+        got = assert_matches_scalar(graph, data, panel, ls=data.n, k=10, m=5,
+                                    seed=6)
+        for qid, res in enumerate(got):
+            oracle = brute_force_topk(data, panel.vector(qid), 10,
+                                      MetricKind.INNER_PRODUCT)
+            assert res.ids.tolist() == oracle.tolist()
+
+    @pytest.mark.parametrize("case,ls,m", [("chain", 12, 6), ("chain", 12, 40),
+                                           ("sparse", 8, 3), ("panel", 24, 5),
+                                           ("trap", 48, 16)])
+    def test_old_switch_replay(self, request, case, ls, m):
+        # the switch used to re-score the pool with a fresh np.vecdot; the
+        # kept products give the same pools, visited bits, seen masks and
+        # hops, for min(ls, n) fewer comps
+        if case == "panel":
+            data, graph = request.getfixturevalue("searchable")
+            qs = request.getfixturevalue("panel").data
+            entries = np.stack([search_mod._seed_ids(
+                data.n, SearchParams(ls=ls, k=10, seed=(3, i)))
+                for i in range(len(qs))])
+        else:
+            graph, data, qs, entries = request.getfixturevalue(case)
+            qs = qs.data if isinstance(qs, Dataset) else qs
+        hops = assert_pools_match(graph, data, qs, entries, ls, m,
+                                  MetricKind.INNER_PRODUCT, old_switch=True)
+        assert hops.max() > m
+
+    def test_kept_products_equal_fresh_vecdot(self, trap, monkeypatch):
+        # after the Euclidean phase, on both paths, every scored id's kept
+        # <x,q> has the bits of a fresh np.vecdot of its row with q
+        graph, data, qs, _ = trap
+        m, kept = 16, []
+
+        def keeping(real, masks):
+            def run(*args, ips=None, **kwargs):
+                real(*args, ips=ips, **kwargs)
+                if ips is not None:
+                    kept.append((ips.copy(), masks(args).copy()))
+            return run
+
+        monkeypatch.setattr(search_mod, "_expand_loop",
+                            keeping(search_mod._expand_loop, lambda a: a[5]))
+        monkeypatch.setattr(search_mod, "_lockstep_expand",
+                            keeping(search_mod._lockstep_expand, lambda a: a[4]))
+        for i, q in enumerate(qs):
+            anms_search(graph, data, q, SearchParams(ls=48, k=10, m=m, seed=(2, i)))
+        lockstep_search(graph, data, qs, ls=48, k=10, m=m, seed=2)
+        assert len(kept) == len(qs) + 1
+        scalar = kept[:-1]
+        engine = list(zip(*kept[-1]))
+        for ips, seen in scalar + engine:
+            assert seen.sum() > 48
+        for q, (ips, seen), (ips_e, seen_e) in zip(qs, scalar, engine):
+            ids = np.flatnonzero(seen)
+            assert np.array_equal(seen, seen_e)
+            fresh = np.vecdot(data.data[ids], q).tobytes()
+            assert ips[ids].tobytes() == fresh == ips_e[ids].tobytes()
+
     @pytest.mark.parametrize("m", [0, 4])
     def test_pool_larger_than_n(self, searchable, panel, m):
         data, graph = searchable
@@ -514,11 +647,13 @@ class TestLockstep:
                 == [(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in whole]
 
     def test_block_masks_stay_in_budget(self):
-        # a block holds at least one query, whose mask alone may exceed it
+        # a block holds at least one query, whose mask alone may exceed it;
+        # at m > 0 a query also keeps n float32 inner products
         for n in (10, 1200, 64_000, 10 ** 8):
-            block = search_mod._block_size(n, 128, 16)
-            assert block >= 1
-            assert block * n <= max(search_mod._BLOCK_BYTES, n)
+            for m, per_query in ((0, n), (3, 5 * n)):
+                block = search_mod._block_size(n, 128, 16, m)
+                assert block >= 1
+                assert block * per_query <= max(search_mod._BLOCK_BYTES, per_query)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, searchable, panel, bad):
@@ -663,18 +798,24 @@ class TestScalingDuality:
 
     def test_trace_agreement_on_graph(self, searchable, monkeypatch):
         # float64 greedy traversals for q under IP and for mu*q under
-        # Euclidean distance expand the same nodes in the same order
+        # Euclidean distance expand the same nodes in the same order; the
+        # scalar loop calls np.vecdot itself for inner products
         data, graph = searchable
+        vecdot = np.vecdot
+
+        def vecdot64(a, b):
+            return vecdot(np.asarray(a, np.float64), np.asarray(b, np.float64))
 
         def score64(metric, q, block):
             rows = np.asarray(block, np.float64)
             qv = np.asarray(q, np.float64)
             if metric is MetricKind.INNER_PRODUCT:
-                return np.vecdot(rows, qv)
+                return vecdot64(rows, qv)
             diff = rows - qv
-            return np.vecdot(diff, diff)
+            return vecdot64(diff, diff)
 
         monkeypatch.setattr(search_mod, "score_batch", score64)
+        monkeypatch.setattr(np, "vecdot", vecdot64)
         rng = np.random.default_rng(5)
         queries = rng.standard_normal((20, 8)).astype(np.float32)
         max_norm = float(np.linalg.norm(data.data.astype(np.float64), axis=1).max())
