@@ -1,7 +1,8 @@
 """Building the two-edge-family index and searching it.
 
 Stage 1 prunes an exact K-NN graph to Euclidean edges; stage 2 injects
-inner-product dominator edges found by per-node graph searches. At query
+inner-product dominator edges selected from each node's exact top-ls
+inner-product candidates. At query
 time the alpha knob sets how many of each family load per node under the
 out-degree budget R.
 """
@@ -15,7 +16,7 @@ data = generate_synthetic(SyntheticSpec("gaussian", n=4000, dim=16, seed=0))
 queries = generate_synthetic(SyntheticSpec("gaussian", n=100, dim=16, seed=1))
 gt = ms.compute_ground_truth(data, queries, 10, ms.MetricKind.INNER_PRODUCT)
 
-index = ms.build_mag(data, K=32, K1=16, K2=16, ls=64, seed=0, passes=3)
+index = ms.build_mag(data, K=32, K1=16, K2=16, ls=64, seed=0)
 print(f"index: n={index.n}  K1={index.K1}  K2={index.K2}  "
       f"self-dominators={index.self_dominator.mean():.1%}")
 print("mean out-degree: euclid",

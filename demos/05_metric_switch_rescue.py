@@ -36,7 +36,7 @@ def make_trap(n_cloud=4770, n_answers=110, n_outliers=120, dim=16, seed=0,
 
 data, queries = make_trap()
 gt = ms.compute_ground_truth(data, queries, 100, ms.MetricKind.INNER_PRODUCT)
-index = ms.build_mag(data, K=32, K1=16, K2=16, ls=64, seed=0, passes=3)
+index = ms.build_mag(data, K=32, K1=16, K2=16, ls=64, seed=0)
 
 print("pure-IP edges only (alpha=1), pure-IP navigation (m=0):")
 trap_graph = ms.materialize(index, R=16, alpha=1.0)

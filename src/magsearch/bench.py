@@ -209,8 +209,7 @@ class ScaleRecord:
 def run_scaling_study(sizes: list[int], dim: int, K: int, K1: int, K2: int,
                       build_ls: int, R: int, alpha: float, m: int = 0,
                       k: int = 10, n_queries: int = 100, target: float = 0.95,
-                      seed: int = 0, workers: int = 1,
-                      passes: int = 3) -> list[ScaleRecord]:
+                      seed: int = 0, workers: int = 1) -> list[ScaleRecord]:
     """Distance computations at matched recall across dataset sizes."""
     out = []
     for idx, n in enumerate(sizes):
@@ -220,7 +219,7 @@ def run_scaling_study(sizes: list[int], dim: int, K: int, K1: int, K2: int,
                                                    seed=seed + 1000 + idx))
         gt = compute_ground_truth(data, queries, k, MetricKind.INNER_PRODUCT)
         index = build_mag(data, K=K, K1=K1, K2=K2, ls=build_ls, seed=seed,
-                          workers=workers, passes=passes)
+                          workers=workers)
         graph = materialize(index, R=R, alpha=alpha)
         rec = find_ls_for_recall(graph, data, queries, gt, target=target, k=k,
                                  m=m, seed=seed)

@@ -110,7 +110,7 @@ def cmd_stats(args) -> int:
 def cmd_build(args) -> int:
     data = read_fvecs(args.data)
     index = build_mag(data, K=args.K, K1=args.K1, K2=args.K2, ls=args.ls,
-                      seed=args.seed, workers=args.workers, passes=args.passes)
+                      seed=args.seed, workers=args.workers)
     save_index(index, args.out)
     print(f"built index over {data.n} vectors (K={args.K}, K1={args.K1}, "
           f"K2={args.K2}) -> {args.out}")
@@ -150,8 +150,7 @@ def cmd_scale(args) -> int:
                                 K2=args.K2, build_ls=args.build_ls, R=args.R,
                                 alpha=args.alpha, m=args.m, k=args.k,
                                 n_queries=args.queries, target=args.target,
-                                seed=args.seed, workers=args.workers,
-                                passes=args.passes)
+                                seed=args.seed, workers=args.workers)
     _write_out(args.out, records_to_csv(records, _config(args), SCALE_CSV_HEADER))
     return 0
 
@@ -206,13 +205,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build an index file")
     p.add_argument("--data", required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--K1", type=int, required=True)
-    p.add_argument("--K2", type=int, required=True)
-    p.add_argument("--ls", type=int, required=True)
-    p.add_argument("--seed", type=seed, default=0)
-    p.add_argument("--passes", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--K", type=int, required=True,
+                   help="width of the exact K-NN graph that stage 1 prunes")
+    p.add_argument("--K1", type=int, required=True,
+                   help="Euclidean edges kept per node")
+    p.add_argument("--K2", type=int, required=True,
+                   help="inner-product dominator edges kept per node")
+    p.add_argument("--ls", type=int, required=True,
+                   help="per-node IP candidate pool: the node's exact top ls "
+                        "by inner product, from which stage 2 selects its "
+                        "dominator edges (>= K2)")
+    p.add_argument("--seed", type=seed, default=0,
+                   help="recorded in the metadata; the build draws nothing "
+                        "at random")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for stage 2; the index bytes do not "
+                        "depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -261,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=0.95)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--passes", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scale)
 

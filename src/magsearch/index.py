@@ -2,19 +2,20 @@
 
 Stage 1 prunes the exact K-NN graph down to at most K1 Euclidean edges
 per node and flags the self-dominators by the strict census, at every n.
-Stage 2 runs an inner-product graph search from every node over the
-stage-1 graph, filters the candidates through dominator selection, and
-stores at most K2 IP-oriented edges alongside. The searches run as
-lockstep blocks of nodes on the query engine (``search._lockstep_pools``);
-dominator selection takes each block's final pools at once, and a node
-range hands back (source, target) arrays. Ranges run in-process, or on one
-process pool per build when workers > 1. At query time ``materialize``
+Stage 2 gives every node its exact top min(ls, n) ids by inner product
+(ties by id, the node itself included) from one pass over blocks of gram
+rows, filters each pool through dominator selection, and stores at most
+K2 IP-oriented edges alongside. Block bounds depend on n alone; a node
+range of whole blocks (``_stage2_rows``) hands back (source, target)
+arrays. Ranges run in-process, or on one process pool per build when
+workers > 1, and carry only the dataset. At query time ``materialize``
 loads ceil(alpha * R) IP edges first and fills the remaining out-degree
 budget with Euclidean edges.
 
 In memory each edge family is one ``CsrEdges`` pair (n + 1 offsets, flat
 int32 ids); ``materialize`` is the only step that pads them into a
-``SearchGraph``. The file keeps a per-node layout.
+``SearchGraph``. The file keeps a per-node layout, which the writer
+scatters into one u32 array and the reader gathers from one.
 
 File format (little-endian): magic ``MAG1``; u32 fields version=1, n, dim,
 K1, K2; per node u32 n_euc, u32 n_ip, then that many u32 ids (Euclidean
@@ -35,14 +36,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import (CsrEdges, _merge_reverse, _pair_scores, _rank,
-                           build_exact_knn, mrng_prune, ndg_select)
+                           _topk_row, build_exact_knn, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
-from .search import SearchGraph, _block_size, _key_ids, _lockstep_pools
+from .search import SearchGraph
 from .stats import self_dominator_set
 
 MAGIC = b"MAG1"
 VERSION = 1
+# Stage 2 holds at most this many bytes of float64 gram rows at once, but
+# never fewer than _STAGE2_MIN_ROWS rows: below that, at large n, the gemm
+# calls are too thin to pay for their set-up (at n = 64,000 two-row blocks
+# made stage 2 1.7x slower with one BLAS thread, 2.5x with two).
+_STAGE2_GRAM_BYTES = 1 << 20
+_STAGE2_MIN_ROWS = 32
 
 
 @dataclass
@@ -141,66 +148,36 @@ def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
                     metadata=meta)
 
 
-def _stage2_entries(nodes: np.ndarray, graph: SearchGraph, n: int,
-                    accepted_pad: np.ndarray | None, ls: int, seed: int,
-                    passno: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, W) entries of a block of nodes, distinct per row and padded
-    with -1, and the (B, n) seen masks that mark them.
-
-    A node's entries: the node, its current graph neighbors, the 2-hop
-    frontier of the previous sweep's accepted IP edges (``accepted_pad``,
-    none on the first sweep), and min(ls, n) distinct ids drawn by
-    ``default_rng([seed, passno, node])``.
-    """
-    fill = np.stack([np.random.default_rng([seed, passno, node]).choice(
-        n, size=min(ls, n), replace=False) for node in nodes.tolist()])
-    parts = [nodes[:, None], graph.adjacency[nodes], fill]
-    if accepted_pad is not None:
-        parts.append(accepted_pad[accepted_pad[nodes]].reshape(len(nodes), -1))
-    entries = np.sort(np.concatenate(parts, axis=1), axis=1)
-    entries[:, 1:][entries[:, 1:] == entries[:, :-1]] = -1
-    # sort the duplicates, now -1, to the front and drop the columns that
-    # are padding in every row: the block scores fewer entries
-    entries.sort(axis=1)
-    entries = entries[:, (entries < 0).sum(axis=1).min():]
-    seen = np.zeros((len(nodes), n), dtype=bool)
-    kept = entries >= 0
-    seen[np.nonzero(kept)[0], entries[kept]] = True
-    return entries, seen
+def _stage2_block_rows(n: int) -> int:
+    """Rows of one stage-2 gram block: a pure function of n, so that every
+    gemm call has the same shape at every worker count (BLAS may round a
+    row differently depending on how many rows share the call)."""
+    return max(_STAGE2_MIN_ROWS, _STAGE2_GRAM_BYTES // (8 * n))
 
 
-def _stage2_rows(bounds: tuple[int, int], graph: SearchGraph, dataset: Dataset,
-                 accepted: CsrEdges | None, K2: int, ls: int, seed: int,
-                 passno: int) -> tuple[np.ndarray, np.ndarray]:
+def _stage2_ranges(n: int, workers: int) -> list[tuple[int, int]]:
+    """Node ranges of whole gram blocks, about four per worker."""
+    block = _stage2_block_rows(n)
+    chunk = block * math.ceil(math.ceil(n / block) / (4 * workers))
+    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
+                 ls: int) -> tuple[np.ndarray, np.ndarray]:
     """Dominator edges of the nodes in [start, stop) as (source, target)
-    arrays, grouped by ascending source: an inner-product search from each
-    node, run as lockstep blocks, then dominator selection over each
-    block's final pools, best first.
-
-    Blocks are sized from the widest entry row of any sweep,
-    1 + out-degree + K2**2 + min(ls, n); the first sweep, which has no
-    2-hop frontier, is sized the same way.
-    """
+    arrays, grouped by ascending source. Per gram block of rows, each
+    node's pool is its exact top min(ls, n) ids by (-IP, id), itself
+    included, and dominator selection runs over the block's pools."""
     start, stop = bounds
-    n = dataset.n
     base64 = dataset.data.astype(np.float64)
-    accepted_pad = None
-    if accepted is not None:
-        # accepted edges padded to (n + 1, K2) with -1; row n, which a -1
-        # reads, is all padding
-        accepted_pad = np.full((n + 1, K2), -1)
-        src = accepted.sources()
-        accepted_pad[src, np.arange(len(src)) - accepted.offsets[src]] = accepted.ids
-    width = 1 + graph.adjacency.shape[1] + K2 * K2 + min(ls, n)
-    block = _block_size(n, width, dataset.dim)
+    width = min(ls, dataset.n)
+    block = _stage2_block_rows(dataset.n)
     srcs, dsts = [], []
     for lo in range(start, stop, block):
         nodes = np.arange(lo, min(lo + block, stop))
-        entries, seen = _stage2_entries(nodes, graph, n, accepted_pad, ls, seed,
-                                        passno)
-        keys, _ = _lockstep_pools(graph, dataset, dataset.data[nodes], entries,
-                                  seen, ls, 0, MetricKind.INNER_PRODUCT)
-        pools = _key_ids(keys)
+        gram = base64[lo:lo + len(nodes)] @ base64.T
+        np.negative(gram, out=gram)
+        pools = np.stack([_topk_row(row, width)[0] for row in gram])
         kept = ndg_select(nodes, pools, base64, K2)
         srcs.append(nodes[np.nonzero(kept)[0]])
         dsts.append(pools[kept])
@@ -222,86 +199,77 @@ def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
 
 
 def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
-                 seed: int = 0, workers: int = 1, passes: int = 3,
+                 seed: int = 0, workers: int = 1, passes: int | None = None,
                  mirror: bool = True) -> MagIndex:
     """Inject up to K2 dominator edges per node on top of a stage-1 index.
 
-    Each node's candidates come from an inner-product greedy search
-    (entry: the node itself, its current neighbors, then seeded random
-    fill); blocks of nodes run their searches in lockstep on the query
-    engine, as one query panel. The first sweep runs over the stage-1
-    graph; later sweeps run over the provisional graph including the
-    previous sweep's IP edges, which sharply improves candidate quality at
-    bounded search budgets (with ls = n one sweep is already exact).
-    mirror=True adds the reverse copy of every selected edge under the K2
-    cap; metadata records the flag. K2=0 leaves the index unchanged apart
-    from metadata. The self-dominator flags are stage 1's strict census at
-    every n. Results are independent of ``workers``, which must be >= 1.
+    Each node's IP candidate pool is its exact top min(ls, n) ids by
+    descending inner product (ties by id), the node itself included, from
+    one pass over fixed blocks of gram rows; dominator selection keeps up
+    to K2 of each pool. mirror=True adds the reverse copy of every selected
+    edge under the K2 cap; metadata records the flag. K2=0 leaves the index
+    unchanged apart from metadata. The self-dominator flags are stage 1's
+    strict census at every n. Stage 2 draws nothing at random: ``seed`` is
+    only validated and recorded. ``passes`` is ignored; it remains for
+    callers written against the search-based stage 2. Results are
+    independent of ``workers``, which must be >= 1: node ranges are whole
+    gram blocks, whose bounds depend on n alone.
     """
     stage1.check_shape(dataset, "stage-1 index")
     if K2 < 0:
         raise UsageError(f"K2 must be >= 0, got {K2}")
-    if passes < 1:
-        raise UsageError(f"passes must be >= 1, got {passes}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     meta = dict(stage1.metadata)
     meta.update({"stage": 2, "K2": K2, "stage2_ls": ls, "stage2_seed": seed,
-                 "stage2_passes": passes, "mirror": mirror})
+                 "mirror": mirror})
     if K2 == 0:
         return MagIndex(n=stage1.n, dim=stage1.dim, K1=stage1.K1, K2=0,
                         euclid=stage1.euclid.copy(), ip=CsrEdges.empty(stage1.n),
                         self_dominator=stage1.self_dominator.copy(), metadata=meta)
     if ls < K2:
-        raise UsageError(f"search budget ls={ls} must be >= K2={K2}")
+        raise UsageError(f"candidate pool ls={ls} must be >= K2={K2}")
 
     n = stage1.n
-    base64 = dataset.data.astype(np.float64)
-    chunk = max(256, math.ceil(n / (workers * 4)))
-    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    current = stage1
-    accepted: CsrEdges | None = None
+    task = functools.partial(_stage2_rows, dataset=dataset, K2=K2, ls=ls)
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        for passno in range(1, passes + 1):
-            graph = materialize(current, R=max(1, current.K1 + current.K2), alpha=1.0)
-            task = functools.partial(_stage2_rows, graph=graph, dataset=dataset,
-                                     accepted=accepted, K2=K2, ls=ls, seed=seed,
-                                     passno=passno)
-            parts = (pool.map if pool else map)(task, bounds)
-            # one statement, so that no task's (source, target) arrays outlive it
-            accepted = CsrEdges.from_pairs(*map(np.concatenate, zip(*parts)), n)
-            ip_edges = _mirror_ip(accepted, base64, K2) if mirror else accepted
-            current = MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
-                               euclid=stage1.euclid.copy(), ip=ip_edges,
-                               self_dominator=stage1.self_dominator.copy(),
-                               metadata=meta)
-    return current
+        parts = (pool.map if pool else map)(task, _stage2_ranges(n, workers))
+        # one statement, so that no task's (source, target) arrays outlive it
+        accepted = CsrEdges.from_pairs(*map(np.concatenate, zip(*parts)), n)
+    if mirror:
+        accepted = _mirror_ip(accepted, dataset.data.astype(np.float64), K2)
+    return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
+                    euclid=stage1.euclid.copy(), ip=accepted,
+                    self_dominator=stage1.self_dominator.copy(), metadata=meta)
 
 
 def build_mag(dataset: Dataset, K: int, K1: int, K2: int, ls: int,
-              seed: int = 0, workers: int = 1, passes: int = 3) -> MagIndex:
+              seed: int = 0, workers: int = 1) -> MagIndex:
     """Convenience wrapper: stage 1 then stage 2."""
     stage1 = build_stage1(dataset, K, K1, seed=seed)
-    return build_stage2(stage1, dataset, K2, ls, seed=seed, workers=workers,
-                        passes=passes)
+    return build_stage2(stage1, dataset, K2, ls, seed=seed, workers=workers)
 
 
 def index_to_bytes(index: MagIndex) -> bytes:
-    parts = [MAGIC, struct.pack("<5I", VERSION, index.n, index.dim,
-                                index.K1, index.K2)]
-    for e, p in zip(index.euclid, index.ip):
-        parts.append(struct.pack("<2I", len(e), len(p)))
-        parts.append(e.astype("<u4").tobytes())
-        parts.append(p.astype("<u4").tobytes())
-    parts.append(index.self_dominator.astype(np.uint8).tobytes())
+    euclid, ip = index.euclid, index.ip
+    # node i's record starts at word 2i + (edges of the nodes before it):
+    # the two counts, its Euclidean ids, then its IP ids
+    heads = 2 * np.arange(index.n) + euclid.offsets[:-1] + ip.offsets[:-1]
+    e_src, p_src = euclid.sources(), ip.sources()
+    at = np.concatenate((heads, heads + 1,
+                         np.arange(len(e_src)) + 2 * (e_src + 1) + ip.offsets[e_src],
+                         np.arange(len(p_src)) + 2 * (p_src + 1) + euclid.offsets[p_src + 1]))
+    nodes = np.empty(len(at), dtype="<u4")
+    nodes[at] = np.concatenate((euclid.lengths(), ip.lengths(), euclid.ids, ip.ids))
     blob = json.dumps(index.metadata, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    parts.append(struct.pack("<I", len(blob)))
-    parts.append(blob)
-    return b"".join(parts)
+    return b"".join([MAGIC, struct.pack("<5I", VERSION, index.n, index.dim,
+                                        index.K1, index.K2),
+                     nodes.tobytes(), index.self_dominator.astype(np.uint8).tobytes(),
+                     struct.pack("<I", len(blob)), blob])
 
 
 def save_index(index: MagIndex, path: str) -> None:
@@ -326,6 +294,29 @@ class _Reader:
         return np.frombuffer(self.take(4 * count), dtype="<u4")
 
 
+def _read_nodes(r: _Reader, n: int) -> tuple[CsrEdges, CsrEdges]:
+    """The per-node section: a walk over the counts finds each node's
+    record, then one gather per edge family reads the ids."""
+    words = np.frombuffer(r.buf, dtype="<u4", count=(len(r.buf) - r.off) // 4,
+                          offset=r.off)
+    heads, at = [], 0
+    for _ in range(n):
+        if at + 2 > len(words):
+            raise FormatError(f"{r.path}: truncated index file")
+        heads.append(at)
+        at += 2 + words.item(at) + words.item(at + 1)
+    r.take(4 * at)
+    heads = np.array(heads, dtype=np.int64)
+    n_euc, n_ip = words[heads].astype(np.int64), words[heads + 1].astype(np.int64)
+    families = []
+    for first, counts in ((heads + 2, n_euc), (heads + 2 + n_euc, n_ip)):
+        src = np.repeat(np.arange(n), counts)
+        offsets = np.cumsum(counts) - counts
+        ids = words[first[src] + np.arange(len(src)) - offsets[src]]
+        families.append(CsrEdges.from_pairs(src, ids.astype(np.int32), n))
+    return families[0], families[1]
+
+
 def load_index(path: str) -> MagIndex:
     with open(path, "rb") as f:
         buf = f.read()
@@ -335,11 +326,7 @@ def load_index(path: str) -> MagIndex:
     version, n, dim, K1, K2 = (int(v) for v in r.u32(5))
     if version != VERSION:
         raise FormatError(f"{path}: unsupported index version {version}")
-    euclid, ip = [], []
-    for _ in range(n):
-        n_euc, n_ip = (int(v) for v in r.u32(2))
-        euclid.append(r.u32(n_euc))
-        ip.append(r.u32(n_ip))
+    euclid, ip = _read_nodes(r, n)
     flags = np.frombuffer(r.take(n), dtype=np.uint8)
     if (flags > 1).any():
         bad = int(np.flatnonzero(flags > 1)[0])
@@ -355,9 +342,8 @@ def load_index(path: str) -> MagIndex:
         raise FormatError(f"{path}: bad metadata block: {exc}") from exc
     if not isinstance(metadata, dict):
         raise FormatError(f"{path}: metadata block is not a JSON object")
-    index = MagIndex(n=n, dim=dim, K1=K1, K2=K2, euclid=CsrEdges.from_rows(euclid),
-                     ip=CsrEdges.from_rows(ip), self_dominator=flags.astype(bool),
-                     metadata=metadata)
+    index = MagIndex(n=n, dim=dim, K1=K1, K2=K2, euclid=euclid, ip=ip,
+                     self_dominator=flags.astype(bool), metadata=metadata)
     try:
         index.validate()
     except UsageError as exc:

@@ -2,8 +2,7 @@
 
 Vectors live in float32, row-major. Runtime scoring accumulates in float32
 (``np.vecdot`` order, which must agree with sequential accumulation within
-1e-4 relative), at query time and in the stage-2 construction searches
-alike.
+1e-4 relative) at query time. Construction ranks in float64.
 
 Ordering convention: inner product, larger is better; squared Euclidean
 distance, smaller is better. All ties everywhere break toward the lower

@@ -25,8 +25,8 @@ evaluates the rule for a whole block in a few array operations, the
 single-query path for one query, and both pick the same ids.
 
 Scores are float32 on both paths, and the engine's pool keys hold float32
-scores. The stage-2 construction searches run on the lockstep engine
-(``_lockstep_pools``), as query panels do.
+scores. Only queries search: the build's stage 2 ranks exact inner
+products from gram rows and runs no search.
 
 The engine's step is array bookkeeping around one ``score_batch`` call,
 so it keeps that bookkeeping small. It gathers with ``np.take``, which

@@ -124,8 +124,7 @@ def heavytail_sweep():
 def scaling_records():
     return run_scaling_study([1000, 4000, 16000, 64000], dim=16, K=32, K1=16,
                              K2=16, build_ls=64, R=32, alpha=0.5, m=0, k=10,
-                             n_queries=100, target=0.95, seed=0, workers=2,
-                             passes=4)
+                             n_queries=100, target=0.95, seed=0, workers=2)
 
 
 # ---------------------------------------------------------------- criteria
@@ -323,7 +322,7 @@ def test_c10_serialization_roundtrip(tmp_path):
         rng = np.random.default_rng(5000 + trial)
         n = int(rng.integers(40, 90))
         ds = Dataset(rng.standard_normal((n, 6)).astype(np.float32))
-        index = build_mag(ds, K=8, K1=4, K2=4, ls=12, seed=trial, passes=2)
+        index = build_mag(ds, K=8, K1=4, K2=4, ls=12, seed=trial)
         path = str(tmp_path / f"i{trial}.mag")
         save_index(index, path)
         if index_to_bytes(load_index(path)) != index_to_bytes(index):
@@ -353,12 +352,12 @@ def test_c11_determinism():
     problems = []
 
     blobs = [index_to_bytes(build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2,
-                                      workers=w, passes=2))
+                                      workers=w))
              for w in (1, 1, 4)]
     if not (blobs[0] == blobs[1] == blobs[2]):
         problems.append("index build")
 
-    index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2, passes=2)
+    index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2)
     graph = materialize(index, R=10, alpha=0.5)
     queries = generate_synthetic(SyntheticSpec("gaussian", n=25, dim=8, seed=9))
     runs = [run_queries(graph, data, queries, ls=32, k=5, m=4, seed=3)

@@ -70,7 +70,7 @@ def bench_setup():
     data = generate_synthetic(SyntheticSpec("gaussian", n=800, dim=8, seed=5))
     queries = generate_synthetic(SyntheticSpec("gaussian", n=40, dim=8, seed=6))
     gt = compute_ground_truth(data, queries, 10, MetricKind.INNER_PRODUCT)
-    index = build_mag(data, K=16, K1=8, K2=8, ls=32, seed=5, passes=2)
+    index = build_mag(data, K=16, K1=8, K2=8, ls=32, seed=5)
     return data, queries, gt, index
 
 
@@ -123,7 +123,7 @@ class TestBenchmark:
 @pytest.mark.parametrize("module,name", [
     ("magsearch.index", "build_exact_knn"),
     ("magsearch.index", "self_dominator_set"),
-    ("magsearch.index", "_lockstep_pools"),
+    ("magsearch.index", "_stage2_rows"),
     ("magsearch.index", "materialize"),
     ("magsearch.bench", "greedy_search"),
     ("magsearch.bench", "anms_search"),
@@ -146,7 +146,7 @@ class TestVerifySuite:
 
     def test_detects_injected_self_loop(self):
         data = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=1))
-        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1, passes=1)
+        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1)
         index.euclid.ids[index.euclid.offsets[5]] = 5
         report = verify_suite(dataset=data, index=index,
                               max_n_exact=0)
@@ -155,7 +155,7 @@ class TestVerifySuite:
 
     def test_index_of_other_data_fails(self):
         data = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=1))
-        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1, passes=1)
+        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1)
         report = verify_suite(spec=SyntheticSpec("gaussian", n=400, dim=8, seed=0),
                               index=index, max_n_exact=0)
         rows = {c.name: c for c in report.checks}

@@ -39,8 +39,7 @@ def test_gt_build_search_bench_flow(workspace):
     assert read_ivecs(gt).shape == (20, 10)
 
     assert main(["build", "--data", base, "--K", "12", "--K1", "6", "--K2", "6",
-                 "--ls", "24", "--seed", "3", "--passes", "2",
-                 "--out", index]) == 0
+                 "--ls", "24", "--seed", "3", "--out", index]) == 0
 
     out = str(root / "res.csv")
     assert main(["search", "--index", index, "--data", base, "--queries",
@@ -83,7 +82,7 @@ def test_index_must_match_the_data(tmp_path, capsys):
         assert main(["gen", "--n", str(n), "--dim", str(dim), "--seed", "1",
                      "--out", path]) == 0
     assert main(["build", "--data", base8, "--K", "12", "--K1", "6", "--K2", "6",
-                 "--ls", "24", "--passes", "1", "--out", index]) == 0
+                 "--ls", "24", "--out", index]) == 0
     assert main(["gt", "--data", base8, "--queries", q8, "--k", "5",
                  "--out", gt]) == 0
     capsys.readouterr()
@@ -124,7 +123,7 @@ def test_verify_rejects_an_index_of_other_data(tmp_path, capsys):
     assert main(["gen", "--n", "300", "--dim", "8", "--seed", "1",
                  "--out", base]) == 0
     assert main(["build", "--data", base, "--K", "12", "--K1", "6", "--K2", "6",
-                 "--ls", "24", "--passes", "1", "--out", index]) == 0
+                 "--ls", "24", "--out", index]) == 0
     capsys.readouterr()
     assert main(["verify", "--index", index, "--max-n-exact", "0"]) == 1
     out = capsys.readouterr().out
@@ -136,8 +135,7 @@ def test_scale_subcommand_smoke(tmp_path, capsys):
     rc = main(["scale", "--sizes", "400,800", "--dim", "8", "--K", "12",
                "--K1", "6", "--K2", "6", "--build-ls", "24", "--R", "10",
                "--alpha", "0.5", "--k", "5", "--queries", "20",
-               "--target", "0.9", "--seed", "0", "--passes", "2",
-               "--out", out])
+               "--target", "0.9", "--seed", "0", "--out", out])
     assert rc == 0
     lines = open(out).read().strip().split("\n")
     assert lines[1] == "n,ls,recall,dist_comps,flagged"

@@ -7,15 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from magsearch import (Dataset, FormatError, MetricKind, UsageError,
-                       build_mag, build_stage1, build_stage2, load_index,
-                       materialize, ndg_select, save_index, score_batch,
-                       self_dominator_set)
-from magsearch import index as index_mod, search as search_mod
+from magsearch import (Dataset, FormatError, UsageError, build_mag,
+                       build_stage1, build_stage2, load_index, materialize,
+                       ndg_select, save_index, self_dominator_set)
+from magsearch import index as index_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
 from magsearch.index import MagIndex, index_to_bytes, ip_quota
-from magsearch.search import CandidatePool, SearchStats
 
 
 @pytest.fixture(scope="module")
@@ -60,46 +58,26 @@ class TestStage1:
             build_stage1(small_gaussian, K=small_gaussian.n, K1=2)
 
 
-def _stage2_width(graph, n, K2, ls):
-    """The widest entry row of a stage-2 node: itself, its neighbours, the
-    2-hop frontier of K2 accepted edges, the fill."""
-    return 1 + graph.adjacency.shape[1] + K2 * K2 + min(ls, n)
-
-
 def select_row(node, ids, base, K2):
     """The ids ``ndg_select`` keeps of one candidate row."""
     return ids[ndg_select(np.array([node]), ids[None], base, K2)[0]]
 
 
-def _stage2_reference(graph, ds, accepted, K2, ls, seed, passno):
-    """Stage 2 as one scalar float32 search per node, then ndg_select on
-    the node's row.
+def pool_reference(node, base, ls):
+    """The node's exact top min(ls, n) ids by (-IP, id), itself included,
+    from a brute-force ranking."""
+    ids = np.arange(len(base))
+    ips = base @ base[node]
+    return ids[np.lexsort((ids, -ips))][:min(ls, len(base))]
 
-    A node's entries, deduplicated in order, are all scored and offered to
-    a pool of ls; the pool then expands to exhaustion.
-    """
-    base = ds.data.astype(np.float64)
-    ip = MetricKind.INNER_PRODUCT
-    rows = []
-    for node in range(ds.n):
-        entries = [node] + graph.neighbors(node).tolist()
-        if accepted is not None:
-            for direct in accepted[node]:
-                entries += accepted[direct].tolist()
-        fill = np.random.default_rng([seed, passno, node]).choice(
-            ds.n, size=min(ls, ds.n), replace=False)
-        entries = np.array(list(dict.fromkeys(entries + fill.tolist())))
-        q = ds.vector(node)
-        pool = CandidatePool(ls, ip)
-        for vid, score in zip(entries.tolist(),
-                              score_batch(ip, q, ds.data[entries]).tolist()):
-            pool.insert(vid, score)
-        seen = np.zeros(ds.n, dtype=bool)
-        seen[entries] = True
-        search_mod._expand_loop(pool, graph, ds, q, ip, seen, SearchStats())
-        ids = pool.ids_best_first()
-        rows.append(select_row(node, ids[ids != node], base, K2))
-    return rows
+
+def tied_points(rng, n):
+    """Small integer vectors, so that every inner product is exact: many
+    duplicates, a zero vector, and ties at every pool boundary."""
+    pts = rng.integers(-2, 3, size=(n, 4)).astype(np.float32)
+    pts[[20, 41, 97 % n]] = pts[5]
+    pts[63 % n] = 0.0
+    return pts
 
 
 class TestStage2:
@@ -107,53 +85,44 @@ class TestStage2:
     @pytest.mark.parametrize("block_rows", [1, 3, None])
     def test_block_sweep_matches_per_node_search(self, case, block_rows,
                                                  monkeypatch):
+        # the gram-block sweep of a node range gives every node the edges of
+        # dominator selection over its own exact pool, whatever the block size
         rng = np.random.default_rng(11)
         if case == "duplicates":
-            pts = rng.standard_normal((100, 6)).astype(np.float32)
-            pts[[20, 41, 97]] = pts[5]
-            pts[63] = 0.0
-            ds, K, K1, K2, ls = Dataset(pts), 12, 6, 5, 12
+            ds, K2, ls = Dataset(tied_points(rng, 100)), 5, 12
         else:
             ds = Dataset(rng.standard_normal((40, 6)).astype(np.float32))
-            K, K1, K2, ls = 10, 5, 4, 64
-        stage1 = build_stage1(ds, K=K, K1=K1, seed=0)
+            K2, ls = 4, 64
+        if block_rows is not None:
+            monkeypatch.setattr(index_mod, "_STAGE2_MIN_ROWS", 1)
+            monkeypatch.setattr(index_mod, "_STAGE2_GRAM_BYTES", block_rows * 8 * ds.n)
+            assert index_mod._stage2_block_rows(ds.n) == block_rows
         base = ds.data.astype(np.float64)
-        current, accepted = stage1, None
-        for passno in (1, 2):
-            graph = materialize(current, R=current.K1 + current.K2, alpha=1.0)
-            if block_rows is not None:
-                width = _stage2_width(graph, ds.n, K2, ls)
-                monkeypatch.setattr(search_mod, "_BLOCK_BYTES",
-                                    block_rows * (ds.n + 8 * width * (ds.dim + 1)))
-                assert search_mod._block_size(ds.n, width, ds.dim) == block_rows
-            src, dst = index_mod._stage2_rows((0, ds.n), graph, ds, accepted,
-                                              K2, ls, 4, passno)
-            expected = _stage2_reference(graph, ds, accepted, K2, ls, 4, passno)
-            accepted = CsrEdges.from_pairs(src, dst, ds.n)
-            assert [r.tolist() for r in accepted] == [r.tolist() for r in expected]
-            current = MagIndex(n=ds.n, dim=ds.dim, K1=K1, K2=K2,
-                               euclid=stage1.euclid,
-                               ip=index_mod._mirror_ip(accepted, base, K2),
-                               self_dominator=stage1.self_dominator)
+        src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls)
+        got = CsrEdges.from_pairs(src, dst, ds.n)
+        for i in range(ds.n):
+            want = select_row(i, pool_reference(i, base, ls), base, K2)
+            assert got[i].tolist() == want.tolist()
 
     def test_blocks_fit_the_byte_budget(self, monkeypatch):
-        # a budget that binds: sized from the fill width alone, the blocks
-        # would hold nearly three times as many rows as the full width allows
-        monkeypatch.setattr(search_mod, "_BLOCK_BYTES", 60_000)
-        shapes = []
-        run = index_mod._lockstep_pools
+        # every gram block of stage 2 holds at most _STAGE2_GRAM_BYTES of
+        # float64 rows unless that is fewer than _STAGE2_MIN_ROWS rows; the
+        # blocks tile the nodes in order
+        assert index_mod._stage2_block_rows(10 ** 6) == index_mod._STAGE2_MIN_ROWS
+        monkeypatch.setattr(index_mod, "_STAGE2_GRAM_BYTES", 150_000)
+        owners = []
+        select = index_mod.ndg_select
 
-        def recording(graph, data, qs, entries, *args):
-            shapes.append(entries.shape)
-            return run(graph, data, qs, entries, *args)
+        def recording(nodes, *args):
+            owners.append(nodes.tolist())
+            return select(nodes, *args)
 
-        monkeypatch.setattr(index_mod, "_lockstep_pools", recording)
+        monkeypatch.setattr(index_mod, "ndg_select", recording)
         ds = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=8))
-        build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=2, passes=2)
-        assert len(shapes) > 2 and max(B for B, _ in shapes) > 1
-        for B, W in shapes:
-            if B > 1:
-                assert B * (ds.n + 8 * W * (ds.dim + 1)) <= search_mod._BLOCK_BYTES
+        build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=2)
+        assert len(owners) > 2 and max(map(len, owners)) > 1
+        assert sum(owners, []) == list(range(ds.n))
+        assert all(len(rows) * 8 * ds.n <= 150_000 for rows in owners)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, rng, workers):
@@ -163,26 +132,31 @@ class TestStage2:
             build_stage2(stage1, ds, K2=4, ls=8, workers=workers)
 
     def test_exhaustive_pool_matches_exact_selection(self, rng):
-        # ls = n makes the per-node MIP search exhaustive, so stage 2 (with
-        # reverse-edge mirroring off) must equal dominator selection over
-        # the brute-force candidate list
-        ds = Dataset(rng.standard_normal((300, 8)).astype(np.float32))
-        stage1 = build_stage1(ds, K=16, K1=8, seed=0)
-        idx = build_stage2(stage1, ds, K2=6, ls=300, seed=0, passes=1,
-                           mirror=False)
-        base = ds.data.astype(np.float64)
-        ids = np.arange(300)
-        for i in range(0, 300, 23):
-            ips = base @ base[i]
-            others = ids[ids != i]
-            order = others[np.lexsort((others, -ips[others]))]
-            assert idx.ip[i].tolist() == select_row(i, order, base, 6).tolist()
+        # with mirroring off, stage 2 equals dominator selection over each
+        # node's brute-force (-IP, id) pool, at ls = n and at ls < n; the
+        # integer data puts duplicates and exact ties at the pool boundary
+        for pts, K2, ls, tied in ((rng.standard_normal((300, 8)), 6, 300, False),
+                                  (rng.standard_normal((300, 8)), 6, 20, False),
+                                  (tied_points(rng, 120), 5, 120, False),
+                                  (tied_points(rng, 120), 5, 9, True)):
+            ds = Dataset(np.asarray(pts, dtype=np.float32))
+            stage1 = build_stage1(ds, K=16, K1=8, seed=0)
+            idx = build_stage2(stage1, ds, K2=K2, ls=ls, seed=0, mirror=False)
+            base = ds.data.astype(np.float64)
+            ties = 0
+            for i in range(ds.n):
+                pool = pool_reference(i, base, ls)
+                assert idx.ip[i].tolist() == select_row(i, pool, base, K2).tolist()
+                if tied:
+                    ranked = np.sort(base @ base[i])[::-1]
+                    ties += ranked[ls - 1] == ranked[ls]
+            assert ties > 30 or not tied  # the boundary ties are live
 
     def test_mirror_flag_recorded_by_stage2(self, rng):
         ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
         stage1 = build_stage1(ds, K=8, K1=4)
-        on = build_stage2(stage1, ds, K2=4, ls=16, passes=1)
-        off = build_stage2(stage1, ds, K2=4, ls=16, passes=1, mirror=False)
+        on = build_stage2(stage1, ds, K2=4, ls=16)
+        off = build_stage2(stage1, ds, K2=4, ls=16, mirror=False)
         assert on.metadata["mirror"] is True
         assert off.metadata["mirror"] is False
 
@@ -201,7 +175,7 @@ class TestStage2:
         pts = rng.standard_normal((100, 6)).astype(np.float32)
         pts[17] = 50.0 * np.abs(pts[17]) / np.linalg.norm(pts[17])
         ds = Dataset(pts)
-        idx = build_mag(ds, K=12, K1=6, K2=4, ls=100, seed=2, passes=1)
+        idx = build_mag(ds, K=12, K1=6, K2=4, ls=100, seed=2)
         base = ds.data.astype(np.float64)
         gram = base @ base.T
         np.fill_diagonal(gram, -np.inf)
@@ -226,8 +200,8 @@ class TestStage2:
 
     def test_workers_do_not_change_output(self, rng):
         ds = Dataset(rng.standard_normal((300, 6)).astype(np.float32))
-        a = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=1, passes=2)
-        b = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=4, passes=2)
+        a = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=1)
+        b = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=4)
         assert index_to_bytes(a) == index_to_bytes(b)
 
     def test_one_pool_per_build(self, monkeypatch):
@@ -239,16 +213,30 @@ class TestStage2:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(index_mod, "ProcessPoolExecutor", Counting)
-        # n = 700 splits into three node ranges at every worker count here
+        # n = 700 is four gram blocks, one node range each, at every
+        # worker count here
         ds = generate_synthetic(SyntheticSpec("gaussian", n=700, dim=6, seed=4))
         stage1 = build_stage1(ds, K=12, K1=6)
         blobs = []
         for workers in (1, 2, 3):
             made.clear()
             blobs.append(index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24,
-                                                     workers=workers, passes=3)))
+                                                     workers=workers)))
             assert made == ([] if workers == 1 else [workers])
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_node_ranges_differ_but_bytes_do_not(self):
+        # at n = 1,200 the gram blocks are 109 rows, and 1, 2 and 3 workers
+        # split the 12 blocks into 4, 6 and 12 node ranges
+        ds = generate_synthetic(SyntheticSpec("gaussian", n=1200, dim=8, seed=3))
+        ranges = [index_mod._stage2_ranges(ds.n, w) for w in (1, 2, 3)]
+        assert [len(r) for r in ranges] == [4, 6, 12]
+        block = index_mod._stage2_block_rows(ds.n)
+        assert all(lo % block == 0 for r in ranges for lo, _ in r)
+        stage1 = build_stage1(ds, K=12, K1=6)
+        blobs = {index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24, workers=w))
+                 for w in (1, 2, 3)}
+        assert len(blobs) == 1
 
     def test_flags_match_census_gate(self, built):
         data, index = built
@@ -258,13 +246,29 @@ class TestStage2:
         index.validate(data)
 
 
+def bytes_reference(index):
+    """The file written record by record, as the format describes it."""
+    parts = [b"MAG1", struct.pack("<5I", 1, index.n, index.dim, index.K1, index.K2)]
+    for e, p in zip(index.euclid, index.ip):
+        parts += [struct.pack("<2I", len(e), len(p)), e.astype("<u4").tobytes(),
+                  p.astype("<u4").tobytes()]
+    meta = json.dumps(index.metadata, sort_keys=True, separators=(",", ":")).encode()
+    parts += [index.self_dominator.astype(np.uint8).tobytes(),
+              struct.pack("<I", len(meta)), meta]
+    return b"".join(parts)
+
+
 class TestPersistence:
     def test_roundtrip_byte_exact(self, built, tmp_path):
         _, index = built
         path = str(tmp_path / "x.mag")
         save_index(index, path)
         again = load_index(path)
-        assert index_to_bytes(again) == index_to_bytes(index)
+        assert index_to_bytes(again) == index_to_bytes(index) == bytes_reference(index)
+        for kind in ("euclid", "ip"):
+            a, b = getattr(again, kind), getattr(index, kind)
+            assert np.array_equal(a.offsets, b.offsets) and np.array_equal(a.ids, b.ids)
+            assert a.offsets.dtype == b.offsets.dtype and a.ids.dtype == b.ids.dtype
 
     def test_file_of_a_removed_build_mode_loads(self, built, tmp_path):
         # earlier versions could build stage 1 from an approximate K-NN
@@ -354,6 +358,30 @@ class TestPersistence:
                            match="flip.mag: node 0: euclid edge id out of range"):
             load_index(str(path))
 
+    def test_corrupt_files_raise_format_error_or_load_valid(self, tmp_path):
+        # every truncation and a seeded sample of single-bit flips of a
+        # small index: load_index raises FormatError or returns an index
+        # that passes its own validation, never another exception
+        data = generate_synthetic(SyntheticSpec("gaussian", n=40, dim=4, seed=2))
+        blob = index_to_bytes(build_mag(data, K=8, K1=4, K2=4, ls=12, seed=1))
+        rng = np.random.default_rng(21)
+        flips = []
+        for bit in rng.choice(8 * len(blob), size=600, replace=False).tolist():
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            flips.append(bytes(flipped))
+        path = tmp_path / "c.mag"
+        loaded = 0
+        for variant in [blob[:cut] for cut in range(len(blob))] + flips:
+            path.write_bytes(variant)
+            try:
+                index = load_index(str(path))
+            except FormatError:
+                continue
+            index.validate()
+            loaded += 1
+        assert 0 < loaded < len(flips)
+
     def test_build_deterministic(self, rng):
         ds = Dataset(rng.standard_normal((200, 6)).astype(np.float32))
         a = build_mag(ds, K=10, K1=5, K2=5, ls=20, seed=9)
@@ -368,15 +396,15 @@ class TestPinnedBuild:
 
     @pytest.mark.parametrize("kind,kw,index_sha,adjacency_sha", [
         ("gaussian", {},
-         "1fb2b08396ee49622890a48f7c2cc25bdb6ce12208014c85dd2346280f89cf9b",
-         "296023176f15670b09a8b3b0eeb8d75584e039137e6c83746a3fa683caf03ce2"),
+         "f4e4c16ecff37fb19095832dfb93e728a34e42ce69e96d2456b352939f456a1c",
+         "b9194fae06b2aeadf61c2fed758d3e7f0fe147fa3bf9f0f4e7618fa2e1476ae4"),
         ("heavytail", {"sigma_log": 0.5},
-         "ef606bab3441df999057d6e908b3740d118344d80304feef31a927400cea1722",
-         "76a3cc07eee4f98d6852e2b8ddc4f8dca220aa74e5a9c1f83118448ab93cc6b5"),
+         "f98aed46478f02d6371f3a0fb2432ac1a78c873fc7199b09eedff17f46e34deb",
+         "62136add1e640ac48041ca548eb784a41175627cf9f3ade222719f3cf9b9cbd0"),
     ])
     def test_sha256(self, kind, kw, index_sha, adjacency_sha):
         data = generate_synthetic(SyntheticSpec(kind, n=300, dim=8, seed=8, **kw))
-        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2, passes=2)
+        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2)
         graph = materialize(index, R=10, alpha=0.5)
         assert hashlib.sha256(index_to_bytes(index)).hexdigest() == index_sha
         assert hashlib.sha256(graph.adjacency.tobytes()).hexdigest() == adjacency_sha

@@ -289,7 +289,7 @@ class TestRecallBehavior:
         data = Dataset(rng.standard_normal((2000, 12)).astype(np.float32))
         queries = Dataset(rng.standard_normal((100, 12)).astype(np.float32))
         gt = compute_ground_truth(data, queries, 10, MetricKind.INNER_PRODUCT)
-        index = build_mag(data, K=20, K1=10, K2=10, ls=40, seed=1, passes=2)
+        index = build_mag(data, K=20, K1=10, K2=10, ls=40, seed=1)
         graph = materialize(index, R=16, alpha=0.5)
         means = []
         for ls in (16, 32, 64, 128):
