@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import UsageError
 from .metrics import Dataset, MetricKind
-from .stats import _GRAM_CHUNK, _chunk_best_cross, best_cross_inner_product
+from .stats import _census_blocks, _chunk_best_cross
 
 EXACT_NDG_MAX_N = 20000  # quadratic; exists to verify dominator structure, not to index
 _PRUNE_BYTES = 1 << 19  # float64 vectors gathered at once by the block rules
@@ -52,16 +52,20 @@ class KnnGraph:
         return self.neighbors.shape[0]
 
     def validate(self) -> None:
-        n = self.n
-        for i in range(n):
-            row = self.neighbors[i]
-            if (row == i).any():
-                raise UsageError(f"node {i} has a self-loop")
-            if len(np.unique(row)) != self.k:
-                raise UsageError(f"node {i} has duplicate neighbors")
-            keys = list(zip(self.dists[i], row))
-            if keys != sorted(keys):
-                raise UsageError(f"node {i} row not sorted by (distance, id)")
+        """Raise for the first node with a self-loop, a repeated neighbour or
+        a row out of (distance, id) order, naming the first rule it breaks."""
+        ids, d = self.neighbors, self.dists
+        ordered = np.sort(ids, axis=1)
+        descending = (d[:, 1:] < d[:, :-1]) | ((d[:, 1:] == d[:, :-1])
+                                               & (ids[:, 1:] < ids[:, :-1]))
+        checks = (((ids == np.arange(self.n)[:, None]).any(axis=1), "has a self-loop"),
+                  ((ordered[:, 1:] == ordered[:, :-1]).any(axis=1),
+                   "has duplicate neighbors"),
+                  (descending.any(axis=1), "row not sorted by (distance, id)"))
+        bad = np.array([rows for rows, _ in checks])
+        if bad.any():
+            node = int(bad.any(axis=0).argmax())
+            raise UsageError(f"node {node} {checks[int(bad[:, node].argmax())][1]}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,9 @@ def _topk_row(d2_row: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
     """Exact K nearest others per node by brute force, O(n^2), plus the
-    strict self-dominator census from the same gram chunks, which then
-    become squared distances in place: |x|^2 - 2<x, y> + |y|^2."""
+    strict self-dominator census from the same gram blocks
+    (``stats._census_blocks``), which then become squared distances in
+    place: |x|^2 - 2<x, y> + |y|^2, with +inf on the diagonal."""
     n = dataset.n
     if not 1 <= K < n:
         raise UsageError(f"K={K} out of range [1, {n})")
@@ -131,10 +136,8 @@ def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
     neighbors = np.empty((n, K), dtype=np.int32)
     dists = np.empty((n, K), dtype=np.float64)
     census = np.empty(n, dtype=bool)
-    for start in range(0, n, _GRAM_CHUNK):
-        stop = min(start + _GRAM_CHUNK, n)
-        d2 = base[start:stop] @ base.T
-        self_dots, best_cross = _chunk_best_cross(d2, start)
+    for start, self_dots, best_cross, d2 in _census_blocks(base):
+        stop = start + len(d2)
         census[start:stop] = self_dots > best_cross
         d2 *= -2.0
         d2 += sq_norms[start:stop, None]
@@ -218,13 +221,11 @@ def build_exact_ndg(dataset: Dataset) -> CsrEdges:
 
     # every node's candidate set plus itself is the whole dataset, so a node
     # accepts its best candidate and every weak self-dominator but itself
-    self_dots, best_cross = best_cross_inner_product(base)
-    weak = np.flatnonzero(self_dots >= best_cross)
-    best = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _GRAM_CHUNK):
-        ips = np.vecdot(base[start:start + _GRAM_CHUNK, None], base)
-        ips[np.arange(len(ips)), np.arange(start, start + len(ips))] = -np.inf
-        best[start:start + len(ips)] = ips.argmax(axis=1)  # first = lowest id
+    weak, best = [], []
+    for start, self_dots, best_cross, gram in _census_blocks(base):
+        weak.append(start + np.flatnonzero(self_dots >= best_cross))
+        best.append(gram.argmax(axis=1))  # first = lowest id
+    weak, best = np.concatenate(weak), np.concatenate(best)
     src = np.concatenate((np.arange(n), np.repeat(np.arange(n), len(weak))))
     dst = np.concatenate((best, np.tile(weak, n)))
     src, dst = _merge_reverse(src, dst, n)

@@ -5,7 +5,8 @@ per node and flags the self-dominators by the strict census, at every n.
 Stage 2 gives every node its exact top min(ls, n) ids by inner product
 (ties by id, the node itself included) from one pass over blocks of gram
 rows, filters each pool through dominator selection, and stores at most
-K2 IP-oriented edges alongside. Block bounds depend on n alone; a node
+K2 IP-oriented edges alongside. Both stages step over the same gram
+blocks, whose rows ``stats._gram_rows`` works out from n alone; a node
 range of whole blocks (``_stage2_rows``) hands back (source, target)
 arrays. Ranges run in-process, or on one process pool per build when
 workers > 1, and carry only the dataset. At query time ``materialize``
@@ -40,16 +41,10 @@ from .construction import (CsrEdges, _merge_reverse, _pair_scores, _rank,
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
 from .search import SearchGraph
-from .stats import self_dominator_set
+from .stats import _exact_key_blocks, _gram_rows, self_dominator_set
 
 MAGIC = b"MAG1"
 VERSION = 1
-# Stage 2 holds at most this many bytes of float64 gram rows at once, but
-# never fewer than _STAGE2_MIN_ROWS rows: below that, at large n, the gemm
-# calls are too thin to pay for their set-up (at n = 64,000 two-row blocks
-# made stage 2 1.7x slower with one BLAS thread, 2.5x with two).
-_STAGE2_GRAM_BYTES = 1 << 20
-_STAGE2_MIN_ROWS = 32
 
 
 @dataclass
@@ -148,16 +143,9 @@ def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
                     metadata=meta)
 
 
-def _stage2_block_rows(n: int) -> int:
-    """Rows of one stage-2 gram block: a pure function of n, so that every
-    gemm call has the same shape at every worker count (BLAS may round a
-    row differently depending on how many rows share the call)."""
-    return max(_STAGE2_MIN_ROWS, _STAGE2_GRAM_BYTES // (8 * n))
-
-
 def _stage2_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     """Node ranges of whole gram blocks, about four per worker."""
-    block = _stage2_block_rows(n)
+    block = _gram_rows(n)
     chunk = block * math.ceil(math.ceil(n / block) / (4 * workers))
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
@@ -167,17 +155,15 @@ def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
     """Dominator edges of the nodes in [start, stop) as (source, target)
     arrays, grouped by ascending source. Per gram block of rows, each
     node's pool is its exact top min(ls, n) ids by (-IP, id), itself
-    included, and dominator selection runs over the block's pools."""
+    included: its inner-product ground truth as a query. Dominator
+    selection runs over the block's pools."""
     start, stop = bounds
     base64 = dataset.data.astype(np.float64)
-    width = min(ls, dataset.n)
-    block = _stage2_block_rows(dataset.n)
     srcs, dsts = [], []
-    for lo in range(start, stop, block):
-        nodes = np.arange(lo, min(lo + block, stop))
-        gram = base64[lo:lo + len(nodes)] @ base64.T
-        np.negative(gram, out=gram)
-        pools = np.stack([_topk_row(row, width)[0] for row in gram])
+    for lo, keys in _exact_key_blocks(base64, base64[start:stop],
+                                      MetricKind.INNER_PRODUCT):
+        nodes = np.arange(start + lo, start + lo + len(keys))
+        pools = np.stack([_topk_row(row, min(ls, dataset.n))[0] for row in keys])
         kept = ndg_select(nodes, pools, base64, K2)
         srcs.append(nodes[np.nonzero(kept)[0]])
         dsts.append(pools[kept])

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construction import _topk_row
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
+from .stats import _exact_key_blocks
 
 
 def _read_records(path: str, value_dtype) -> np.ndarray:
@@ -126,10 +128,14 @@ def brute_force_topk(dataset: Dataset, q, k: int, metric: MetricKind) -> np.ndar
 
 def compute_ground_truth(dataset: Dataset, queries: Dataset, k: int,
                          metric: MetricKind) -> GroundTruth:
-    """Batch brute_force_topk over a query set."""
+    """``brute_force_topk`` over a query set, by blocks of queries; ties
+    at the k-th place break by lower id."""
     if queries.dim != dataset.dim:
         raise UsageError(f"query dim {queries.dim} != dataset dim {dataset.dim}")
+    if not 1 <= k <= dataset.n:
+        raise UsageError(f"k={k} out of range [1, {dataset.n}]")
     rows = np.empty((queries.n, k), dtype=np.int32)
-    for i in range(queries.n):
-        rows[i] = brute_force_topk(dataset, queries.vector(i), k, metric)
+    for lo, keys in _exact_key_blocks(dataset.data.astype(np.float64),
+                                      queries.data.astype(np.float64), metric):
+        rows[lo:lo + len(keys)] = [_topk_row(key, k)[0] for key in keys]
     return GroundTruth(k=k, rows=rows, metric=metric)

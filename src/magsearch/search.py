@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import UsageError
 from .metrics import Dataset, MetricKind, score_batch, sort_key
+from .stats import _exact_key_blocks
 
 
 @dataclass(frozen=True)
@@ -389,14 +390,15 @@ def _key_ids(keys: np.ndarray) -> np.ndarray:
     return ((keys & np.uint64(0xFFFFFFFF)) >> np.uint64(1)).astype(np.intp)
 
 
-def _block_size(n: int, width: int, dim: int, m: int = 0) -> int:
-    """Queries per block. Each holds an n-byte seen mask, ``width`` uint64
-    pool keys and, at seeding, a (width, dim) float32 gather. At m = 0 a
-    query also holds the gather's L2 difference, which only an l2 search
+def _block_size(n: int, ls: int, dim: int, m: int = 0) -> int:
+    """Queries per block. Each holds an n-byte seen mask, L = min(ls, n)
+    uint64 pool keys and, at seeding, an (L, dim) float32 gather. At m = 0
+    a query also holds the gather's L2 difference, which only an l2 search
     makes; at m > 0 it holds instead the (n,) float32 inner products that
     the Euclidean phase keeps."""
-    scratch = 4 * n if m > 0 else 4 * width * dim
-    return max(1, _BLOCK_BYTES // (n + 8 * width + 4 * width * dim + scratch))
+    L = min(ls, n)
+    scratch = 4 * n if m > 0 else 4 * L * dim
+    return max(1, _BLOCK_BYTES // (n + 8 * L + 4 * L * dim + scratch))
 
 
 def _seed_block(keys: np.ndarray, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,49 +501,35 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
 
 
 def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
-                    entries: np.ndarray, seen: np.ndarray, ls: int, m: int,
+                    entries: np.ndarray, seen: np.ndarray, m: int,
                     metric: MetricKind) -> tuple[np.ndarray, np.ndarray]:
     """The lockstep engine from a block's entries to its final pools.
 
-    entries is (B, W): each row's distinct entry ids, padded with -1, and
-    at least L = min(ls, n) of them per row; seen is the (B, n) masks that
-    mark them. Every entry is scored, each pool keeps its best L, then the
-    rows expand as ``_search`` does: when m > 0, m Euclidean expansions
-    and the switch, then ``metric`` to exhaustion. Returns the (B, L)
-    sorted pools as ``_pool_keys`` and the (B,) hops.
+    entries is the (B, L) rows of L = min(ls, n) distinct ids each that
+    ``_seed_block`` makes, and seen the (B, n) masks that mark them. Every
+    entry is scored into a full pool of L, then the rows expand as
+    ``_search`` does: when m > 0, m Euclidean expansions and the switch,
+    then ``metric`` to exhaustion. Returns the (B, L) sorted pools as
+    ``_pool_keys`` and the (B,) hops.
 
     At m > 0 a (B, n) float32 array keeps each <x,q> of the Euclidean
-    phase at x's seen cell (padding entries write nothing), and the switch
-    re-keys the pools from it under ``metric``, which is inner product
-    there. Every scored id is marked seen exactly once, so a row's comps
-    is its mask's count. The steps walk ``graph.padded``; ``graph`` itself
-    stays as it is.
-
-    Rows are scored and cut in runs of B·L // W, so that wide entry rows
-    hold no more at once than a block's pools do: one run when W = L.
+    phase at x's seen cell, and the switch re-keys the pools from it under
+    ``metric``, which is inner product there. Every scored id is marked
+    seen exactly once, so a row's comps is its mask's count. The steps
+    walk ``graph.padded``; ``graph`` itself stays as it is.
     """
-    nq, width = entries.shape
-    n, data = graph.n, dataset.data
-    L = min(ls, n)
+    nq, n, data = len(entries), graph.n, dataset.data
     hops = np.zeros(nq, dtype=np.int64)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
+    # metric is inner product at m > 0: the kernel of both phases
+    scores = score_batch(metric, qs[:, None], np.take(data, entries, axis=0))
     if m > 0:
         sq = dataset.sq_norms
+        cells = entries + (np.arange(nq) * n)[:, None]
         ips = np.empty((nq, n), dtype=np.float32)
-    run = max(1, nq * L // width)
-    pools = []
-    for s in range(0, nq, run):
-        ids = entries[s:s + run]
-        real = ids >= 0
-        # metric is inner product at m > 0: the kernel of both phases
-        scores = score_batch(metric, qs[s:s + run, None], np.take(data, ids, axis=0))
-        if m > 0:
-            cells = ids + ((s + np.arange(len(ids))) * n)[:, None]
-            ips.reshape(-1)[cells[real]] = scores[real]
-            scores = np.take(sq, ids) - (scores + scores)
-        keys = np.where(real, _pool_keys(first, scores, ids), _NO_KEY)
-        pools.append(np.sort(keys, axis=1)[:, :L])
-    keys = np.concatenate(pools)
+        ips.reshape(-1)[cells] = scores
+        scores = np.take(sq, entries) - (scores + scores)
+    keys = np.sort(_pool_keys(first, scores, entries), axis=1)
     if m > 0:
         _lockstep_expand(graph.padded, data, qs, keys, seen, hops, first,
                          max_expansions=m, ips=ips, sq=sq)
@@ -554,19 +542,6 @@ def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
     return keys, hops
 
 
-def _lockstep_block(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
-                    ls: int, k: int, m: int, keys: np.ndarray,
-                    metric: MetricKind) -> list[SearchResult]:
-    """One block of ``lockstep_search``; query i is seeded with keys[i]."""
-    entries, seen = _seed_block(keys, graph.n, min(ls, graph.n))
-    keys, hops = _lockstep_pools(graph, dataset, qs, entries, seen, ls, m,
-                                 metric)
-    comps = seen.sum(axis=1)
-    ids = _key_ids(keys[:, :k]).astype(np.int32)
-    return [SearchResult(ids=row, stats=SearchStats(dist_comps=c, hops=h))
-            for row, c, h in zip(ids, comps.tolist(), hops.tolist())]
-
-
 def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
                     k: int, m: int = 0, seed: int = 0,
                     metric: MetricKind = MetricKind.INNER_PRODUCT
@@ -575,9 +550,10 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
 
     Query i gets the ids, dist_comps and hops that ``anms_search`` (m > 0)
     or ``greedy_search`` under ``metric`` (m = 0) give it alone with
-    ``SearchParams(ls, k, m, seed=(seed, i))``. Blocks of queries advance
-    in lockstep, one expansion per open query per step, over a compact
-    array of the open queries' pools held as ``_pool_keys``
+    ``SearchParams(ls, k, m, seed=(seed, i))``. Blocks of ``_block_size``
+    queries are seeded by ``_seed_block`` and run by ``_lockstep_pools``:
+    they advance in lockstep, one expansion per open query per step, over
+    a compact array of the open queries' pools held as ``_pool_keys``
     (``_lockstep_expand``): one ``np.take`` of self-padded neighbour rows,
     one flat seen-mask read and write, one ``score_batch`` call, and a
     merge of each touched pool with its sorted candidates. The switch
@@ -588,15 +564,20 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:
         raise UsageError("the metric switch targets inner product; use m=0 for l2")
     qs = _check_query(graph, dataset, queries, k, ndim=2)
+    n = graph.n
     # _seed_key((seed, i)): the fold's last step, taken for every i at once
     keys = _mix64((np.uint64(head) ^ np.arange(len(qs), dtype=np.uint64))
                   + _GOLDEN & _MASK64)
-    block = _block_size(graph.n, min(ls, graph.n), dataset.dim, m)
+    block = _block_size(n, ls, dataset.dim, m)
     results: list[SearchResult] = []
-    for start in range(0, len(qs), block):
-        stop = min(start + block, len(qs))
-        results.extend(_lockstep_block(graph, dataset, qs[start:stop], ls,
-                                       k, m, keys[start:stop], metric))
+    for lo in range(0, len(qs), block):
+        entries, seen = _seed_block(keys[lo:lo + block], n, min(ls, n))
+        pools, hops = _lockstep_pools(graph, dataset, qs[lo:lo + block],
+                                      entries, seen, m, metric)
+        ids = _key_ids(pools[:, :k]).astype(np.int32)
+        results.extend(SearchResult(ids=row, stats=SearchStats(dist_comps=c, hops=h))
+                       for row, c, h in zip(ids, seen.sum(axis=1).tolist(),
+                                            hops.tolist()))
     return results
 
 
@@ -613,33 +594,26 @@ def verify_scaling_duality(dataset: Dataset, queries: Dataset,
                            mu: float | None = None) -> DualityReport:
     """Check that scaling a query by a large mu turns MIPS into Euclidean NNS.
 
-    mu=None picks 1e6 * (max vector norm / query norm) per query.
+    mu=None picks 1e6 * (max vector norm / query norm) per query. One pass
+    per block of queries takes the scaled queries' nearest neighbours in
+    difference form, and the MIPS argmax and whether its score is tied
+    from one inner-product gram.
     """
-    from .io import brute_force_topk  # local import keeps io free of search deps
-
     if mu is not None and mu <= 0:
         raise UsageError(f"mu must be positive, got {mu}")
     base64 = dataset.data.astype(np.float64)
-    max_norm = float(np.linalg.norm(base64, axis=1).max())
+    qs = queries.data.astype(np.float64)
+    norms = np.sqrt(np.vecdot(qs, qs))[:, None]  # the bits of np.linalg.norm
+    if (norms == 0).any():
+        raise UsageError("zero query vector has no scaling direction")
+    scale = mu if mu is not None else 1e6 * float(np.linalg.norm(base64, axis=1).max()) / norms
 
-    agree = 0
-    tied = 0
-    for i in range(queries.n):
-        q = queries.vector(i).astype(np.float64)
-        qn = float(np.linalg.norm(q))
-        if qn == 0:
-            raise UsageError("zero query vector has no scaling direction")
-        factor = mu if mu is not None else 1e6 * max_norm / qn
-
-        ips = base64 @ q
-        top2 = np.sort(ips)[-2:] if dataset.n >= 2 else None
-        if top2 is not None and top2[0] == top2[1]:
-            tied += 1
-            continue
-        mips_id = int(brute_force_topk(dataset, q, 1, MetricKind.INNER_PRODUCT)[0])
-        nn_id = int(brute_force_topk(dataset, factor * q, 1, MetricKind.EUCLIDEAN)[0])
-        if mips_id == nn_id:
-            agree += 1
+    agree = tied = 0
+    for lo, d2 in _exact_key_blocks(base64, scale * qs, MetricKind.EUCLIDEAN):
+        ips = qs[lo:lo + len(d2)] @ base64.T
+        tie = (ips == ips.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        agree += int((~tie & (ips.argmax(axis=1) == d2.argmin(axis=1))).sum())
+        tied += int(tie.sum())
 
     considered = queries.n - tied
     return DualityReport(

@@ -18,12 +18,13 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .errors import UsageError
-from .metrics import Dataset
+from .metrics import Dataset, MetricKind
 
 CV_IP_THRESHOLD = 0.1   # norm spread at or above this favors IP-oriented tuning
 DBI_CLUSTERED_THRESHOLD = 2.0  # DBI at or below this favors Euclidean-oriented tuning
 DEFAULT_DBI_CLUSTERS = 16
-_GRAM_CHUNK = 512  # rows of the n-wide gram matrix held at once
+_GRAM_BYTES = 1 << 20  # float64 gram rows that an exact O(n^2) scan holds at once
+_GRAM_MIN_ROWS = 32  # rows of the thinnest gemm call that pays for its set-up
 
 
 @dataclass
@@ -193,22 +194,53 @@ def davies_bouldin(dataset: Dataset, clustering: Clustering,
     return float(np.mean(ratios.max(axis=1)))
 
 
+def _gram_rows(n: int) -> int:
+    """Rows of one block of every exact scan over n vectors: _GRAM_BYTES of
+    gram rows, or _GRAM_MIN_ROWS where those are more (at n = 64,000
+    two-row blocks made stage 2 1.7x slower with one BLAS thread, 2.5x with
+    two). A pure function of n, so that every gemm call has the same shape
+    whatever the caller or the worker count: BLAS may round a row
+    differently depending on how many rows share the call."""
+    return max(_GRAM_MIN_ROWS, _GRAM_BYTES // (8 * n))
+
+
 def best_cross_inner_product(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: <x_i, x_i> and max over j != i of <x_i, x_j> (-inf for one row).
 
-    Both come from the same 512-row gram chunks, so a self dot carries the
-    rounding of the cross products it is compared with. The self-dominator
-    census rests on this comparison, and dominator selection makes it on
-    stacked grams through ``_chunk_best_cross``.
+    Both come from the same gram blocks (``_census_blocks``), so a self dot
+    carries the rounding of the cross products it is compared with. The
+    self-dominator census rests on this comparison, and dominator selection
+    makes it on stacked grams through ``_chunk_best_cross``.
     """
-    n = len(vecs)
-    self_dots = np.empty(n)
-    best_cross = np.empty(n)
-    for start in range(0, n, _GRAM_CHUNK):
-        stop = min(start + _GRAM_CHUNK, n)
-        self_dots[start:stop], best_cross[start:stop] = _chunk_best_cross(
-            vecs[start:stop] @ vecs.T, start)
+    blocks = [(dots, cross) for _, dots, cross, _ in _census_blocks(vecs)]
+    self_dots, best_cross = map(np.concatenate, zip(*blocks))
     return self_dots, best_cross
+
+
+def _census_blocks(vecs: np.ndarray):
+    """Per block of ``_gram_rows`` rows of the float64 gram of vecs: the
+    block's first row, its self dots and best cross products, and its gram
+    rows with -inf on the diagonal."""
+    step = _gram_rows(len(vecs))
+    for start in range(0, len(vecs), step):
+        gram = vecs[start:start + step] @ vecs.T
+        yield start, *_chunk_best_cross(gram, start), gram
+
+
+def _exact_key_blocks(base: np.ndarray, qs: np.ndarray, metric: MetricKind):
+    """Per block of the float64 queries qs, its first row and the keys that
+    rank ``base`` best-first ascending for each, as ``brute_force_topk``
+    computes them: -<x, q> from one gemm, or |x - q|^2 in difference form,
+    which holds dim values per pair, so its blocks have dim times fewer
+    rows than a gram block."""
+    n, dim = base.shape
+    step = _gram_rows(n) if metric.larger_is_better else max(1, _gram_rows(n) // dim)
+    for lo in range(0, len(qs), step):
+        if metric.larger_is_better:
+            yield lo, -(qs[lo:lo + step] @ base.T)
+        else:
+            diff = base - qs[lo:lo + step, None]
+            yield lo, np.einsum("bij,bij->bi", diff, diff)
 
 
 def _chunk_best_cross(gram: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,57 @@ class TestExactKnn:
                 j for j in range(small_gaussian.n) if j != i]
         g.validate()
 
+    @pytest.mark.parametrize("row,dists,message", [
+        ([1, 3, 4], [1.0, 2.0, 3.0], "has a self-loop"),
+        ([1, 4, 1], [1.0, 2.0, 3.0], "has duplicate neighbors"),
+        ([1, 4, 2], [1.0, 3.0, 2.0], r"row not sorted by \(distance, id\)"),
+        ([4, 1, 2], [1.0, 1.0, 2.0], r"row not sorted by \(distance, id\)"),
+        # a node that breaks two rules is named for the first of them
+        ([3, 4, 4], [1.0, 2.0, 2.0], "has a self-loop"),
+        ([4, 4, 1], [2.0, 2.0, 1.0], "has duplicate neighbors"),
+    ])
+    def test_validate_names_the_first_bad_node(self, small_gaussian, row, dists,
+                                               message):
+        g = build_exact_knn(small_gaussian, 3)
+        g.validate()
+        g.neighbors[3], g.dists[3] = row, dists
+        # a later node that breaks another rule does not change the report
+        g.neighbors[8] = 8
+        with pytest.raises(UsageError, match=f"^node 3 {message}$"):
+            g.validate()
+
+    def test_validate_matches_per_node_loop(self, small_gaussian, rng):
+        # random corruptions of one to three nodes get the message that a
+        # per-node loop over the three rules gives
+        def loop_reference(g):
+            for i in range(g.n):
+                row = g.neighbors[i]
+                if (row == i).any():
+                    return f"node {i} has a self-loop"
+                if len(np.unique(row)) != g.k:
+                    return f"node {i} has duplicate neighbors"
+                keys = list(zip(g.dists[i], row))
+                if keys != sorted(keys):
+                    return f"node {i} row not sorted by (distance, id)"
+
+        messages = set()
+        for _ in range(300):
+            g = build_exact_knn(small_gaussian, 4)
+            for node in rng.choice(g.n, rng.integers(1, 4), replace=False):
+                col, how = rng.integers(4), rng.integers(3)
+                if how == 0:
+                    g.neighbors[node, col] = node
+                elif how == 1:
+                    g.neighbors[node, col] = g.neighbors[node, (col + 1) % 4]
+                else:
+                    g.dists[node] = g.dists[node, ::-1]
+            want = loop_reference(g)
+            with pytest.raises(UsageError) as exc:
+                g.validate()
+            assert str(exc.value) == want
+            messages.add(want.split(" ", 2)[2])
+        assert len(messages) == 3
+
     def test_agrees_with_oracle(self, rng):
         ds = Dataset(rng.standard_normal((500, 16)).astype(np.float32))
         g = build_exact_knn(ds, 10)

@@ -11,6 +11,7 @@ from magsearch import (Dataset, FormatError, UsageError, build_mag,
                        build_stage1, build_stage2, load_index, materialize,
                        ndg_select, save_index, self_dominator_set)
 from magsearch import index as index_mod
+from magsearch import stats as stats_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
 from magsearch.index import MagIndex, index_to_bytes, ip_quota
@@ -94,9 +95,9 @@ class TestStage2:
             ds = Dataset(rng.standard_normal((40, 6)).astype(np.float32))
             K2, ls = 4, 64
         if block_rows is not None:
-            monkeypatch.setattr(index_mod, "_STAGE2_MIN_ROWS", 1)
-            monkeypatch.setattr(index_mod, "_STAGE2_GRAM_BYTES", block_rows * 8 * ds.n)
-            assert index_mod._stage2_block_rows(ds.n) == block_rows
+            monkeypatch.setattr(stats_mod, "_GRAM_MIN_ROWS", 1)
+            monkeypatch.setattr(stats_mod, "_GRAM_BYTES", block_rows * 8 * ds.n)
+            assert stats_mod._gram_rows(ds.n) == block_rows
         base = ds.data.astype(np.float64)
         src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls)
         got = CsrEdges.from_pairs(src, dst, ds.n)
@@ -105,11 +106,11 @@ class TestStage2:
             assert got[i].tolist() == want.tolist()
 
     def test_blocks_fit_the_byte_budget(self, monkeypatch):
-        # every gram block of stage 2 holds at most _STAGE2_GRAM_BYTES of
-        # float64 rows unless that is fewer than _STAGE2_MIN_ROWS rows; the
-        # blocks tile the nodes in order
-        assert index_mod._stage2_block_rows(10 ** 6) == index_mod._STAGE2_MIN_ROWS
-        monkeypatch.setattr(index_mod, "_STAGE2_GRAM_BYTES", 150_000)
+        # every gram block of stage 2 holds at most _GRAM_BYTES of float64
+        # rows unless that is fewer than _GRAM_MIN_ROWS rows; the blocks
+        # tile the nodes in order
+        assert stats_mod._gram_rows(10 ** 6) == stats_mod._GRAM_MIN_ROWS
+        monkeypatch.setattr(stats_mod, "_GRAM_BYTES", 150_000)
         owners = []
         select = index_mod.ndg_select
 
@@ -231,7 +232,7 @@ class TestStage2:
         ds = generate_synthetic(SyntheticSpec("gaussian", n=1200, dim=8, seed=3))
         ranges = [index_mod._stage2_ranges(ds.n, w) for w in (1, 2, 3)]
         assert [len(r) for r in ranges] == [4, 6, 12]
-        block = index_mod._stage2_block_rows(ds.n)
+        block = stats_mod._gram_rows(ds.n)
         assert all(lo % block == 0 for r in ranges for lo, _ in r)
         stage1 = build_stage1(ds, K=12, K1=6)
         blobs = {index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24, workers=w))

@@ -146,6 +146,20 @@ class TestComputeGroundTruth:
                 brute_force_topk(data, queries.vector(i), 7, MetricKind.EUCLIDEAN))
         gt.validate(n=data.n)
 
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_query_blocks_match_single_queries(self, rng, metric):
+        # at n = 1,200 a block holds 109 queries under inner product and 6
+        # under l2, so 219 queries end in blocks of 1 and 3 rows
+        data = Dataset(rng.standard_normal((1200, 16)).astype(np.float32))
+        queries = Dataset(rng.standard_normal((219, 16)).astype(np.float32))
+        gt = compute_ground_truth(data, queries, 10, metric)
+        for i in range(queries.n):
+            assert gt.rows[i].tolist() == brute_force_topk(
+                data, queries.vector(i), 10, metric).tolist(), i
+        for k in (0, data.n + 1):
+            with pytest.raises(UsageError, match="out of range"):
+                compute_ground_truth(data, queries, k, metric)
+
     def test_duplicate_ids_name_the_first_bad_row(self):
         rows = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 6], [9, 9, 8]], dtype=np.int32)
         with pytest.raises(UsageError, match="row 2 has duplicate ids"):

@@ -352,8 +352,7 @@ def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
     first = MetricKind.EUCLIDEAN if m > 0 else metric
     sq = data.sq_norms
     rows = []
-    for q, row in zip(qs, entries):
-        ids = row[row >= 0]
+    for q, ids in zip(qs, entries):
         pool = CandidatePool(min(ls, graph.n), first)
         seen = np.zeros(graph.n, dtype=bool)
         seen[ids] = True
@@ -386,9 +385,9 @@ def assert_pools_match(graph, data, qs, entries, ls, m, metric, old_switch=False
     replay's comps are min(ls, n) higher at m > 0. Returns the hops."""
     seen = np.zeros((len(entries), graph.n), dtype=bool)
     for mask, row in zip(seen, entries):
-        mask[row[row >= 0]] = True
-    keys, hops = search_mod._lockstep_pools(graph, data, qs, entries, seen, ls,
-                                            m, metric)
+        mask[row] = True
+    keys, hops = search_mod._lockstep_pools(graph, data, qs, entries, seen, m,
+                                            metric)
     comps = seen.sum(axis=1)
     extra = min(ls, graph.n) if old_switch and m > 0 else 0
     want = scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch)
@@ -410,7 +409,7 @@ class TestLockstep:
         queries spread along the line: a row walks as far as its query
         lies from the entries, so rows close at very different steps.
 
-        Entry rows hold 12 to 30 distinct ids among -1 padding."""
+        Entry rows hold 12 distinct ids: min(ls, n) for the tests' ls."""
         rng = np.random.default_rng(61)
         n, R = 200, 4
         x = np.arange(n) / 10.0
@@ -423,13 +422,10 @@ class TestLockstep:
             adj[i, :len(row)] = row
             counts[i] = len(row)
         graph = SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
-        nq, width = 45, 36
+        nq = 45
         qs = np.stack([rng.uniform(-2.0, 22.0, nq), rng.standard_normal(nq)],
                       axis=1).astype(np.float32)
-        entries = np.full((nq, width), -1)
-        for row in entries:
-            c = rng.integers(12, 31)
-            row[rng.permutation(width)[:c]] = rng.choice(30, c, replace=False)
+        entries = np.stack([rng.choice(30, 12, replace=False) for _ in range(nq)])
         return graph, data, qs, entries
 
     def test_whole_pools_when_rows_close_far_apart(self, chain):
@@ -578,9 +574,9 @@ class TestLockstep:
     def sparse(self):
         """A graph where every fifth node has no out-edges, its row all
         padding, and whose last column is padding in every row; with queries
-        and (B, 24) entry rows of 8 to 20 ids among -1 padding. Built per
-        test, so a test that wrote into the graph cannot hide it from the
-        next."""
+        and entry rows of 8 distinct ids: min(ls, n) for the tests' ls.
+        Built per test, so a test that wrote into the graph cannot hide it
+        from the next."""
         rng = np.random.default_rng(71)
         n, R = 60, 6
         graph = random_graph(n, R - 1, seed=14)
@@ -592,10 +588,8 @@ class TestLockstep:
         graph = SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
         data = Dataset(rng.standard_normal((n, 5)).astype(np.float32))
         queries = Dataset(rng.standard_normal((30, 5)).astype(np.float32))
-        entries = np.full((queries.n, 24), -1)
-        for row in entries:
-            c = rng.integers(8, 21)
-            row[rng.permutation(24)[:c]] = rng.choice(n, c, replace=False)
+        entries = np.stack([rng.choice(n, 8, replace=False)
+                            for _ in range(queries.n)])
         return graph, data, queries, entries
 
     @pytest.mark.parametrize("m", [0, 3])

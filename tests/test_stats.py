@@ -7,8 +7,8 @@ import pytest
 
 from magsearch import Dataset, UsageError
 from magsearch.construction import build_exact_knn
-from magsearch.stats import (_chunk_best_cross, coefficient_of_variation,
-                             compute_stats,
+from magsearch.stats import (_chunk_best_cross, _gram_rows,
+                             coefficient_of_variation, compute_stats,
                              davies_bouldin, dominator_probability,
                              dominator_probability_mc, estimate_nn_angle,
                              expected_self_dominators, kmeans,
@@ -161,18 +161,19 @@ class TestSelfDominators:
         assert self_dominator_set(ds).tolist() == []
 
     def test_agrees_with_double_loop(self, rng):
-        # 1,100 rows span three 512-row gram chunks
+        # 1,100 rows span ten gram blocks of _gram_rows(1100) = 119 rows
         for n in (50, 300, 1100):
             ds = Dataset(rng.standard_normal((n, 6)).astype(np.float32))
             assert np.array_equal(self_dominator_set(ds), census_reference(ds))
 
     def test_duplicates_across_chunk_boundary(self, rng):
-        # two copies of one long vector, on either side of a 512-row gram
-        # chunk boundary, tie with each other, so neither is a strict
+        # two copies of one long vector, on either side of a gram block
+        # boundary, tie with each other, so neither is a strict
         # self-dominator; a single copy is one
         pts = rng.standard_normal((1100, 6)).astype(np.float32)
         long = 3 * pts[int(np.argmax(np.einsum("ij,ij->i", pts, pts)))]
-        for a, b in ((500, 700), (511, 512), (3, 1030)):
+        edge = _gram_rows(1100)  # the first block boundary
+        for a, b in ((500, 700), (edge - 1, edge), (3, 1090)):
             single = pts.copy()
             single[a] = long
             assert a in self_dominator_set(Dataset(single))
@@ -193,19 +194,19 @@ class TestSelfDominators:
             assert np.array_equal(best, expected[1])
 
     def test_exact_knn_census(self, rng):
-        # the exact K-NN pass takes the census from its own gram chunks:
-        # 1,100 rows span three, and two tied pairs of long rows sit on
-        # either side of a chunk boundary (511/512) and in the first and
-        # last chunk (3/1030)
+        # the exact K-NN pass takes the census from its own gram blocks:
+        # 1,100 rows span ten, and two tied pairs of long rows sit on
+        # either side of a block boundary and in the first and last block
         pts = rng.standard_normal((1100, 6)).astype(np.float32)
         long = 3 * pts[int(np.argmax(np.einsum("ij,ij->i", pts, pts)))]
-        pts[511], pts[3] = long, -long
+        edge = _gram_rows(1100)  # the first block boundary
+        pts[edge - 1], pts[3] = long, -long
         single = build_exact_knn(Dataset(pts), 8).self_dominator
-        assert single.dtype == bool and single[[3, 511]].all()
-        pts[512], pts[1030] = long, -long
+        assert single.dtype == bool and single[[3, edge - 1]].all()
+        pts[edge], pts[1090] = long, -long
         ds = Dataset(pts)
         flags = build_exact_knn(ds, 8).self_dominator
-        assert not flags[[3, 511, 512, 1030]].any()
+        assert not flags[[3, edge - 1, edge, 1090]].any()
         assert np.array_equal(np.flatnonzero(flags), census_reference(ds))
 
     def test_monotone_under_growth(self, rng):
