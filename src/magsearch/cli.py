@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "at random")
     p.add_argument("--workers", type=int, default=1,
                    help="processes for stage 2; the index bytes do not "
-                        "depend on it")
+                        "depend on it. Each keeps the BLAS library's default "
+                        "thread count, so run workers > 1 with "
+                        "OPENBLAS_NUM_THREADS=1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 

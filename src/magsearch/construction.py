@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import UsageError
 from .metrics import Dataset, MetricKind
@@ -113,14 +111,26 @@ class CsrEdges:
         return (self[i] for i in range(self.n))
 
 
-def _topk_row(d2_row: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k smallest by (distance, id), handling ties at the boundary."""
-    part = np.argpartition(d2_row, k - 1)[:k]
-    theta = d2_row[part].max()
-    cand = np.nonzero(d2_row <= theta)[0]
-    order = np.lexsort((cand, d2_row[cand]))
-    sel = cand[order[:k]]
-    return sel.astype(np.int32), d2_row[sel]
+def _topk_rows(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (B, n) keys, the ids of its k smallest by (key, id)
+    and their keys, both (B, k).
+
+    One partition finds each row's k-th key; the candidates are the keys
+    at or below it. A row with more than k of them has a tie at the
+    boundary: then one stable sort of the block's candidates by (row, key)
+    keeps each row's first k in id order among ties. The final stable sort
+    within rows orders the k ids by (key, id).
+    """
+    b, n = keys.shape
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1, None]
+    rows, cols = np.divmod(np.flatnonzero(keys <= kth), n)
+    if len(cols) > b * k:
+        cols = cols[np.lexsort((keys[rows, cols], rows))]
+        cols = cols[np.searchsorted(rows, np.arange(b))[:, None] + np.arange(k)]
+    cols = cols.reshape(b, k)
+    order = np.argsort(np.take_along_axis(keys, cols, axis=1), axis=1, kind="stable")
+    ids = np.take_along_axis(cols, order, axis=1)
+    return ids.astype(np.int32), np.take_along_axis(keys, ids, axis=1)
 
 
 def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
@@ -143,10 +153,7 @@ def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
         d2 += sq_norms[start:stop, None]
         d2 += sq_norms[None, :]
         np.maximum(d2, 0.0, out=d2)
-        for local in range(stop - start):
-            ids, dd = _topk_row(d2[local], K)
-            neighbors[start + local] = ids
-            dists[start + local] = dd
+        neighbors[start:stop], dists[start:stop] = _topk_rows(d2, K)
     return KnnGraph(k=K, neighbors=neighbors, dists=dists, self_dominator=census)
 
 
@@ -267,7 +274,14 @@ def _rank(src: np.ndarray, dst: np.ndarray, key: np.ndarray,
 
 
 def count_strong_components(edges: CsrEdges) -> int:
-    """Number of strongly connected components of a directed adjacency."""
+    """Number of strongly connected components of a directed adjacency.
+
+    scipy loads here, on the first call, not with the package: no build,
+    query or CLI start needs it, and loading it would double the start-up
+    time and memory of every process that imports the package."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     mat = csr_matrix((np.ones(len(edges.ids)), edges.ids, edges.offsets),
                      shape=(edges.n, edges.n))
     count, _ = connected_components(mat, directed=True, connection="strong")

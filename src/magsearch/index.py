@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import (CsrEdges, _merge_reverse, _pair_scores, _rank,
-                           _topk_row, build_exact_knn, mrng_prune, ndg_select)
+                           _topk_rows, build_exact_knn, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
 from .search import SearchGraph
-from .stats import _exact_key_blocks, _gram_rows, self_dominator_set
+from .stats import _exact_key_blocks, _gram_rows, _row_blocks, self_dominator_set
 
 MAGIC = b"MAG1"
 VERSION = 1
@@ -144,10 +144,10 @@ def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
 
 
 def _stage2_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    """Node ranges of whole gram blocks, about four per worker."""
+    """Node ranges of whole gram blocks, about four per worker; as in every
+    gram scan, a lone last row joins the range before it."""
     block = _gram_rows(n)
-    chunk = block * math.ceil(math.ceil(n / block) / (4 * workers))
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    return _row_blocks(n, block * math.ceil(math.ceil(n / block) / (4 * workers)))
 
 
 def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
@@ -163,7 +163,7 @@ def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
     for lo, keys in _exact_key_blocks(base64, base64[start:stop],
                                       MetricKind.INNER_PRODUCT):
         nodes = np.arange(start + lo, start + lo + len(keys))
-        pools = np.stack([_topk_row(row, min(ls, dataset.n))[0] for row in keys])
+        pools = _topk_rows(keys, min(ls, dataset.n))[0]
         kept = ndg_select(nodes, pools, base64, K2)
         srcs.append(nodes[np.nonzero(kept)[0]])
         dsts.append(pools[kept])

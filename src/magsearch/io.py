@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import _topk_row
+from .construction import _topk_rows
 from .errors import FormatError, UsageError
 from .metrics import Dataset, MetricKind
 from .stats import _exact_key_blocks
@@ -137,5 +137,5 @@ def compute_ground_truth(dataset: Dataset, queries: Dataset, k: int,
     rows = np.empty((queries.n, k), dtype=np.int32)
     for lo, keys in _exact_key_blocks(dataset.data.astype(np.float64),
                                       queries.data.astype(np.float64), metric):
-        rows[lo:lo + len(keys)] = [_topk_row(key, k)[0] for key in keys]
+        rows[lo:lo + len(keys)] = _topk_rows(keys, k)[0]
     return GroundTruth(k=k, rows=rows, metric=metric)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import UsageError
 from .metrics import Dataset, MetricKind
@@ -204,6 +203,16 @@ def _gram_rows(n: int) -> int:
     return max(_GRAM_MIN_ROWS, _GRAM_BYTES // (8 * n))
 
 
+def _row_blocks(rows: int, step: int) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of blocks of step rows over rows. A lone last row
+    joins the block before it: a one-row product runs as a gemv, which
+    rounds differently from the same row in a gemm of two or more rows."""
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [rows]))
+
+
 def best_cross_inner_product(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: <x_i, x_i> and max over j != i of <x_i, x_j> (-inf for one row).
 
@@ -218,12 +227,11 @@ def best_cross_inner_product(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _census_blocks(vecs: np.ndarray):
-    """Per block of ``_gram_rows`` rows of the float64 gram of vecs: the
-    block's first row, its self dots and best cross products, and its gram
-    rows with -inf on the diagonal."""
-    step = _gram_rows(len(vecs))
-    for start in range(0, len(vecs), step):
-        gram = vecs[start:start + step] @ vecs.T
+    """Per block of ``_gram_rows`` rows (``_row_blocks``) of the float64
+    gram of vecs: the block's first row, its self dots and best cross
+    products, and its gram rows with -inf on the diagonal."""
+    for start, stop in _row_blocks(len(vecs), _gram_rows(len(vecs))):
+        gram = vecs[start:stop] @ vecs.T
         yield start, *_chunk_best_cross(gram, start), gram
 
 
@@ -235,11 +243,11 @@ def _exact_key_blocks(base: np.ndarray, qs: np.ndarray, metric: MetricKind):
     rows than a gram block."""
     n, dim = base.shape
     step = _gram_rows(n) if metric.larger_is_better else max(1, _gram_rows(n) // dim)
-    for lo in range(0, len(qs), step):
+    for lo, hi in _row_blocks(len(qs), step):
         if metric.larger_is_better:
-            yield lo, -(qs[lo:lo + step] @ base.T)
+            yield lo, -(qs[lo:hi] @ base.T)
         else:
-            diff = base - qs[lo:lo + step, None]
+            diff = base - qs[lo:hi, None]
             yield lo, np.einsum("bij,bij->bi", diff, diff)
 
 
@@ -283,8 +291,11 @@ def expected_self_dominators(n: int, d: int, r: float) -> float:
     """n * P(||x|| > r) for element-wise standard Gaussian vectors.
 
     The norm follows a Chi distribution, so the tail is the regularized
-    upper incomplete gamma Q(d/2, r^2/2).
+    upper incomplete gamma Q(d/2, r^2/2). scipy loads on the first call,
+    as in ``construction.count_strong_components``.
     """
+    from scipy.special import gammaincc
+
     if n < 1 or d < 1 or r < 0:
         raise UsageError(f"need n >= 1, d >= 1, r >= 0; got n={n}, d={d}, r={r}")
     return float(n * gammaincc(d / 2.0, r * r / 2.0))

@@ -100,6 +100,32 @@ class TestExactKnn:
             build_exact_knn(small_gaussian, small_gaussian.n)
 
 
+class TestTopkRows:
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("k", [1, 5, 17, 60])
+    def test_matches_oracle_with_boundary_ties(self, metric, k):
+        # integer points, ten of them twice: the keys are exact and many
+        # rows tie at their k-th key, so one block mixes tied and untied rows
+        rng = np.random.default_rng(4)
+        grid = np.stack(np.meshgrid(np.arange(-20, 21), np.arange(-20, 21)),
+                        axis=-1).reshape(-1, 2)
+        pts = grid[rng.choice(len(grid), 60, replace=False)].astype(np.float32)
+        pts[50:] = pts[:10]
+        ds = Dataset(pts)
+        queries = grid[rng.choice(len(grid), 30, replace=False)].astype(np.float64)
+        base = f64(ds)
+        keys = (-(queries @ base.T) if metric.larger_is_better
+                else ((base - queries[:, None]) ** 2).sum(axis=-1))
+        kth = np.sort(keys, axis=1)[:, k - 1, None]
+        tied = np.count_nonzero(keys <= kth, axis=1) > k
+        assert tied.any() == (k < ds.n) and not tied.all()
+        ids, vals = construction._topk_rows(keys.copy(), k)
+        assert ids.dtype == np.int32
+        want = [brute_force_topk(ds, q, k, metric) for q in queries]
+        assert np.array_equal(ids, want)
+        assert np.array_equal(vals, np.take_along_axis(keys, ids, axis=1))
+
+
 def prune_row(node, ids, d2, base, K1):
     """The ids ``mrng_prune`` keeps of one candidate row."""
     ids = np.asarray(ids)

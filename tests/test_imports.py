@@ -1,6 +1,7 @@
 """Every package, test and demo module reads each name it imports, no
-package module rebinds module state with a ``global`` statement, and every
-top-level name of the package is read by a package module or exported.
+package module rebinds module state with a ``global`` statement, every
+top-level name of the package is read by a package module or exported,
+and importing the package loads no scipy module.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by ``import`` or ``from ... import`` must appear somewhere in the
@@ -10,6 +11,9 @@ create and pass, so one call (or test) cannot change the next.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +101,17 @@ def test_finds_a_dead_name():
 
 def test_no_dead_names():
     assert dead_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_package_import_loads_no_scipy():
+    """scipy loads on the first call of ``count_strong_components`` or
+    ``expected_self_dominators``; no build, query or CLI start pays for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys\nimport magsearch, magsearch.cli, magsearch.bench\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

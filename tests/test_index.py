@@ -227,16 +227,18 @@ class TestStage2:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_node_ranges_differ_but_bytes_do_not(self):
-        # at n = 1,200 the gram blocks are 109 rows, and 1, 2 and 3 workers
-        # split the 12 blocks into 4, 6 and 12 node ranges
+        # at n = 1,200 the gram blocks are 109 rows, and the lone 1,200th
+        # row joins the 11th; 1, 2, 3 and 4 workers split the 11 blocks
+        # into 4, 6, 11 and 11 node ranges, none of them a single row
         ds = generate_synthetic(SyntheticSpec("gaussian", n=1200, dim=8, seed=3))
-        ranges = [index_mod._stage2_ranges(ds.n, w) for w in (1, 2, 3)]
-        assert [len(r) for r in ranges] == [4, 6, 12]
+        ranges = [index_mod._stage2_ranges(ds.n, w) for w in (1, 2, 3, 4)]
+        assert [len(r) for r in ranges] == [4, 6, 11, 11]
         block = stats_mod._gram_rows(ds.n)
-        assert all(lo % block == 0 for r in ranges for lo, _ in r)
+        assert all(lo % block == 0 and hi - lo > 1 for r in ranges for lo, hi in r)
+        assert all(r[-1][1] == ds.n for r in ranges)
         stage1 = build_stage1(ds, K=12, K1=6)
         blobs = {index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24, workers=w))
-                 for w in (1, 2, 3)}
+                 for w in (1, 2, 3, 4)}
         assert len(blobs) == 1
 
     def test_flags_match_census_gate(self, built):

@@ -149,7 +149,8 @@ class TestComputeGroundTruth:
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_query_blocks_match_single_queries(self, rng, metric):
         # at n = 1,200 a block holds 109 queries under inner product and 6
-        # under l2, so 219 queries end in blocks of 1 and 3 rows
+        # under l2, so 219 queries end in blocks of 110 rows (the lone last
+        # query joins the block before it) and of 3 rows
         data = Dataset(rng.standard_normal((1200, 16)).astype(np.float32))
         queries = Dataset(rng.standard_normal((219, 16)).astype(np.float32))
         gt = compute_ground_truth(data, queries, 10, metric)

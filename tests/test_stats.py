@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from magsearch import Dataset, UsageError
+from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import build_exact_knn
-from magsearch.stats import (_chunk_best_cross, _gram_rows,
+from magsearch.stats import (_chunk_best_cross, _gram_rows, best_cross_inner_product,
                              coefficient_of_variation, compute_stats,
                              davies_bouldin, dominator_probability,
                              dominator_probability_mc, estimate_nn_angle,
@@ -208,6 +209,25 @@ class TestSelfDominators:
         flags = build_exact_knn(ds, 8).self_dominator
         assert not flags[[3, edge - 1, edge, 1090]].any()
         assert np.array_equal(np.flatnonzero(flags), census_reference(ds))
+
+    def test_lone_last_row_is_a_gemm_row(self):
+        # 1,200 rows leave one over eleven blocks of _gram_rows(1200) = 109.
+        # Alone, that row's product would run as a gemv, which rounds
+        # differently from a gemm; it joins the block before it, so its
+        # best cross product and K-NN distances carry the bits of the same
+        # row in a 200-row block
+        ds = generate_synthetic(SyntheticSpec("gaussian", n=1200, dim=16, seed=1))
+        base = ds.data.astype(np.float64)
+        assert ds.n % _gram_rows(ds.n) == 1
+        gram = (base[-200:] @ base.T)[-1]
+        self_dot, gram[-1] = gram[-1], -np.inf
+        dots, cross = best_cross_inner_product(base)
+        assert dots[-1] == self_dot and cross[-1] == gram.max()
+        sq = np.einsum("ij,ij->i", base, base)
+        d2 = np.maximum(gram * -2.0 + sq[-1] + sq, 0.0)
+        knn = build_exact_knn(ds, 32)
+        assert knn.neighbors[-1].tolist() == np.argsort(d2, kind="stable")[:32].tolist()
+        assert np.array_equal(knn.dists[-1], d2[knn.neighbors[-1]])
 
     def test_monotone_under_growth(self, rng):
         # adding points can only remove dominators among the existing ones,
