@@ -41,7 +41,7 @@ index = ms.build_mag(data, K=32, K1=16, K2=16, ls=64, seed=0)
 print("pure-IP edges only (alpha=1), pure-IP navigation (m=0):")
 trap_graph = ms.materialize(index, R=16, alpha=1.0)
 res = run_queries(trap_graph, data, queries, ls=200, k=100, m=0, seed=11)
-recalls = [len(np.intersect1d(r.ids, gt.rows[i])) / 100
+recalls = [len(np.intersect1d(r.ids, gt[i])) / 100
            for i, r in enumerate(res)]
 print("  per-query recall@100:", " ".join(f"{r:.2f}" for r in recalls))
 print(f"  panel mean {np.mean(recalls):.3f}, "

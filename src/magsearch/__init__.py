@@ -16,8 +16,8 @@ from .construction import (build_exact_knn, build_exact_ndg,
 from .errors import FormatError, UsageError
 from .index import (MagIndex, build_mag, build_stage1, build_stage2,
                     load_index, materialize, save_index)
-from .io import (brute_force_topk, compute_ground_truth, load_ground_truth,
-                 read_fvecs, read_ivecs, save_ground_truth, write_fvecs)
+from .io import (brute_force_topk, compute_ground_truth, read_fvecs,
+                 read_ivecs, write_fvecs)
 from .metrics import Dataset, MetricKind, score_batch
 from .search import SearchParams, anms_search, greedy_search
 from .stats import (compute_stats, dominator_probability,

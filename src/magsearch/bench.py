@@ -5,6 +5,8 @@ Distance-computation counts are the primary cross-machine comparison
 metric (deterministic); QPS is reported alongside, timed over the query
 loop only and averaged over repetitions. All randomized paths take a seed
 and produce bit-identical non-timing outputs regardless of worker count.
+Ground truth is the (n_queries, k) int32 id array that
+``io.compute_ground_truth`` returns and ``io.read_ivecs`` loads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .construction import (_pair_scores, _rank, build_exact_ndg,
                            count_strong_components, ndg_select)
 from .errors import FormatError, UsageError
 from .index import MagIndex, build_mag, index_to_bytes, load_index, materialize
-from .io import GroundTruth, compute_ground_truth
+from .io import check_ground_truth, compute_ground_truth
 from .metrics import Dataset, MetricKind
 from .search import (SearchGraph, SearchParams, SearchResult, anms_search,
                      greedy_search, lockstep_search, verify_scaling_duality)
@@ -80,14 +82,16 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(np.ascontiguousarray(data, dtype=np.float32))
 
 
-def recall_at_k(results: list[np.ndarray], gt: GroundTruth, k: int) -> float:
-    """Mean over queries of |result ids within the first k true ids| / k."""
-    if k > gt.k:
-        raise UsageError(f"recall@{k} needs ground-truth rows of >= {k} ids, have {gt.k}")
-    if len(results) != len(gt.rows):
-        raise UsageError(f"{len(results)} result rows vs {len(gt.rows)} ground-truth rows")
+def recall_at_k(results: list[np.ndarray], gt: np.ndarray, k: int) -> float:
+    """Mean over queries of |result ids within the first k true ids| / k;
+    gt holds one row of true ids per query, best first."""
+    if k > gt.shape[1]:
+        raise UsageError(f"recall@{k} needs ground-truth rows of >= {k} ids, "
+                         f"have {gt.shape[1]}")
+    if len(results) != len(gt):
+        raise UsageError(f"{len(results)} result rows vs {len(gt)} ground-truth rows")
     total = 0
-    for res, row in zip(results, gt.rows):
+    for res, row in zip(results, gt):
         total += len(np.intersect1d(np.asarray(res), row[:k]))
     return total / (k * len(results))
 
@@ -122,7 +126,7 @@ class BenchRecord:
 
 
 def bench_one(graph: SearchGraph, dataset: Dataset, queries: Dataset,
-              gt: GroundTruth, ls: int, k: int, m: int, seed: int,
+              gt: np.ndarray, ls: int, k: int, m: int, seed: int,
               reps: int = 3) -> BenchRecord:
     """One measured point: recall/counters from the first rep, QPS from all reps."""
     if reps < 1:
@@ -144,15 +148,15 @@ def bench_one(graph: SearchGraph, dataset: Dataset, queries: Dataset,
 
 
 def run_benchmark(index: MagIndex, dataset: Dataset, queries: Dataset,
-                  gt: GroundTruth, ls_list: list[int], R: int, alpha: float,
+                  gt: np.ndarray, ls_list: list[int], R: int, alpha: float,
                   m: int = 0, k: int = 100, seed: int = 0,
                   reps: int = 3) -> list[BenchRecord]:
     """Recall/QPS sweep over pool sizes on one materialized graph."""
     if queries.dim != dataset.dim:
         raise UsageError("query dimension does not match the dataset")
-    if gt.rows.shape[0] != queries.n:
+    if len(gt) != queries.n:
         raise UsageError("ground truth does not cover the query panel")
-    gt.validate(n=dataset.n)
+    check_ground_truth(gt, dataset.n)
     graph = materialize(index, R=R, alpha=alpha)
     return [bench_one(graph, dataset, queries, gt, ls=ls, k=k, m=m, seed=seed,
                       reps=reps)
@@ -178,7 +182,7 @@ DEFAULT_LS_SCHEDULE = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768,
 
 
 def find_ls_for_recall(graph: SearchGraph, dataset: Dataset, queries: Dataset,
-                       gt: GroundTruth, target: float, k: int, m: int = 0,
+                       gt: np.ndarray, target: float, k: int, m: int = 0,
                        seed: int = 0, schedule=DEFAULT_LS_SCHEDULE) -> BenchRecord | None:
     """Walk the pool-size schedule until panel recall reaches the target."""
     for ls in schedule:
@@ -258,8 +262,7 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = None,
-                 index: MagIndex | None = None,
+def verify_suite(dataset: Dataset, index: MagIndex | None = None,
                  max_n_exact: int = 2000) -> VerifyReport:
     """Run the cross-module invariant checks and collect a pass/fail table.
 
@@ -267,9 +270,6 @@ def verify_suite(dataset: Dataset | None = None, spec: SyntheticSpec | None = No
     dataset has at most ``max_n_exact`` points.
     """
     report = VerifyReport()
-    if dataset is None:
-        spec = spec or SyntheticSpec("gaussian", n=1000, dim=8, seed=0)
-        dataset = generate_synthetic(spec)
     rng = np.random.default_rng(12345)
 
     # dominator-graph structure (tie-tolerant so duplicated points pass)

@@ -17,14 +17,10 @@ from .bench import (SCALE_CSV_HEADER, SyntheticSpec, config_line,
                     run_scaling_study, verify_suite)
 from .errors import FormatError, UsageError
 from .index import MagIndex, build_mag, load_index, materialize, save_index
-from .io import (compute_ground_truth, load_ground_truth, read_fvecs,
-                 save_ground_truth, write_fvecs)
+from .io import (compute_ground_truth, read_fvecs, read_ivecs, write_fvecs,
+                 write_ivecs)
 from .metrics import Dataset, MetricKind
 from .stats import compute_stats, tuning_hint
-
-
-def _metric(name: str) -> MetricKind:
-    return MetricKind.INNER_PRODUCT if name == "ip" else MetricKind.EUCLIDEAN
 
 
 def seed(text: str) -> int:
@@ -79,8 +75,8 @@ def cmd_gen(args) -> int:
 def cmd_gt(args) -> int:
     data = read_fvecs(args.data)
     queries = read_fvecs(args.queries)
-    gt = compute_ground_truth(data, queries, args.k, _metric(args.metric))
-    save_ground_truth(gt, args.out)
+    gt = compute_ground_truth(data, queries, args.k, MetricKind(args.metric))
+    write_ivecs(gt, args.out)
     print(f"wrote top-{args.k} {args.metric} ground truth for "
           f"{queries.n} queries to {args.out}")
     return 0
@@ -121,10 +117,10 @@ def cmd_search(args) -> int:
     data = read_fvecs(args.data)
     index = _load_matching_index(args.index, data)
     queries = read_fvecs(args.queries)
-    metric = _metric(args.metric)
     graph = materialize(index, R=args.R, alpha=args.alpha)
     results = bench_mod.run_queries(graph, data, queries, ls=args.ls, k=args.k,
-                                    m=args.m, seed=args.seed, metric=metric)
+                                    m=args.m, seed=args.seed,
+                                    metric=MetricKind(args.metric))
     lines = [config_line(_config(args)), "query,ids,dist_comps,hops"]
     for qid, res in enumerate(results):
         ids = " ".join(str(int(v)) for v in res.ids)
@@ -137,7 +133,7 @@ def cmd_bench(args) -> int:
     data = read_fvecs(args.data)
     index = _load_matching_index(args.index, data)
     queries = read_fvecs(args.queries)
-    gt = load_ground_truth(args.gt)
+    gt = read_ivecs(args.gt)
     records = run_benchmark(index, data, queries, gt, ls_list=args.ls, R=args.R,
                             alpha=args.alpha, m=args.m, k=args.k, seed=args.seed,
                             reps=args.reps)
@@ -156,14 +152,10 @@ def cmd_scale(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dataset = read_fvecs(args.data) if args.data else None
-    spec = None
-    if dataset is None:
-        spec = SyntheticSpec(kind=args.kind, n=args.n, dim=args.dim,
-                             seed=args.seed)
+    dataset = (read_fvecs(args.data) if args.data else generate_synthetic(
+        SyntheticSpec(kind=args.kind, n=args.n, dim=args.dim, seed=args.seed)))
     index = load_index(args.index) if args.index else None
-    report = verify_suite(dataset=dataset, spec=spec, index=index,
-                          max_n_exact=args.max_n_exact)
+    report = verify_suite(dataset, index=index, max_n_exact=args.max_n_exact)
     print(report.render())
     return 0 if report.passed else 1
 

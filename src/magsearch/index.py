@@ -67,8 +67,9 @@ class MagIndex:
                              f"but the data has {dataset.n} of dim {dataset.dim}")
 
     def validate(self, dataset: Dataset | None = None) -> None:
-        for kind, edges, cap in (("euclid", self.euclid, self.K1),
-                                 ("ip", self.ip, self.K2)):
+        families = (("euclid", self.euclid, self.K1, MetricKind.EUCLIDEAN),
+                    ("ip", self.ip, self.K2, MetricKind.INNER_PRODUCT))
+        for kind, edges, cap, _ in families:
             if edges.n != self.n:
                 raise UsageError("edge list length does not match n")
             src, ids = edges.sources(), edges.ids
@@ -85,14 +86,18 @@ class MagIndex:
         if dataset is not None:
             self.check_shape(dataset)
             base = dataset.data.astype(np.float64)
-            src, ids = self.euclid.sources(), self.euclid.ids
-            diff = base[ids] - base[src]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            descending = (d2[1:] < d2[:-1]) | ((d2[1:] == d2[:-1]) & (ids[1:] < ids[:-1]))
-            bad = src[1:][(src[1:] == src[:-1]) & descending]
-            if len(bad):
-                raise UsageError(f"node {bad[0]}: euclid edges not in "
-                                 "(distance, id) order")
+            # the keys both mirrors rank by, so that a fresh build passes
+            # whatever the rounding of other kernels
+            for kind, edges, _, metric in families:
+                src, ids = edges.sources(), edges.ids
+                key = _pair_scores(metric, base, src, ids)
+                key = -key if metric.larger_is_better else key
+                descending = (key[1:] < key[:-1]) | ((key[1:] == key[:-1])
+                                                     & (ids[1:] < ids[:-1]))
+                bad = src[1:][(src[1:] == src[:-1]) & descending]
+                if len(bad):
+                    raise UsageError(f"node {bad[0]}: {kind} edges not best "
+                                     "first, ties by id")
             if not np.array_equal(np.flatnonzero(self.self_dominator),
                                   self_dominator_set(dataset)):
                 raise UsageError("self-dominator flags disagree with the census")
@@ -185,18 +190,18 @@ def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
 
 
 def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
-                 seed: int = 0, workers: int = 1, passes: int | None = None,
-                 mirror: bool = True) -> MagIndex:
+                 seed: int = 0, workers: int = 1,
+                 passes: int | None = None) -> MagIndex:
     """Inject up to K2 dominator edges per node on top of a stage-1 index.
 
     Each node's IP candidate pool is its exact top min(ls, n) ids by
     descending inner product (ties by id), the node itself included, from
     one pass over fixed blocks of gram rows; dominator selection keeps up
-    to K2 of each pool. mirror=True adds the reverse copy of every selected
-    edge under the K2 cap; metadata records the flag. K2=0 leaves the index
-    unchanged apart from metadata. The self-dominator flags are stage 1's
-    strict census at every n. Stage 2 draws nothing at random: ``seed`` is
-    only validated and recorded. ``passes`` is ignored; it remains for
+    to K2 of each pool, and the reverse copy of every selected edge joins
+    its target's list under the K2 cap (``_mirror_ip``). K2=0 leaves the
+    index unchanged apart from metadata. The self-dominator flags are stage
+    1's strict census at every n. Stage 2 draws nothing at random: ``seed``
+    is only validated and recorded. ``passes`` is ignored; it remains for
     callers written against the search-based stage 2. Results are
     independent of ``workers``, which must be >= 1: node ranges are whole
     gram blocks, whose bounds depend on n alone.
@@ -209,8 +214,10 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     meta = dict(stage1.metadata)
+    # "mirror" stays in the metadata, so the index bytes equal those of
+    # earlier versions, which could also skip the reverse copies
     meta.update({"stage": 2, "K2": K2, "stage2_ls": ls, "stage2_seed": seed,
-                 "mirror": mirror})
+                 "mirror": True})
     if K2 == 0:
         return MagIndex(n=stage1.n, dim=stage1.dim, K1=stage1.K1, K2=0,
                         euclid=stage1.euclid.copy(), ip=CsrEdges.empty(stage1.n),
@@ -225,8 +232,7 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
         parts = (pool.map if pool else map)(task, _stage2_ranges(n, workers))
         # one statement, so that no task's (source, target) arrays outlive it
         accepted = CsrEdges.from_pairs(*map(np.concatenate, zip(*parts)), n)
-    if mirror:
-        accepted = _mirror_ip(accepted, dataset.data.astype(np.float64), K2)
+    accepted = _mirror_ip(accepted, dataset.data.astype(np.float64), K2)
     return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
                     euclid=stage1.euclid.copy(), ip=accepted,
                     self_dominator=stage1.self_dominator.copy(), metadata=meta)

@@ -3,12 +3,11 @@
 File layout (little-endian): each record is a 4-byte signed int ``d``
 followed by ``d`` 4-byte values — float32 for fvecs, int32 for ivecs.
 All records in a file must share ``d``. The oracle accumulates in float64
-so ground truth out-precisions the float32 engine.
+so ground truth out-precisions the float32 engine. Ground truth is an
+(n_queries, k) int32 array of ids, best first, kept on disk as ivecs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,32 +75,15 @@ def write_ivecs(rows: np.ndarray, path: str) -> None:
     _write_records(rows, path, "<i4")
 
 
-@dataclass
-class GroundTruth:
-    """Per-query top-k ids, best-first under the stated metric."""
-
-    k: int
-    rows: np.ndarray  # (n_queries, k) int32
-    metric: MetricKind = MetricKind.INNER_PRODUCT
-
-    def validate(self, n: int | None = None) -> None:
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.k:
-            raise UsageError(f"ground truth rows must be (n_queries, {self.k})")
-        ordered = np.sort(self.rows, axis=1)
-        dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        if dup.any():
-            raise UsageError(f"ground truth row {dup.argmax()} has duplicate ids")
-        if n is not None and ((self.rows < 0) | (self.rows >= n)).any():
-            raise UsageError(f"ground truth ids out of range [0, {n})")
-
-
-def save_ground_truth(gt: GroundTruth, path: str) -> None:
-    write_ivecs(gt.rows, path)
-
-
-def load_ground_truth(path: str, metric: MetricKind = MetricKind.INNER_PRODUCT) -> GroundTruth:
-    rows = read_ivecs(path)
-    return GroundTruth(k=rows.shape[1], rows=rows, metric=metric)
+def check_ground_truth(rows: np.ndarray, n: int) -> None:
+    """Raise unless every row of ground-truth ids is free of repeats and
+    indexes data of n vectors; the first row with a repeat is named."""
+    ordered = np.sort(rows, axis=1)
+    dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if dup.any():
+        raise UsageError(f"ground truth row {dup.argmax()} has duplicate ids")
+    if ((rows < 0) | (rows >= n)).any():
+        raise UsageError(f"ground truth ids out of range [0, {n})")
 
 
 def brute_force_topk(dataset: Dataset, q, k: int, metric: MetricKind) -> np.ndarray:
@@ -127,9 +109,10 @@ def brute_force_topk(dataset: Dataset, q, k: int, metric: MetricKind) -> np.ndar
 
 
 def compute_ground_truth(dataset: Dataset, queries: Dataset, k: int,
-                         metric: MetricKind) -> GroundTruth:
-    """``brute_force_topk`` over a query set, by blocks of queries; ties
-    at the k-th place break by lower id."""
+                         metric: MetricKind) -> np.ndarray:
+    """``brute_force_topk`` over a query set, by blocks of queries: the
+    (n_queries, k) int32 ids, best first; ties at the k-th place break by
+    lower id."""
     if queries.dim != dataset.dim:
         raise UsageError(f"query dim {queries.dim} != dataset dim {dataset.dim}")
     if not 1 <= k <= dataset.n:
@@ -138,4 +121,4 @@ def compute_ground_truth(dataset: Dataset, queries: Dataset, k: int,
     for lo, keys in _exact_key_blocks(dataset.data.astype(np.float64),
                                       queries.data.astype(np.float64), metric):
         rows[lo:lo + len(keys)] = _topk_rows(keys, k)[0]
-    return GroundTruth(k=k, rows=rows, metric=metric)
+    return rows

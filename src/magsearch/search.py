@@ -112,11 +112,10 @@ class CandidatePool:
     the hint is known to be visited.
     """
 
-    def __init__(self, capacity: int, metric: MetricKind):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise UsageError(f"pool capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.metric = metric
         self._keys: list[tuple[float, int]] = []
         self._visited: list[bool] = []
         self._hint = 0
@@ -124,17 +123,14 @@ class CandidatePool:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def insert(self, vid: int, raw_score: float) -> bool:
-        """Insert unless the pool is full and the entry is no better than the worst.
+    def insert(self, key: tuple[float, int]) -> bool:
+        """Insert the orientation-adjusted (score, id) key unless the pool is
+        full and the key is no better than the worst (``metrics.sort_key``).
 
         Callers must not offer the same id twice per query (the traversal's
         seen-table guarantees that); an id evicted from a full pool can
         never re-qualify because the pool only ever improves.
         """
-        return self._insert_key(sort_key(self.metric, raw_score, vid))
-
-    def _insert_key(self, key: tuple[float, int]) -> bool:
-        """Hot path: key is the already orientation-adjusted (score, id)."""
         keys = self._keys
         visited = self._visited
         if len(keys) >= self.capacity:
@@ -170,7 +166,6 @@ class CandidatePool:
         """Re-key every entry under a new metric, preserving visited flags."""
         flags = {key[1]: vis for key, vis in zip(self._keys, self._visited)}
         rekeyed = sorted(sort_key(metric, raw_scores[vid], vid) for vid in flags)
-        self.metric = metric
         self._keys = rekeyed
         self._visited = [flags[key[1]] for key in rekeyed]
         self._hint = 0
@@ -266,7 +261,7 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
     data, rows = dataset.data, graph.padded
     sq = None if ips is None else dataset.sq_norms
     flip = metric.larger_is_better
-    insert = pool._insert_key
+    insert = pool.insert
     pop = pool.pop_best_unvisited
     done = 0
     while max_expansions is None or done < max_expansions:
@@ -321,7 +316,7 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     qv = _check_query(graph, dataset, q, params.k)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
     entries = _seed_ids(graph.n, params)
-    pool = CandidatePool(params.ls, first)
+    pool = CandidatePool(params.ls)
     seen = np.zeros(graph.n, dtype=bool)
     seen[entries] = True
     if m > 0:
@@ -333,7 +328,7 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     if first.larger_is_better:
         scores = -scores
     for key in zip(scores.tolist(), entries.tolist()):
-        pool._insert_key(key)
+        pool.insert(key)
     if m > 0:
         _expand_loop(pool, graph, dataset, qv, first, seen, stats,
                      max_expansions=m, debug=debug, ips=ips)
@@ -345,7 +340,12 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
 
 def greedy_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
                   metric: MetricKind, debug: bool = False) -> SearchResult:
-    """Single-metric beam search: expand best-unvisited until pool exhaustion."""
+    """Single-metric beam search: expand best-unvisited until pool exhaustion.
+
+    The metric switch is ``anms_search``'s: params.m must be 0."""
+    if params.m > 0:
+        raise UsageError(f"greedy_search runs no metric switch, got m={params.m}; "
+                         "use anms_search")
     return _search(graph, dataset, q, params, metric, 0, debug)
 
 

@@ -22,6 +22,7 @@ from .metrics import Dataset, MetricKind
 CV_IP_THRESHOLD = 0.1   # norm spread at or above this favors IP-oriented tuning
 DBI_CLUSTERED_THRESHOLD = 2.0  # DBI at or below this favors Euclidean-oriented tuning
 DEFAULT_DBI_CLUSTERS = 16
+KMEANS_MAX_ITER = 100  # Lloyd iterations before kmeans stops short of convergence
 _GRAM_BYTES = 1 << 20  # float64 gram rows that an exact O(n^2) scan holds at once
 _GRAM_MIN_ROWS = 32  # rows of the thinnest gemm call that pays for its set-up
 
@@ -73,7 +74,7 @@ def _check_cluster_metric(metric: str) -> None:
 
 
 def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
-           seed: int = 0, max_iter: int = 100) -> Clustering:
+           seed: int = 0) -> Clustering:
     """Lloyd's iteration with k-means++ seeding, deterministic given seed.
 
     Cosine mode clusters direction: points are norm-normalized and each
@@ -115,7 +116,7 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
         closest = np.minimum(closest, dist_to(centroids[c]))
 
     assignment = np.zeros(n, dtype=np.int32)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         if metric == "cosine":
             cnorm = centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
             sims = pts @ cnorm.T

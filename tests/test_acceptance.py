@@ -209,7 +209,7 @@ def test_c06_metric_switch_rescue(trap):
     data, queries, gt, index = trap
     pure = materialize(index, R=16, alpha=1.0)
     res = run_queries(pure, data, queries, ls=200, k=100, m=0, seed=11)
-    per_query = [len(np.intersect1d(r.ids, gt.rows[i])) / 100
+    per_query = [len(np.intersect1d(r.ids, gt[i])) / 100
                  for i, r in enumerate(res)]
     zero_queries = sum(1 for r in per_query if r == 0.0)
 

@@ -9,25 +9,24 @@ from magsearch import (Dataset, MetricKind, UsageError, build_mag,
                        compute_ground_truth, generate_synthetic, recall_at_k,
                        run_benchmark, verify_suite)
 from magsearch.bench import BENCH_CSV_HEADER, SyntheticSpec, records_to_csv
-from magsearch.io import GroundTruth
 from magsearch.stats import coefficient_of_variation, davies_bouldin, kmeans
 
 
 class TestRecallAtK:
     def test_hand_fraction(self):
-        gt = GroundTruth(k=3, rows=np.array([[1, 2, 4]], dtype=np.int32))
+        gt = np.array([[1, 2, 4]], dtype=np.int32)
         assert recall_at_k([np.array([1, 2, 3])], gt, 3) == pytest.approx(2 / 3)
 
     def test_identity(self):
-        gt = GroundTruth(k=3, rows=np.array([[5, 6, 7]], dtype=np.int32))
+        gt = np.array([[5, 6, 7]], dtype=np.int32)
         assert recall_at_k([np.array([7, 5, 6])], gt, 3) == 1.0
 
     def test_disjoint(self):
-        gt = GroundTruth(k=2, rows=np.array([[1, 2]], dtype=np.int32))
+        gt = np.array([[1, 2]], dtype=np.int32)
         assert recall_at_k([np.array([8, 9])], gt, 2) == 0.0
 
     def test_short_rows_rejected(self):
-        gt = GroundTruth(k=2, rows=np.array([[1, 2]], dtype=np.int32))
+        gt = np.array([[1, 2]], dtype=np.int32)
         with pytest.raises(UsageError):
             recall_at_k([np.array([1, 2, 3])], gt, 3)
 
@@ -99,7 +98,7 @@ class TestBenchmark:
     def test_ground_truth_ids_must_index_the_data(self, bench_setup):
         # ids shifted past n used to give recall 0.0 with no error
         data, queries, gt, index = bench_setup
-        shifted = GroundTruth(k=gt.k, rows=gt.rows + data.n, metric=gt.metric)
+        shifted = gt + data.n
         with pytest.raises(UsageError, match="out of range"):
             run_benchmark(index, data, queries, shifted, ls_list=[16], R=12,
                           alpha=0.5, m=0, k=10, seed=1, reps=1)
@@ -137,8 +136,9 @@ def test_traced_call_sites_exist(module, name):
 
 class TestVerifySuite:
     def test_passes_on_gaussian(self):
-        report = verify_suite(spec=SyntheticSpec("gaussian", n=400, dim=8, seed=0),
-                              max_n_exact=500)
+        report = verify_suite(
+            generate_synthetic(SyntheticSpec("gaussian", n=400, dim=8, seed=0)),
+            max_n_exact=500)
         assert report.passed, report.render()
         names = {c.name for c in report.checks}
         assert "ndg-strong-connectivity" in names
@@ -156,8 +156,9 @@ class TestVerifySuite:
     def test_index_of_other_data_fails(self):
         data = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=1))
         index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=1)
-        report = verify_suite(spec=SyntheticSpec("gaussian", n=400, dim=8, seed=0),
-                              index=index, max_n_exact=0)
+        report = verify_suite(
+            generate_synthetic(SyntheticSpec("gaussian", n=400, dim=8, seed=0)),
+            index=index, max_n_exact=0)
         rows = {c.name: c for c in report.checks}
         assert not rows["index-invariants"].passed
         assert rows["index-invariants"].detail == (

@@ -133,21 +133,21 @@ class TestStage2:
             build_stage2(stage1, ds, K2=4, ls=8, workers=workers)
 
     def test_exhaustive_pool_matches_exact_selection(self, rng):
-        # with mirroring off, stage 2 equals dominator selection over each
-        # node's brute-force (-IP, id) pool, at ls = n and at ls < n; the
-        # integer data puts duplicates and exact ties at the pool boundary
+        # before mirroring, stage 2's edges equal dominator selection over
+        # each node's brute-force (-IP, id) pool, at ls = n and at ls < n;
+        # the integer data puts duplicates and exact ties at the pool boundary
         for pts, K2, ls, tied in ((rng.standard_normal((300, 8)), 6, 300, False),
                                   (rng.standard_normal((300, 8)), 6, 20, False),
                                   (tied_points(rng, 120), 5, 120, False),
                                   (tied_points(rng, 120), 5, 9, True)):
             ds = Dataset(np.asarray(pts, dtype=np.float32))
-            stage1 = build_stage1(ds, K=16, K1=8, seed=0)
-            idx = build_stage2(stage1, ds, K2=K2, ls=ls, seed=0, mirror=False)
+            src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls)
+            ip = CsrEdges.from_pairs(src, dst, ds.n)
             base = ds.data.astype(np.float64)
             ties = 0
             for i in range(ds.n):
                 pool = pool_reference(i, base, ls)
-                assert idx.ip[i].tolist() == select_row(i, pool, base, K2).tolist()
+                assert ip[i].tolist() == select_row(i, pool, base, K2).tolist()
                 if tied:
                     ranked = np.sort(base @ base[i])[::-1]
                     ties += ranked[ls - 1] == ranked[ls]
@@ -157,9 +157,7 @@ class TestStage2:
         ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
         stage1 = build_stage1(ds, K=8, K1=4)
         on = build_stage2(stage1, ds, K2=4, ls=16)
-        off = build_stage2(stage1, ds, K2=4, ls=16, mirror=False)
         assert on.metadata["mirror"] is True
-        assert off.metadata["mirror"] is False
 
     def test_k2_zero_identity(self, rng):
         ds = Dataset(rng.standard_normal((150, 6)).astype(np.float32))
@@ -432,6 +430,23 @@ class TestValidate:
         stage1 = build_stage1(data, K=16, K1=8)
         with pytest.raises(UsageError, match="stage-1 index has 400 vectors"):
             build_stage2(stage1, other, K2=8, ls=32)
+
+    @pytest.mark.parametrize("kind,kw", [("gaussian", {}),
+                                         ("heavytail", {"sigma_log": 0.5})])
+    @pytest.mark.parametrize("family", ["euclid", "ip"])
+    def test_rows_out_of_order_detected(self, kind, kw, family):
+        # materialize loads the first edges of each row, so a permuted row
+        # loads other edges: the pinned builds validate against their data,
+        # and a swap of two edges of node 0 does not
+        data = generate_synthetic(SyntheticSpec(kind, n=300, dim=8, seed=8, **kw))
+        index = build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2)
+        index.validate(data)
+        edges = getattr(index, family)
+        first = edges.offsets[0]
+        assert edges.lengths()[0] >= 3
+        edges.ids[[first, first + 2]] = edges.ids[[first + 2, first]]
+        with pytest.raises(UsageError, match=f"node 0: {family} edges not best first"):
+            index.validate(data)
 
     def test_out_of_range_detected(self, built):
         import copy

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from magsearch import (Dataset, FormatError, MetricKind, UsageError,
-                       brute_force_topk, compute_ground_truth,
-                       load_ground_truth, read_fvecs, read_ivecs,
-                       save_ground_truth, write_fvecs)
-from magsearch.io import GroundTruth, write_ivecs
+                       brute_force_topk, compute_ground_truth, read_fvecs,
+                       read_ivecs, write_fvecs)
+from magsearch.io import check_ground_truth, write_ivecs
 
 
 class TestFvecs:
@@ -76,15 +75,6 @@ class TestIvecs:
         write_ivecs(rows, path)
         assert np.array_equal(read_ivecs(path), rows)
 
-    def test_ground_truth_roundtrip(self, tmp_path, rng):
-        rows = np.stack([rng.permutation(100)[:10] for _ in range(20)]).astype(np.int32)
-        gt = GroundTruth(k=10, rows=rows, metric=MetricKind.INNER_PRODUCT)
-        path = str(tmp_path / "gt.ivecs")
-        save_ground_truth(gt, path)
-        back = load_ground_truth(path)
-        assert np.array_equal(back.rows, rows)
-        assert back.k == 10
-
 
 class TestBruteForceOracle:
     def test_ip_hand_example(self):
@@ -142,9 +132,9 @@ class TestComputeGroundTruth:
         gt = compute_ground_truth(data, queries, 7, MetricKind.EUCLIDEAN)
         for i in range(queries.n):
             assert np.array_equal(
-                gt.rows[i],
+                gt[i],
                 brute_force_topk(data, queries.vector(i), 7, MetricKind.EUCLIDEAN))
-        gt.validate(n=data.n)
+        check_ground_truth(gt, data.n)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_query_blocks_match_single_queries(self, rng, metric):
@@ -155,7 +145,7 @@ class TestComputeGroundTruth:
         queries = Dataset(rng.standard_normal((219, 16)).astype(np.float32))
         gt = compute_ground_truth(data, queries, 10, metric)
         for i in range(queries.n):
-            assert gt.rows[i].tolist() == brute_force_topk(
+            assert gt[i].tolist() == brute_force_topk(
                 data, queries.vector(i), 10, metric).tolist(), i
         for k in (0, data.n + 1):
             with pytest.raises(UsageError, match="out of range"):
@@ -164,15 +154,21 @@ class TestComputeGroundTruth:
     def test_duplicate_ids_name_the_first_bad_row(self):
         rows = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 6], [9, 9, 8]], dtype=np.int32)
         with pytest.raises(UsageError, match="row 2 has duplicate ids"):
-            GroundTruth(k=3, rows=rows).validate(n=10)
-        GroundTruth(k=3, rows=rows[:2]).validate(n=10)
+            check_ground_truth(rows, 10)
+        check_ground_truth(rows[:2], 10)
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_ids_outside_the_data_rejected(self, bad):
+        rows = np.array([[0, 1, 2], [3, 4, bad]], dtype=np.int32)
+        with pytest.raises(UsageError, match=r"out of range \[0, 10\)"):
+            check_ground_truth(rows, 10)
 
     def test_duplicate_queries_identical_rows(self, small_gaussian):
         q = small_gaussian.data[:1]
         queries = Dataset(np.vstack([q, q]).astype(np.float32))
         gt = compute_ground_truth(small_gaussian, queries, 5,
                                   MetricKind.INNER_PRODUCT)
-        assert np.array_equal(gt.rows[0], gt.rows[1])
+        assert np.array_equal(gt[0], gt[1])
 
     def test_dim_mismatch(self, small_gaussian, rng):
         queries = Dataset(rng.standard_normal((2, 9)).astype(np.float32))

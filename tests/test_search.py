@@ -103,42 +103,41 @@ def expansion_order(monkeypatch, search):
 
 class TestCandidatePool:
     def test_bound_and_order(self):
-        pool = CandidatePool(3, MetricKind.EUCLIDEAN)
+        pool = CandidatePool(3)
         for vid, s in [(5, 9.0), (2, 1.0), (8, 4.0), (1, 2.0)]:
-            pool.insert(vid, s)
+            pool.insert(sort_key(MetricKind.EUCLIDEAN, s, vid))
         assert len(pool) == 3
         assert pool.ids_best_first().tolist() == [2, 1, 8]  # 9.0 evicted
         pool.check_invariants()
 
     def test_reject_worse_when_full(self):
-        pool = CandidatePool(2, MetricKind.INNER_PRODUCT)
-        assert pool.insert(0, 5.0)
-        assert pool.insert(1, 4.0)
-        assert not pool.insert(2, 3.0)
-        assert pool.insert(3, 6.0)
+        pool = CandidatePool(2)
+        inserted = [pool.insert(sort_key(MetricKind.INNER_PRODUCT, s, vid))
+                    for vid, s in [(0, 5.0), (1, 4.0), (2, 3.0), (3, 6.0)]]
+        assert inserted == [True, True, False, True]
         assert pool.ids_best_first().tolist() == [3, 0]
 
     def test_tie_breaks_by_lower_id(self):
-        pool = CandidatePool(4, MetricKind.INNER_PRODUCT)
+        pool = CandidatePool(4)
         for vid in (7, 2, 5):
-            pool.insert(vid, 1.0)
+            pool.insert(sort_key(MetricKind.INNER_PRODUCT, 1.0, vid))
         assert pool.ids_best_first().tolist() == [2, 5, 7]
 
     def test_pop_best_unvisited(self):
-        pool = CandidatePool(4, MetricKind.EUCLIDEAN)
+        pool = CandidatePool(4)
         for vid, s in [(3, 2.0), (1, 1.0), (4, 3.0)]:
-            pool.insert(vid, s)
+            pool.insert(sort_key(MetricKind.EUCLIDEAN, s, vid))
         assert pool.pop_best_unvisited() == 1
         assert pool.pop_best_unvisited() == 3
-        pool.insert(9, 0.5)  # better than everything, still unvisited
+        pool.insert(sort_key(MetricKind.EUCLIDEAN, 0.5, 9))  # best, still unvisited
         assert pool.pop_best_unvisited() == 9
         assert pool.pop_best_unvisited() == 4
         assert pool.pop_best_unvisited() == -1
 
     def test_resort_preserves_visited(self):
-        pool = CandidatePool(3, MetricKind.EUCLIDEAN)
-        pool.insert(0, 1.0)
-        pool.insert(1, 2.0)
+        pool = CandidatePool(3)
+        pool.insert(sort_key(MetricKind.EUCLIDEAN, 1.0, 0))
+        pool.insert(sort_key(MetricKind.EUCLIDEAN, 2.0, 1))
         assert pool.pop_best_unvisited() == 0
         pool.resort(MetricKind.INNER_PRODUCT, {0: 1.0, 1: 5.0})
         assert pool.ids_best_first().tolist() == [1, 0]
@@ -217,6 +216,14 @@ class TestGreedySearch:
         with pytest.raises(UsageError):
             greedy_search(graph, data, np.ones(9, np.float32),
                           SearchParams(ls=8, k=2), MetricKind.INNER_PRODUCT)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_metric_switch_rejected(self, searchable, metric):
+        # m > 0 used to run m = 0 and return its ids without a word
+        data, graph = searchable
+        with pytest.raises(UsageError, match="m=3; use anms_search"):
+            greedy_search(graph, data, np.ones(8, np.float32),
+                          SearchParams(ls=8, k=2, m=3), metric)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, searchable, bad):
@@ -353,7 +360,7 @@ def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
     sq = data.sq_norms
     rows = []
     for q, ids in zip(qs, entries):
-        pool = CandidatePool(min(ls, graph.n), first)
+        pool = CandidatePool(min(ls, graph.n))
         seen = np.zeros(graph.n, dtype=bool)
         seen[ids] = True
         ips = np.empty(graph.n, dtype=np.float32)
@@ -365,7 +372,7 @@ def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
             else:
                 scores = score_batch(first, q, data.data[ids])
             for vid, score in zip(ids.tolist(), scores.tolist()):
-                pool.insert(vid, score)
+                pool.insert(sort_key(first, score, vid))
             if m > 0:
                 _expand_loop(pool, graph, data, q, first, seen, stats,
                              max_expansions=m, ips=ips)
