@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (_pair_scores, _rank, build_exact_ndg,
-                           count_strong_components, ndg_select)
+from .construction import build_exact_ndg, count_strong_components, ndg_select
 from .errors import FormatError, UsageError
 from .index import MagIndex, build_mag, index_to_bytes, load_index, materialize
 from .io import check_ground_truth, compute_ground_truth
@@ -283,15 +282,15 @@ def verify_suite(dataset: Dataset, index: MagIndex | None = None,
         self_dots, best_cross = best_cross_inner_product(base)
         weak_dom = self_dots >= best_cross
         sample = np.sort(rng.choice(n, size=min(n, 100), replace=False))
-        src, dst = np.repeat(sample, n), np.tile(np.arange(n), len(sample))
-        src, dst = src[src != dst], dst[src != dst]
-        ips = _pair_scores(MetricKind.INNER_PRODUCT, base, src, dst)
-        _, order, _ = _rank(src, dst, -ips)
-        rows = order.reshape(len(sample), n - 1)
+        # every node ranked by inner product with the sampled ones, owner
+        # included; the first candidate is the first cell that is not the owner
+        rows = compute_ground_truth(dataset, Dataset(dataset.data[sample]), n,
+                                    MetricKind.INNER_PRODUCT)
         kept = ndg_select(sample, rows, base, None)
-        violations = int((kept[:, 1:] & ~weak_dom[rows[:, 1:]]).sum())
-        expected = weak_dom[rows] | (np.arange(n - 1) == 0)
-        mismatches = int((kept != expected).any(axis=1).sum())
+        open_ = rows != sample[:, None]
+        first = open_ & (np.cumsum(open_, axis=1) == 1)
+        violations = int((kept & ~first & ~weak_dom[rows]).sum())
+        mismatches = int((kept != (open_ & (first | weak_dom[rows]))).any(axis=1).sum())
         report.add("ndg-dominator-structure", violations == 0,
                    f"violations={violations} over {len(sample)} nodes")
         report.add("ndg-select-census-agreement", mismatches == 0,

@@ -40,7 +40,6 @@ _PRUNE_BYTES = 1 << 19  # float64 vectors gathered at once by the block rules
 class KnnGraph:
     """Per-node K nearest Euclidean neighbors, rows sorted by (distance, id)."""
 
-    k: int
     neighbors: np.ndarray  # (n, k) int32
     dists: np.ndarray      # (n, k) float64 squared distances
     self_dominator: np.ndarray  # (n,) bool strict census from the same gram pass
@@ -154,7 +153,7 @@ def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
         d2 += sq_norms[None, :]
         np.maximum(d2, 0.0, out=d2)
         neighbors[start:stop], dists[start:stop] = _topk_rows(d2, K)
-    return KnnGraph(k=K, neighbors=neighbors, dists=dists, self_dominator=census)
+    return KnnGraph(neighbors=neighbors, dists=dists, self_dominator=census)
 
 
 def mrng_prune(owners: np.ndarray, ids: np.ndarray, d2: np.ndarray,

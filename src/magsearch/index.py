@@ -2,16 +2,16 @@
 
 Stage 1 prunes the exact K-NN graph down to at most K1 Euclidean edges
 per node and flags the self-dominators by the strict census, at every n.
-Stage 2 gives every node its exact top min(ls, n) ids by inner product
-(ties by id, the node itself included) from one pass over blocks of gram
-rows, filters each pool through dominator selection, and stores at most
-K2 IP-oriented edges alongside. Both stages step over the same gram
-blocks, whose rows ``stats._gram_rows`` works out from n alone; a node
-range of whole blocks (``_stage2_rows``) hands back (source, target)
-arrays. Ranges run in-process, or on one process pool per build when
-workers > 1, and carry only the dataset. At query time ``materialize``
-loads ceil(alpha * R) IP edges first and fills the remaining out-degree
-budget with Euclidean edges.
+Stage 2 takes every node's pool from ``io.compute_ground_truth``, with
+the node as an inner-product query: its exact top min(ls, n) ids, ties by
+id, itself included. It filters each pool through dominator selection and
+stores at most K2 IP-oriented edges alongside. Both stages step over the
+same gram blocks, whose rows ``stats._gram_rows`` works out from n alone;
+a node range of whole blocks (``_stage2_rows``) hands back (source,
+target) arrays. Ranges run in-process, or on one process pool per build
+when workers > 1, and carry only the dataset. At query time
+``materialize`` loads ceil(alpha * R) IP edges first and fills the
+remaining out-degree budget with Euclidean edges.
 
 In memory each edge family is one ``CsrEdges`` pair (n + 1 offsets, flat
 int32 ids); ``materialize`` is the only step that pads them into a
@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import (CsrEdges, _merge_reverse, _pair_scores, _rank,
-                           _topk_rows, build_exact_knn, mrng_prune, ndg_select)
+                           build_exact_knn, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
+from .io import compute_ground_truth
 from .metrics import Dataset, MetricKind
 from .search import SearchGraph
-from .stats import _exact_key_blocks, _gram_rows, _row_blocks, self_dominator_set
+from .stats import _gram_rows, _row_blocks, self_dominator_set
 
 MAGIC = b"MAG1"
 VERSION = 1
@@ -158,21 +159,16 @@ def _stage2_ranges(n: int, workers: int) -> list[tuple[int, int]]:
 def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
                  ls: int) -> tuple[np.ndarray, np.ndarray]:
     """Dominator edges of the nodes in [start, stop) as (source, target)
-    arrays, grouped by ascending source. Per gram block of rows, each
-    node's pool is its exact top min(ls, n) ids by (-IP, id), itself
-    included: its inner-product ground truth as a query. Dominator
-    selection runs over the block's pools."""
+    arrays, grouped by ascending source. A node's pool is its
+    ``compute_ground_truth`` row as an inner-product query: its exact top
+    min(ls, n) ids by (-IP, id), itself included. Dominator selection runs
+    over the range's pools."""
     start, stop = bounds
-    base64 = dataset.data.astype(np.float64)
-    srcs, dsts = [], []
-    for lo, keys in _exact_key_blocks(base64, base64[start:stop],
-                                      MetricKind.INNER_PRODUCT):
-        nodes = np.arange(start + lo, start + lo + len(keys))
-        pools = _topk_rows(keys, min(ls, dataset.n))[0]
-        kept = ndg_select(nodes, pools, base64, K2)
-        srcs.append(nodes[np.nonzero(kept)[0]])
-        dsts.append(pools[kept])
-    return np.concatenate(srcs), np.concatenate(dsts)
+    pools = compute_ground_truth(dataset, Dataset(dataset.data[start:stop]),
+                                 min(ls, dataset.n), MetricKind.INNER_PRODUCT)
+    kept = ndg_select(np.arange(start, stop), pools,
+                      dataset.data.astype(np.float64), K2)
+    return start + np.nonzero(kept)[0], pools[kept]
 
 
 def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
@@ -194,17 +190,17 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
                  passes: int | None = None) -> MagIndex:
     """Inject up to K2 dominator edges per node on top of a stage-1 index.
 
-    Each node's IP candidate pool is its exact top min(ls, n) ids by
-    descending inner product (ties by id), the node itself included, from
-    one pass over fixed blocks of gram rows; dominator selection keeps up
-    to K2 of each pool, and the reverse copy of every selected edge joins
-    its target's list under the K2 cap (``_mirror_ip``). K2=0 leaves the
-    index unchanged apart from metadata. The self-dominator flags are stage
-    1's strict census at every n. Stage 2 draws nothing at random: ``seed``
-    is only validated and recorded. ``passes`` is ignored; it remains for
-    callers written against the search-based stage 2. Results are
-    independent of ``workers``, which must be >= 1: node ranges are whole
-    gram blocks, whose bounds depend on n alone.
+    Each node's IP candidate pool is its ``compute_ground_truth`` row as an
+    inner-product query: its exact top min(ls, n) ids by descending inner
+    product (ties by id), the node itself included. Dominator selection
+    keeps up to K2 of each pool, and the reverse copy of every selected
+    edge joins its target's list under the K2 cap (``_mirror_ip``). K2=0
+    leaves the index unchanged apart from metadata. The self-dominator flags
+    are stage 1's strict census at every n. Stage 2 draws nothing at
+    random: ``seed`` is only validated and recorded. ``passes`` is ignored;
+    it remains for callers written against the search-based stage 2.
+    Results are independent of ``workers``, which must be >= 1: node ranges
+    are whole gram blocks, whose bounds depend on n alone.
     """
     stage1.check_shape(dataset, "stage-1 index")
     if K2 < 0:

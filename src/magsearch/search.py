@@ -586,7 +586,6 @@ class DualityReport:
     """Agreement between plain MIPS and Euclidean search on the scaled query."""
 
     nn_agreement: float          # brute-force: NN of mu*q equals the MIPS argmax
-    n_queries: int = 0
     n_tied: int = 0              # queries excluded for a tied MIPS top-1
 
 
@@ -616,8 +615,5 @@ def verify_scaling_duality(dataset: Dataset, queries: Dataset,
         tied += int(tie.sum())
 
     considered = queries.n - tied
-    return DualityReport(
-        nn_agreement=agree / considered if considered else 1.0,
-        n_queries=queries.n,
-        n_tied=tied,
-    )
+    return DualityReport(nn_agreement=agree / considered if considered else 1.0,
+                         n_tied=tied)

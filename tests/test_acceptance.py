@@ -45,15 +45,10 @@ def theorem1_runs():
         ndgs.append(build_exact_ndg(ds))
     build_seconds = time.perf_counter() - t0
     for ds in datasets:
-        base = ds.data.astype(np.float64)
-        ids = np.arange(ds.n)
-        rows = []
-        for i in range(ds.n):
-            ips = base @ base[i]
-            others = ids[ids != i]
-            rows.append(others[np.lexsort((others, -ips[others]))])
-        rows = np.array(rows)
-        kept = ms.ndg_select(ids, rows, base, None)
+        # every node ranked by inner product with each node, owner included,
+        # as verify_suite ranks them; selection never keeps the owner
+        rows = ms.compute_ground_truth(ds, ds, ds.n, MetricKind.INNER_PRODUCT)
+        kept = ms.ndg_select(np.arange(ds.n), rows, ds.data.astype(np.float64), None)
         accepted_lists.append([row[keep] for row, keep in zip(rows, kept)])
         censuses.append(set(self_dominator_set(ds).tolist()))
     return datasets, ndgs, accepted_lists, censuses, build_seconds

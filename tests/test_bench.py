@@ -175,3 +175,19 @@ class TestVerifySuite:
                               max_n_exact=100)
         ndg_checks = [c for c in report.checks if c.name.startswith("ndg")]
         assert ndg_checks and all(c.passed for c in ndg_checks)
+
+    def test_selection_that_keeps_every_candidate_fails(self, monkeypatch):
+        # a selection with no dominator rule keeps non-dominators after the
+        # first candidate and disagrees with the census on every sampled node
+        def keep_all(owners, ids, base, K2):
+            return (ids >= 0) & (ids != owners[:, None])
+
+        monkeypatch.setattr("magsearch.bench.ndg_select", keep_all)
+        report = verify_suite(
+            generate_synthetic(SyntheticSpec("gaussian", n=400, dim=8, seed=0)),
+            max_n_exact=500)
+        rows = {c.name: c for c in report.checks}
+        assert not rows["ndg-dominator-structure"].passed
+        assert not rows["ndg-select-census-agreement"].passed
+        assert rows["ndg-select-census-agreement"].detail == "mismatching nodes=100"
+        assert rows["ndg-strong-connectivity"].passed

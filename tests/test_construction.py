@@ -58,7 +58,7 @@ class TestExactKnn:
                 row = g.neighbors[i]
                 if (row == i).any():
                     return f"node {i} has a self-loop"
-                if len(np.unique(row)) != g.k:
+                if len(np.unique(row)) != g.neighbors.shape[1]:
                     return f"node {i} has duplicate neighbors"
                 keys = list(zip(g.dists[i], row))
                 if keys != sorted(keys):

@@ -11,6 +11,7 @@ from magsearch import (Dataset, FormatError, UsageError, build_mag,
                        build_stage1, build_stage2, load_index, materialize,
                        ndg_select, save_index, self_dominator_set)
 from magsearch import index as index_mod
+from magsearch import io as io_mod
 from magsearch import stats as stats_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
@@ -108,17 +109,20 @@ class TestStage2:
     def test_blocks_fit_the_byte_budget(self, monkeypatch):
         # every gram block of stage 2 holds at most _GRAM_BYTES of float64
         # rows unless that is fewer than _GRAM_MIN_ROWS rows; the blocks
-        # tile the nodes in order
+        # tile the nodes in order. Stage 2 makes its blocks in the exact
+        # scan of compute_ground_truth, whose query rows name the nodes.
         assert stats_mod._gram_rows(10 ** 6) == stats_mod._GRAM_MIN_ROWS
         monkeypatch.setattr(stats_mod, "_GRAM_BYTES", 150_000)
         owners = []
-        select = index_mod.ndg_select
+        blocks = io_mod._exact_key_blocks
 
-        def recording(nodes, *args):
-            owners.append(nodes.tolist())
-            return select(nodes, *args)
+        def recording(base, qs, metric):
+            node = {row.tobytes(): i for i, row in enumerate(base)}
+            for lo, keys in blocks(base, qs, metric):
+                owners.append([node[row.tobytes()] for row in qs[lo:lo + len(keys)]])
+                yield lo, keys
 
-        monkeypatch.setattr(index_mod, "ndg_select", recording)
+        monkeypatch.setattr(io_mod, "_exact_key_blocks", recording)
         ds = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=8))
         build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=2)
         assert len(owners) > 2 and max(map(len, owners)) > 1
