@@ -1,12 +1,15 @@
-"""Why searches switch metrics: escaping the high-norm bait.
+"""Why the graph mixes edge families: escaping the high-norm bait.
 
 This dataset is built to trap pure inner-product navigation: the true
 answers sit in a small tight blob along the query direction, while a far
 cluster of huge-norm points wins every intermediate inner-product
 comparison. Edges selected under inner product all point at the bait, so
-a pure-IP search climbs into it and stalls. Running the first stage of
-the search under Euclidean distance walks geometrically toward the query
-instead, then the switch to inner product finishes the job.
+a search over IP edges alone (alpha=1) climbs into it and stalls; a
+Euclidean-first start (m > 0) cannot help there, because the search
+already expands everything it can reach. Mixing Euclidean edges into the
+graph (alpha=0.5) is what rescues the panel: plain inner-product search
+(m=0) on the mixed graph reaches recall 1.000 at ls=200. The switch only
+adds distance computations here, and at ls=100 m=64 drops to 0.934.
 """
 
 import numpy as np
@@ -47,7 +50,7 @@ print("  per-query recall@100:", " ".join(f"{r:.2f}" for r in recalls))
 print(f"  panel mean {np.mean(recalls):.3f}, "
       f"{sum(r == 0 for r in recalls)} queries found nothing")
 
-print("\nmixed edges (alpha=0.5) with the Euclidean-first switch:")
+print("\nmixed edges (alpha=0.5), without (m=0) and with the switch:")
 mixed_graph = ms.materialize(index, R=16, alpha=0.5)
 for m in (0, 16, 64):
     res = run_queries(mixed_graph, data, queries, ls=200, k=100, m=m, seed=11)

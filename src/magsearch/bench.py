@@ -12,8 +12,6 @@ Ground truth is the (n_queries, k) int32 id array that
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -21,19 +19,21 @@ import numpy as np
 
 from .construction import build_exact_ndg, count_strong_components, ndg_select
 from .errors import FormatError, UsageError
-from .index import MagIndex, build_mag, index_to_bytes, load_index, materialize
+from .index import (MagIndex, build_mag, index_from_bytes, index_to_bytes,
+                    materialize)
 from .io import check_ground_truth, compute_ground_truth
 from .metrics import Dataset, MetricKind
 from .search import (SearchGraph, SearchParams, SearchResult, anms_search,
                      greedy_search, lockstep_search, verify_scaling_duality)
-from .stats import (best_cross_inner_product, dominator_probability,
-                    dominator_probability_mc)
+from .stats import (_exact_key_blocks, best_cross_inner_product,
+                    dominator_probability, dominator_probability_mc)
 
 BENCH_CSV_HEADER = "ls,alpha,m,R,recall,qps,dist_comps,hops"
 SCALE_CSV_HEADER = "n,ls,recall,dist_comps,flagged"
 VERIFY_MC_SAMPLES = 20000      # Monte Carlo draws per dominator-probability check
 VERIFY_MC_TOLERANCE = 0.03     # allowed |estimate - Phi(r)|
 VERIFY_DUALITY_QUERIES = 50    # random queries for the scaling-duality check
+GT_CHECK_QUERIES = 8           # leading ground-truth rows run_benchmark ranks exactly
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,24 @@ def run_benchmark(index: MagIndex, dataset: Dataset, queries: Dataset,
                   gt: np.ndarray, ls_list: list[int], R: int, alpha: float,
                   m: int = 0, k: int = 100, seed: int = 0,
                   reps: int = 3) -> list[BenchRecord]:
-    """Recall/QPS sweep over pool sizes on one materialized graph."""
+    """Recall/QPS sweep over pool sizes on one materialized graph. Ground
+    truth carries no metric: a row of the first ``GT_CHECK_QUERIES`` with
+    an id below its query's exact k-th inner product (k = the row length,
+    keys as in ``io.compute_ground_truth``; ties pass) raises UsageError."""
     if queries.dim != dataset.dim:
         raise UsageError("query dimension does not match the dataset")
     if len(gt) != queries.n:
         raise UsageError("ground truth does not cover the query panel")
     check_ground_truth(gt, dataset.n)
+    k_gt = gt.shape[1]
+    for lo, keys in _exact_key_blocks(dataset.data.astype(np.float64),
+                                      queries.data[:GT_CHECK_QUERIES].astype(np.float64),
+                                      MetricKind.INNER_PRODUCT):
+        kth = np.partition(keys, k_gt - 1, axis=1)[:, k_gt - 1, None]
+        below = np.take_along_axis(keys, gt[lo:lo + len(keys)], axis=1) > kth
+        if below.any():
+            raise UsageError(f"ground truth row {lo + below.any(axis=1).argmax()} is "
+                             f"not the exact inner-product top {k_gt} of its query")
     graph = materialize(index, R=R, alpha=alpha)
     return [bench_one(graph, dataset, queries, gt, ls=ls, k=k, m=m, seed=seed,
                       reps=reps)
@@ -182,9 +194,9 @@ DEFAULT_LS_SCHEDULE = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768,
 
 def find_ls_for_recall(graph: SearchGraph, dataset: Dataset, queries: Dataset,
                        gt: np.ndarray, target: float, k: int, m: int = 0,
-                       seed: int = 0, schedule=DEFAULT_LS_SCHEDULE) -> BenchRecord | None:
+                       seed: int = 0) -> BenchRecord | None:
     """Walk the pool-size schedule until panel recall reaches the target."""
-    for ls in schedule:
+    for ls in DEFAULT_LS_SCHEDULE:
         if ls < k:
             continue
         if ls > dataset.n:
@@ -331,17 +343,11 @@ def verify_suite(dataset: Dataset, index: MagIndex | None = None,
                        f"n={index.n}, K1={index.K1}, K2={index.K2}")
         except UsageError as exc:
             report.add("index-invariants", False, str(exc))
+        blob = index_to_bytes(index)
         try:
-            blob = index_to_bytes(index)
-            with tempfile.NamedTemporaryFile(delete=False, suffix=".mag") as f:
-                f.write(blob)
-                tmp = f.name
-            try:
-                again = index_to_bytes(load_index(tmp))
-            finally:
-                os.unlink(tmp)
+            again = index_to_bytes(index_from_bytes(blob, "index bytes"))
             report.add("index-roundtrip", blob == again, f"{len(blob)} bytes")
-        except (UsageError, FormatError, OSError) as exc:
+        except FormatError as exc:
             report.add("index-roundtrip", False, str(exc))
 
     # pool invariants exercised through an instrumented search

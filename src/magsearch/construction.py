@@ -235,19 +235,20 @@ def build_exact_ndg(dataset: Dataset) -> CsrEdges:
     src = np.concatenate((np.arange(n), np.repeat(np.arange(n), len(weak))))
     dst = np.concatenate((best, np.tile(weak, n)))
     src, dst = _merge_reverse(src, dst, n)
-    src, dst, _ = _rank(src, dst, -_pair_scores(MetricKind.INNER_PRODUCT, base, src, dst))
+    src, dst, _ = _rank(src, dst, _pair_keys(MetricKind.INNER_PRODUCT, base, src, dst))
     return CsrEdges.from_pairs(src, dst, n)
 
 
-def _pair_scores(metric: MetricKind, base: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray) -> np.ndarray:
-    """Inner product or squared distance of base[src] and base[dst] per pair,
-    in slices; each kernel scores a pair the same whatever shares the call."""
+def _pair_keys(metric: MetricKind, base: np.ndarray, src: np.ndarray,
+               dst: np.ndarray) -> np.ndarray:
+    """The best-first ascending key of base[src] and base[dst] per pair,
+    -<a, b> or |b - a|^2, in slices; each kernel scores a pair the same
+    whatever shares the call."""
     out = np.empty(len(src))
     step = max(1, _PRUNE_BYTES // (8 * base.shape[1]))
     for lo in range(0, len(src), step):
         a, b = base[src[lo:lo + step]], base[dst[lo:lo + step]]
-        out[lo:lo + step] = (np.vecdot(a, b) if metric.larger_is_better
+        out[lo:lo + step] = (-np.vecdot(a, b) if metric.larger_is_better
                              else np.einsum("ij,ij->i", b - a, b - a))
     return out
 

@@ -15,8 +15,9 @@ remaining out-degree budget with Euclidean edges.
 
 In memory each edge family is one ``CsrEdges`` pair (n + 1 offsets, flat
 int32 ids); ``materialize`` is the only step that pads them into a
-``SearchGraph``. The file keeps a per-node layout, which the writer
-scatters into one u32 array and the reader gathers from one.
+``SearchGraph``. The file keeps a per-node layout, whose word positions
+``_layout`` works out once: the writer scatters through it into one u32
+array, and the reader gathers through it from one.
 
 File format (little-endian): magic ``MAG1``; u32 fields version=1, n, dim,
 K1, K2; per node u32 n_euc, u32 n_ip, then that many u32 ids (Euclidean
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (CsrEdges, _merge_reverse, _pair_scores, _rank,
+from .construction import (CsrEdges, _merge_reverse, _pair_keys, _rank,
                            build_exact_knn, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
 from .io import compute_ground_truth
@@ -91,8 +92,7 @@ class MagIndex:
             # whatever the rounding of other kernels
             for kind, edges, _, metric in families:
                 src, ids = edges.sources(), edges.ids
-                key = _pair_scores(metric, base, src, ids)
-                key = -key if metric.larger_is_better else key
+                key = _pair_keys(metric, base, src, ids)
                 descending = (key[1:] < key[:-1]) | ((key[1:] == key[:-1])
                                                      & (ids[1:] < ids[:-1]))
                 bad = src[1:][(src[1:] == src[:-1]) & descending]
@@ -116,7 +116,7 @@ def _mirror_euclid(src: np.ndarray, dst: np.ndarray, base: np.ndarray,
     """
     n = len(base)
     src, dst = _merge_reverse(src, dst, n)
-    src, dst, d2 = _rank(src, dst, _pair_scores(MetricKind.EUCLIDEAN, base, src, dst))
+    src, dst, d2 = _rank(src, dst, _pair_keys(MetricKind.EUCLIDEAN, base, src, dst))
     col = np.arange(len(src)) - np.searchsorted(src, src)
     ids = np.full((n, col.max(initial=-1) + 1), -1)
     dists = np.full(ids.shape, np.inf)
@@ -180,8 +180,7 @@ def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
     nodes keep no IP in-edge (9,029 of 10,000 on the acceptance c07 panel).
     """
     src, dst = _merge_reverse(accepted.sources(), accepted.ids, accepted.n)
-    ips = _pair_scores(MetricKind.INNER_PRODUCT, base, src, dst)
-    src, dst, _ = _rank(src, dst, -ips, K2)
+    src, dst, _ = _rank(src, dst, _pair_keys(MetricKind.INNER_PRODUCT, base, src, dst), K2)
     return CsrEdges.from_pairs(src, dst, accepted.n)
 
 
@@ -214,23 +213,20 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     # earlier versions, which could also skip the reverse copies
     meta.update({"stage": 2, "K2": K2, "stage2_ls": ls, "stage2_seed": seed,
                  "mirror": True})
-    if K2 == 0:
-        return MagIndex(n=stage1.n, dim=stage1.dim, K1=stage1.K1, K2=0,
-                        euclid=stage1.euclid.copy(), ip=CsrEdges.empty(stage1.n),
-                        self_dominator=stage1.self_dominator.copy(), metadata=meta)
-    if ls < K2:
-        raise UsageError(f"candidate pool ls={ls} must be >= K2={K2}")
-
     n = stage1.n
-    task = functools.partial(_stage2_rows, dataset=dataset, K2=K2, ls=ls)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        parts = (pool.map if pool else map)(task, _stage2_ranges(n, workers))
-        # one statement, so that no task's (source, target) arrays outlive it
-        accepted = CsrEdges.from_pairs(*map(np.concatenate, zip(*parts)), n)
-    accepted = _mirror_ip(accepted, dataset.data.astype(np.float64), K2)
+    ip = CsrEdges.empty(n)
+    if K2 > 0:
+        if ls < K2:
+            raise UsageError(f"candidate pool ls={ls} must be >= K2={K2}")
+        task = functools.partial(_stage2_rows, dataset=dataset, K2=K2, ls=ls)
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            parts = (pool.map if pool else map)(task, _stage2_ranges(n, workers))
+            # one statement, so that no task's (source, target) arrays outlive it
+            ip = CsrEdges.from_pairs(*map(np.concatenate, zip(*parts)), n)
+        ip = _mirror_ip(ip, dataset.data.astype(np.float64), K2)
     return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
-                    euclid=stage1.euclid.copy(), ip=accepted,
+                    euclid=stage1.euclid.copy(), ip=ip,
                     self_dominator=stage1.self_dominator.copy(), metadata=meta)
 
 
@@ -241,17 +237,24 @@ def build_mag(dataset: Dataset, K: int, K1: int, K2: int, ls: int,
     return build_stage2(stage1, dataset, K2, ls, seed=seed, workers=workers)
 
 
+def _layout(euclid: CsrEdges, ip: CsrEdges) -> tuple[np.ndarray, ...]:
+    """Word positions, within the per-node section, of every node's first
+    count (its second follows), of every Euclidean id and of every IP id.
+    Node i's record starts at word 2i + (edges of the nodes before it).
+    Reads only the offsets of either family."""
+    heads = 2 * np.arange(euclid.n) + euclid.offsets[:-1] + ip.offsets[:-1]
+    e_src, p_src = euclid.sources(), ip.sources()
+    return (heads,
+            np.arange(len(e_src)) + 2 * (e_src + 1) + ip.offsets[e_src],
+            np.arange(len(p_src)) + 2 * (p_src + 1) + euclid.offsets[p_src + 1])
+
+
 def index_to_bytes(index: MagIndex) -> bytes:
     euclid, ip = index.euclid, index.ip
-    # node i's record starts at word 2i + (edges of the nodes before it):
-    # the two counts, its Euclidean ids, then its IP ids
-    heads = 2 * np.arange(index.n) + euclid.offsets[:-1] + ip.offsets[:-1]
-    e_src, p_src = euclid.sources(), ip.sources()
-    at = np.concatenate((heads, heads + 1,
-                         np.arange(len(e_src)) + 2 * (e_src + 1) + ip.offsets[e_src],
-                         np.arange(len(p_src)) + 2 * (p_src + 1) + euclid.offsets[p_src + 1]))
-    nodes = np.empty(len(at), dtype="<u4")
-    nodes[at] = np.concatenate((euclid.lengths(), ip.lengths(), euclid.ids, ip.ids))
+    heads, e_at, p_at = _layout(euclid, ip)
+    nodes = np.empty(2 * index.n + len(euclid.ids) + len(ip.ids), dtype="<u4")
+    nodes[heads], nodes[heads + 1] = euclid.lengths(), ip.lengths()
+    nodes[e_at], nodes[p_at] = euclid.ids, ip.ids
     blob = json.dumps(index.metadata, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     return b"".join([MAGIC, struct.pack("<5I", VERSION, index.n, index.dim,
@@ -260,83 +263,71 @@ def index_to_bytes(index: MagIndex) -> bytes:
                      struct.pack("<I", len(blob)), blob])
 
 
-def save_index(index: MagIndex, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(index_to_bytes(index))
+def index_from_bytes(buf: bytes, name: str) -> MagIndex:
+    """Parse and validate the bytes of an index file; every ``FormatError``
+    names ``name``, the file's path when ``load_index`` reads it."""
+    at = 0
 
+    def take(count: int) -> bytes:
+        nonlocal at
+        if at + count > len(buf):
+            raise FormatError(f"{name}: truncated index file")
+        at += count
+        return buf[at - count:at]
 
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.off = 0
-        self.path = path
-
-    def take(self, count: int) -> bytes:
-        if self.off + count > len(self.buf):
-            raise FormatError(f"{self.path}: truncated index file")
-        out = self.buf[self.off:self.off + count]
-        self.off += count
-        return out
-
-    def u32(self, count: int = 1) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<u4")
-
-
-def _read_nodes(r: _Reader, n: int) -> tuple[CsrEdges, CsrEdges]:
-    """The per-node section: a walk over the counts finds each node's
-    record, then one gather per edge family reads the ids."""
-    words = np.frombuffer(r.buf, dtype="<u4", count=(len(r.buf) - r.off) // 4,
-                          offset=r.off)
-    heads, at = [], 0
-    for _ in range(n):
-        if at + 2 > len(words):
-            raise FormatError(f"{r.path}: truncated index file")
-        heads.append(at)
-        at += 2 + words.item(at) + words.item(at + 1)
-    r.take(4 * at)
-    heads = np.array(heads, dtype=np.int64)
-    n_euc, n_ip = words[heads].astype(np.int64), words[heads + 1].astype(np.int64)
-    families = []
-    for first, counts in ((heads + 2, n_euc), (heads + 2 + n_euc, n_ip)):
-        src = np.repeat(np.arange(n), counts)
-        offsets = np.cumsum(counts) - counts
-        ids = words[first[src] + np.arange(len(src)) - offsets[src]]
-        families.append(CsrEdges.from_pairs(src, ids.astype(np.int32), n))
-    return families[0], families[1]
-
-
-def load_index(path: str) -> MagIndex:
-    with open(path, "rb") as f:
-        buf = f.read()
-    r = _Reader(buf, path)
-    if r.take(4) != MAGIC:
-        raise FormatError(f"{path}: bad magic (not an index file)")
-    version, n, dim, K1, K2 = (int(v) for v in r.u32(5))
+    if take(4) != MAGIC:
+        raise FormatError(f"{name}: bad magic (not an index file)")
+    version, n, dim, K1, K2 = struct.unpack("<5I", take(20))
     if version != VERSION:
-        raise FormatError(f"{path}: unsupported index version {version}")
-    euclid, ip = _read_nodes(r, n)
-    flags = np.frombuffer(r.take(n), dtype=np.uint8)
+        raise FormatError(f"{name}: unsupported index version {version}")
+    # the per-node section: a walk over the counts finds each node's record
+    # and so both families' offsets; the ids are then gathered through the
+    # writer's layout
+    words = np.frombuffer(buf, dtype="<u4", count=(len(buf) - at) // 4, offset=at)
+    heads, end = [], 0
+    for _ in range(n):
+        if end + 2 > len(words):
+            raise FormatError(f"{name}: truncated index file")
+        heads.append(end)
+        end += 2 + words.item(end) + words.item(end + 1)
+    take(4 * end)
+    counts = words[np.array(heads, dtype=np.int64) + [[0], [1]]]  # n_euc, n_ip
+    euclid, ip = (CsrEdges(np.append(0, np.cumsum(c, dtype=np.int64)),
+                           np.empty(c.sum(), dtype=np.int32)) for c in counts)
+    _, e_at, p_at = _layout(euclid, ip)
+    euclid.ids[:], ip.ids[:] = words[e_at], words[p_at]
+    flags = np.frombuffer(take(n), dtype=np.uint8)
     if (flags > 1).any():
         bad = int(np.flatnonzero(flags > 1)[0])
-        raise FormatError(f"{path}: node {bad}: self-dominator flag byte "
+        raise FormatError(f"{name}: node {bad}: self-dominator flag byte "
                           f"{flags[bad]} is not 0 or 1")
-    blob_len = int(r.u32(1)[0])
-    blob = r.take(blob_len)
-    if r.off != len(buf):
-        raise FormatError(f"{path}: {len(buf) - r.off} trailing bytes")
+    (blob_len,) = struct.unpack("<I", take(4))
+    blob = take(blob_len)
+    if at != len(buf):
+        raise FormatError(f"{name}: {len(buf) - at} trailing bytes")
     try:
         metadata = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad metadata block: {exc}") from exc
+        raise FormatError(f"{name}: bad metadata block: {exc}") from exc
     if not isinstance(metadata, dict):
-        raise FormatError(f"{path}: metadata block is not a JSON object")
+        raise FormatError(f"{name}: metadata block is not a JSON object")
     index = MagIndex(n=n, dim=dim, K1=K1, K2=K2, euclid=euclid, ip=ip,
                      self_dominator=flags.astype(bool), metadata=metadata)
     try:
         index.validate()
     except UsageError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise FormatError(f"{name}: {exc}") from exc
     return index
+
+
+def save_index(index: MagIndex, path: str) -> None:
+    with open(path, "wb") as f:
+        f.write(index_to_bytes(index))
+
+
+def load_index(path: str) -> MagIndex:
+    with open(path, "rb") as f:
+        return index_from_bytes(f.read(), path)
 
 
 def ip_quota(alpha: float, R: int) -> int:

@@ -150,8 +150,10 @@ class TestVerifySuite:
         index.euclid.ids[index.euclid.offsets[5]] = 5
         report = verify_suite(dataset=data, index=index,
                               max_n_exact=0)
-        failing = [c for c in report.checks if not c.passed]
-        assert any(c.name == "index-invariants" for c in failing)
+        failing = {c.name: c.detail for c in report.checks if not c.passed}
+        assert "index-invariants" in failing
+        # the round trip parses the bytes, so it fails with the parser's message
+        assert failing["index-roundtrip"] == "index bytes: node 5: self-loop in euclid edges"
 
     def test_index_of_other_data_fails(self):
         data = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=1))

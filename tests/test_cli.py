@@ -231,3 +231,29 @@ def test_comma_lists_share_one_type():
     types = {(name, a.dest): a.type for name, sub in subparsers.choices.items()
              for a in sub._actions if a.dest in ("ls", "sizes")}
     assert types[("bench", "ls")] is types[("scale", "sizes")] is int_list
+
+
+def test_bench_rejects_ground_truth_of_the_other_metric(tmp_path, capsys):
+    # ivecs carries no metric: an l2 file used to print recall 0.048 at an
+    # exhaustive pool with exit 0, where the ip file prints 1.000
+    base, queries, index = (str(tmp_path / "b.fvecs"), str(tmp_path / "q.fvecs"),
+                            str(tmp_path / "i.mag"))
+    assert main(["gen", "--kind", "heavytail", "--n", "800", "--dim", "8",
+                 "--seed", "1", "--out", base]) == 0
+    assert main(["gen", "--kind", "heavytail", "--n", "50", "--dim", "8",
+                 "--seed", "2", "--out", queries]) == 0
+    assert main(["build", "--data", base, "--K", "16", "--K1", "8", "--K2", "8",
+                 "--ls", "32", "--out", index]) == 0
+    bench = ["bench", "--index", index, "--data", base, "--queries", queries,
+             "--ls", "800", "--R", "16", "--alpha", "0.5", "--k", "10",
+             "--reps", "1"]
+    for metric in ("l2", "ip"):
+        gt = str(tmp_path / f"{metric}.ivecs")
+        assert main(["gt", "--data", base, "--queries", queries, "--k", "10",
+                     "--metric", metric, "--out", gt]) == 0
+    capsys.readouterr()
+    assert main(bench + ["--gt", str(tmp_path / "l2.ivecs")]) == 2
+    assert "not the exact inner-product top 10" in capsys.readouterr().err
+    out = str(tmp_path / "bench.csv")
+    assert main(bench + ["--gt", str(tmp_path / "ip.ivecs"), "--out", out]) == 0
+    assert open(out).read().strip().split("\n")[2].split(",")[4] == "1.000000"

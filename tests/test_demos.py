@@ -1,8 +1,6 @@
-"""The quick demos run to completion against the library in ``src/``.
-
-Demos 04-06 build and sweep larger indexes (about 100 s together), so only
-01-03 run here; every demo and the README's python blocks are checked for
-names that the package no longer has.
+"""Every demo runs to completion against the library in ``src/``, and
+every demo and the README's python blocks are checked for names that the
+package no longer has.
 """
 
 import ast
@@ -22,7 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["01_kernels_and_oracle.py",
                                   "02_topology_indicators.py",
-                                  "03_dominator_graph.py"])
+                                  "03_dominator_graph.py",
+                                  "04_build_and_search.py",
+                                  "05_metric_switch_rescue.py",
+                                  "06_benchmark_and_scaling.py"])
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

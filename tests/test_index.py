@@ -15,7 +15,7 @@ from magsearch import io as io_mod
 from magsearch import stats as stats_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
-from magsearch.index import MagIndex, index_to_bytes, ip_quota
+from magsearch.index import MagIndex, index_from_bytes, index_to_bytes, ip_quota
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +413,19 @@ class TestPinnedBuild:
         graph = materialize(index, R=10, alpha=0.5)
         assert hashlib.sha256(index_to_bytes(index)).hexdigest() == index_sha
         assert hashlib.sha256(graph.adjacency.tobytes()).hexdigest() == adjacency_sha
+
+
+@pytest.mark.parametrize("kind,kw", [("gaussian", {}), ("heavytail", {"sigma_log": 0.5})])
+def test_pinned_builds_parse_back_in_memory(kind, kw):
+    # the pinned builds' bytes parse back to themselves without a file, and
+    # a parse error names the source it was given
+    data = generate_synthetic(SyntheticSpec(kind, n=300, dim=8, seed=8, **kw))
+    blob = index_to_bytes(build_mag(data, K=12, K1=6, K2=6, ls=24, seed=2))
+    assert index_to_bytes(index_from_bytes(blob, "pinned")) == blob
+    with pytest.raises(FormatError, match="^pinned: truncated index file$"):
+        index_from_bytes(blob[:-1], "pinned")
+    with pytest.raises(FormatError, match="^pinned: 1 trailing bytes$"):
+        index_from_bytes(blob + b"x", "pinned")
 
 
 class TestValidate:
