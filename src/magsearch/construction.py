@@ -234,8 +234,7 @@ def build_exact_ndg(dataset: Dataset) -> CsrEdges:
     weak, best = np.concatenate(weak), np.concatenate(best)
     src = np.concatenate((np.arange(n), np.repeat(np.arange(n), len(weak))))
     dst = np.concatenate((best, np.tile(weak, n)))
-    src, dst = _merge_reverse(src, dst, n)
-    src, dst, _ = _rank(src, dst, _pair_keys(MetricKind.INNER_PRODUCT, base, src, dst))
+    src, dst, _ = _mirror_pairs(src, dst, base, MetricKind.INNER_PRODUCT)
     return CsrEdges.from_pairs(src, dst, n)
 
 
@@ -253,20 +252,21 @@ def _pair_keys(metric: MetricKind, base: np.ndarray, src: np.ndarray,
     return out
 
 
-def _merge_reverse(src: np.ndarray, dst: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs and their reverses, each once, no self-loops, sorted."""
+def _mirror_pairs(src: np.ndarray, dst: np.ndarray, base: np.ndarray,
+                  metric: MetricKind, cap: int | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs and their reverses, each once and without self-loops, in
+    (source, key, target) order with their ``_pair_keys``, the first cap
+    per source (None: all). Duplicates fall out of one sort of the codes
+    source * n + target, which leaves targets ascending within a source,
+    so one stable sort by (source, key) breaks key ties by target."""
+    n = len(base)
     src, dst = src.astype(np.int64), dst.astype(np.int64)
-    pairs = np.sort((np.concatenate((src, dst)) * n
+    codes = np.sort((np.concatenate((src, dst)) * n
                      + np.concatenate((dst, src)))[np.tile(src != dst, 2)])
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    return pairs // n, pairs % n
-
-
-def _rank(src: np.ndarray, dst: np.ndarray, key: np.ndarray,
-          cap: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs and keys in (source, key, target) order, the first cap per source."""
-    order = np.lexsort((dst, key, src))
+    src, dst = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n)
+    key = _pair_keys(metric, base, src, dst)
+    order = np.lexsort((key, src))
     if cap is not None:
         ranked = src[order]
         order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < cap]

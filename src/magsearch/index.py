@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (CsrEdges, _merge_reverse, _pair_keys, _rank,
-                           build_exact_knn, mrng_prune, ndg_select)
+from .construction import (CsrEdges, _mirror_pairs, _pair_keys, build_exact_knn,
+                           mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
 from .io import compute_ground_truth
 from .metrics import Dataset, MetricKind
@@ -75,13 +75,15 @@ class MagIndex:
             if edges.n != self.n:
                 raise UsageError("edge list length does not match n")
             src, ids = edges.sources(), edges.ids
-            order = np.lexsort((ids, src))
-            repeated = (np.diff(src[order]) == 0) & (np.diff(ids[order]) == 0)
+            # a repeat is a repeated code source * n + id; ids are checked
+            # for range first, so no out-of-range id can pose as one
+            codes = np.sort(src.astype(np.int64) * self.n + ids)
             checks = ((np.flatnonzero(edges.lengths() > cap),
                        f"{kind} edges exceed cap {cap}"),
                       (src[ids == src], f"self-loop in {kind} edges"),
                       (src[(ids < 0) | (ids >= self.n)], f"{kind} edge id out of range"),
-                      (src[order][1:][repeated], f"duplicate {kind} edges"))
+                      (codes[1:][np.diff(codes) == 0] // self.n,
+                       f"duplicate {kind} edges"))
             for bad, what in checks:
                 if len(bad):
                     raise UsageError(f"node {bad[0]}: {what}")
@@ -115,8 +117,7 @@ def _mirror_euclid(src: np.ndarray, dst: np.ndarray, base: np.ndarray,
     Rows stay in (distance, id) order; only the rows over K1 are pruned.
     """
     n = len(base)
-    src, dst = _merge_reverse(src, dst, n)
-    src, dst, d2 = _rank(src, dst, _pair_keys(MetricKind.EUCLIDEAN, base, src, dst))
+    src, dst, d2 = _mirror_pairs(src, dst, base, MetricKind.EUCLIDEAN)
     col = np.arange(len(src)) - np.searchsorted(src, src)
     ids = np.full((n, col.max(initial=-1) + 1), -1)
     dists = np.full(ids.shape, np.inf)
@@ -171,19 +172,6 @@ def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
     return start + np.nonzero(kept)[0], pools[kept]
 
 
-def _mirror_ip(accepted: CsrEdges, base: np.ndarray, K2: int) -> CsrEdges:
-    """Merge the reverse copy of every dominator edge into its target's list,
-    then keep each node's K2 best by descending inner product (ties by id).
-
-    The result is not bi-directional: the K2 cap drops most reverse copies.
-    On heavy-tailed norms the edges point at a few high-norm hubs, so most
-    nodes keep no IP in-edge (9,029 of 10,000 on the acceptance c07 panel).
-    """
-    src, dst = _merge_reverse(accepted.sources(), accepted.ids, accepted.n)
-    src, dst, _ = _rank(src, dst, _pair_keys(MetricKind.INNER_PRODUCT, base, src, dst), K2)
-    return CsrEdges.from_pairs(src, dst, accepted.n)
-
-
 def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
                  seed: int = 0, workers: int = 1,
                  passes: int | None = None) -> MagIndex:
@@ -193,7 +181,8 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     inner-product query: its exact top min(ls, n) ids by descending inner
     product (ties by id), the node itself included. Dominator selection
     keeps up to K2 of each pool, and the reverse copy of every selected
-    edge joins its target's list under the K2 cap (``_mirror_ip``). K2=0
+    edge joins its target's list; each list then keeps its K2 best by
+    descending inner product, ties by id (``_mirror_pairs``). K2=0
     leaves the index unchanged apart from metadata. The self-dominator flags
     are stage 1's strict census at every n. Stage 2 draws nothing at
     random: ``seed`` is only validated and recorded. ``passes`` is ignored;
@@ -223,8 +212,14 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
               else contextlib.nullcontext()) as pool:
             parts = (pool.map if pool else map)(task, _stage2_ranges(n, workers))
             # one statement, so that no task's (source, target) arrays outlive it
-            ip = CsrEdges.from_pairs(*map(np.concatenate, zip(*parts)), n)
-        ip = _mirror_ip(ip, dataset.data.astype(np.float64), K2)
+            src, dst = map(np.concatenate, zip(*parts))
+        # the result is not bi-directional: the K2 cap drops most reverse
+        # copies. On heavy-tailed norms the edges point at a few high-norm
+        # hubs, so most nodes keep no IP in-edge (9,029 of 10,000 on the
+        # acceptance c07 panel)
+        src, dst, _ = _mirror_pairs(src, dst, dataset.data.astype(np.float64),
+                                    MetricKind.INNER_PRODUCT, K2)
+        ip = CsrEdges.from_pairs(src, dst, n)
     return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
                     euclid=stage1.euclid.copy(), ip=ip,
                     self_dominator=stage1.self_dominator.copy(), metadata=meta)

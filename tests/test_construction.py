@@ -347,7 +347,9 @@ class TestBlockRulesMatchPerRow:
         edges = random_edges(ds.n, 6, seed=2)
         expected = [by_ip_reference(i, merged, base)[:4].tolist()
                     for i, merged in enumerate(merged_rows(edges))]
-        got = index_mod._mirror_ip(edges, base, 4)
+        src, dst, _ = construction._mirror_pairs(edges.sources(), edges.ids, base,
+                                                 MetricKind.INNER_PRODUCT, 4)
+        got = CsrEdges.from_pairs(src, dst, ds.n)
         assert [row.tolist() for row in got] == expected
 
     @pytest.mark.parametrize("kind", ["gaussian", "heavytail", "duplicates"])
@@ -468,27 +470,79 @@ class TestExactNdg:
             build_exact_ndg(Dataset(np.zeros((1, 2), dtype=np.float32)))
 
 
+def random_pairs(seed, n=30):
+    """Random pairs with repeats, with reverse copies and with self-loops,
+    over n nodes."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, n, 300), rng.integers(0, n, 300)
+    src = np.concatenate((src, src[:40], dst[40:80], np.arange(0, n, 3)))
+    dst = np.concatenate((dst, dst[:40], src[40:80], np.arange(0, n, 3)))
+    return src, dst
+
+
+def tie_base(n, seed):
+    """n points with coordinates in {-1, 0, 1} and repeated points, so that
+    both keys tie for many pairs of one source."""
+    base = np.random.default_rng(seed).integers(-1, 2, (n, 3)).astype(np.float64)
+    base[n // 2:] = base[:n - n // 2]
+    return base
+
+
+def mirror_reference(src, dst, base, metric, cap):
+    """The two-step rule: sort and dedupe the codes of the pairs and their
+    reverses without self-loops, then order by (source, key, target) and
+    keep the first cap per source."""
+    n = len(base)
+    keep = src != dst
+    codes = np.unique(np.concatenate((src[keep] * n + dst[keep],
+                                      dst[keep] * n + src[keep])))
+    src, dst = codes // n, codes % n
+    key = construction._pair_keys(metric, base, src, dst)
+    order = np.lexsort((dst, key, src))
+    if cap is not None:
+        order = np.concatenate([np.empty(0, dtype=np.int64)]
+                               + [order[src[order] == i][:cap] for i in range(n)])
+    return src[order], dst[order], key[order]
+
+
 class TestMergeReverse:
+    """``_mirror_pairs`` merges every pair with its reverse and ranks each
+    source's pairs best first, ties by target."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_unique(self, seed):
-        # random pairs with repeats, with reverse copies and with self-loops
         n = 30
-        rng = np.random.default_rng(seed)
-        src, dst = rng.integers(0, n, 300), rng.integers(0, n, 300)
-        src = np.concatenate((src, src[:40], dst[40:80], np.arange(0, n, 3)))
-        dst = np.concatenate((dst, dst[:40], src[40:80], np.arange(0, n, 3)))
+        src, dst = random_pairs(seed, n)
         keep = src != dst
         codes = np.unique(np.concatenate((src[keep] * n + dst[keep],
                                           dst[keep] * n + src[keep])))
-        got_src, got_dst = construction._merge_reverse(src, dst, n)
-        assert np.array_equal(got_src, codes // n)
-        assert np.array_equal(got_dst, codes % n)
+        got_src, got_dst, _ = construction._mirror_pairs(
+            src, dst, tie_base(n, seed), MetricKind.EUCLIDEAN)
+        assert np.array_equal(np.sort(got_src * n + got_dst), codes)
 
     @pytest.mark.parametrize("pairs", [[], [(3, 3), (0, 0)]])
     def test_no_edges(self, pairs):
         src, dst = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
-        got_src, got_dst = construction._merge_reverse(src, dst, 5)
-        assert got_src.tolist() == [] and got_dst.tolist() == []
+        for metric in MetricKind:
+            got = construction._mirror_pairs(src, dst, tie_base(5, 0), metric, 2)
+            assert [part.tolist() for part in got] == [[], [], []]
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("cap", [None, 1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_two_step_rule(self, seed, cap, metric):
+        n = 30
+        src, dst = random_pairs(seed, n)
+        base = tie_base(n, seed)
+        expected = mirror_reference(src, dst, base, metric, cap)
+        # the panel has key ties within a source, which break by target
+        every, _, key = mirror_reference(src, dst, base, metric, None)
+        assert ((np.diff(every) == 0) & (np.diff(key) == 0)).any()
+        for ids in (np.int32, np.int64):
+            got = construction._mirror_pairs(src.astype(ids), dst.astype(ids),
+                                             base, metric, cap)
+            for part, want in zip(got, expected):
+                assert np.array_equal(part, want)
 
 
 class TestStrongComponents:

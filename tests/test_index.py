@@ -473,6 +473,46 @@ class TestValidate:
         with pytest.raises(UsageError, match="range"):
             broken.validate()
 
+    @pytest.mark.parametrize("family", ["euclid", "ip"])
+    def test_duplicate_detected(self, built, family):
+        import copy
+        _, index = built
+        edges = getattr(index, family)
+        low, high = np.flatnonzero(edges.lengths() >= 2)[[3, 9]]
+        broken = copy.deepcopy(index)
+        ids, offsets = getattr(broken, family).ids, edges.offsets
+        # a repeated id in one row names that node
+        ids[offsets[high] + 1] = ids[offsets[high]]
+        with pytest.raises(UsageError, match=f"^node {high}: duplicate {family} edges$"):
+            broken.validate()
+        # with two broken rows, the lower node is named
+        ids[offsets[low + 1] - 1] = ids[offsets[low]]
+        with pytest.raises(UsageError, match=f"^node {low}: duplicate {family} edges$"):
+            broken.validate()
+        # and through the file bytes, as a FormatError naming the source
+        with pytest.raises(FormatError,
+                           match=f"^dup.mag: node {low}: duplicate {family} edges$"):
+            index_from_bytes(index_to_bytes(broken), "dup.mag")
+
+    @pytest.mark.parametrize("family", ["euclid", "ip"])
+    def test_out_of_range_id_is_not_a_duplicate(self, built, family):
+        # node i's id n + t has the code (i + 1) * n + t of node i + 1's
+        # edge to t, and node i + 1's id t - n the code of node i's edge to
+        # t; both are out of range, not duplicates
+        import copy
+        _, index = built
+        edges = getattr(index, family)
+        node = int(np.flatnonzero((edges.lengths()[:-1] > 0)
+                                  & (edges.lengths()[1:] > 0))[0])
+        for at, bad_id, named in ((edges.offsets[node], edges[node + 1][0] + index.n, node),
+                                  (edges.offsets[node + 1], edges[node][0] - index.n,
+                                   node + 1)):
+            broken = copy.deepcopy(index)
+            getattr(broken, family).ids[at] = bad_id
+            with pytest.raises(UsageError,
+                               match=f"^node {named}: {family} edge id out of range$"):
+                broken.validate()
+
 
 def materialize_reference(index, R, alpha):
     """The per-node rule on Python lists: the row's first ceil(alpha R) IP

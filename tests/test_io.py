@@ -76,6 +76,38 @@ class TestIvecs:
         assert np.array_equal(read_ivecs(path), rows)
 
 
+@pytest.mark.parametrize("fvecs", [True, False], ids=["fvecs", "ivecs"])
+def test_corrupt_files_raise_format_error_or_load(tmp_path, fvecs):
+    # every truncation and every single-bit flip of a 5 x 3 file of 16-byte
+    # records: the reader raises FormatError or loads, never another
+    # exception; a truncation loads only at a record boundary, as the
+    # records before it
+    rows = np.arange(1, 16, dtype=np.int32).reshape(5, 3)
+    path = tmp_path / "c.vecs"
+    if fvecs:
+        write_fvecs(Dataset(rows.astype(np.float32)), str(path))
+    else:
+        write_ivecs(rows, str(path))
+    blob = path.read_bytes()
+    variants = [blob[:cut] for cut in range(len(blob))]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append(bytes(flipped))
+    loaded = []
+    for i, variant in enumerate(variants):
+        path.write_bytes(variant)
+        try:
+            got = read_fvecs(str(path)).data if fvecs else read_ivecs(str(path))
+        except FormatError:
+            continue
+        loaded.append(i)
+        if i < len(blob):
+            assert np.array_equal(got, rows[:i // 16])
+    assert loaded[:4] == [16, 32, 48, 64]
+    assert 4 < len(loaded) < len(variants) - len(blob) + 4
+
+
 class TestBruteForceOracle:
     def test_ip_hand_example(self):
         ds = Dataset.from_array([[2, 0], [0, 1]])
