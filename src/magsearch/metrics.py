@@ -72,13 +72,6 @@ class Dataset:
         return np.vecdot(self.data, self.data)
 
 
-def sort_key(metric: MetricKind, raw_score: float, vid: int) -> tuple[float, int]:
-    """Key tuple that sorts ascending = best-first under either metric."""
-    if metric.larger_is_better:
-        return (-raw_score, vid)
-    return (raw_score, vid)
-
-
 def score_batch(metric: MetricKind, q: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Score every row of ``block`` against q in float32.
 

@@ -4,6 +4,14 @@ The traversal loop: seed a bounded candidate pool, repeatedly expand the
 best unvisited entry, score its unseen neighbors, insert them, truncate
 to the pool bound, and stop when every pool entry has been expanded.
 
+The single-query path (``anms_search``, ``greedy_search``) is the
+lockstep engine's reference, and it runs at Python speed rather than
+numpy-call speed: a Python list of (score, id) keys, one ``sorted()`` to
+seed it, one neighbour row taken as a list per hop, filtered and marked
+through a memoryview of the seen mask, one kernel call on the fresh rows,
+and one ``CandidatePool.offer`` of their keys, which skips a key no
+better than the worst with one comparison. The switch is one sort.
+
 The two-stage variant runs that loop under Euclidean distance for m
 expansions (pulling the pool toward the query direction), then switches
 the surviving pool to inner product — visited flags intact — and runs to
@@ -46,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .metrics import Dataset, MetricKind, score_batch, sort_key
+from .metrics import Dataset, MetricKind, score_batch
 from .stats import _exact_key_blocks
 
 
@@ -123,59 +131,87 @@ class CandidatePool:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def insert(self, key: tuple[float, int]) -> bool:
-        """Insert the orientation-adjusted (score, id) key unless the pool is
-        full and the key is no better than the worst (``metrics.sort_key``).
+    def fill(self, keys) -> None:
+        """Replace the entries by the best ``capacity`` of keys, orientation-
+        adjusted (score, id) tuples of distinct ids, all unvisited: one sort."""
+        self._keys = sorted(keys)[:self.capacity]
+        self._visited = [False] * len(self._keys)
+        self._hint = 0
+
+    def offer(self, keys) -> int:
+        """Insert each of keys in turn, as ``insert`` would, and return how
+        many went in. While the pool is full, a key no better than the worst
+        entry is skipped with one comparison.
 
         Callers must not offer the same id twice per query (the traversal's
         seen-table guarantees that); an id evicted from a full pool can
         never re-qualify because the pool only ever improves.
         """
-        keys = self._keys
-        visited = self._visited
-        if len(keys) >= self.capacity:
-            if key >= keys[-1]:
-                return False
-            keys.pop()
-            visited.pop()
-        pos = bisect_left(keys, key)
-        keys.insert(pos, key)
-        visited.insert(pos, False)
-        if pos < self._hint:
-            self._hint = pos
-        return True
+        pool, visited, capacity = self._keys, self._visited, self.capacity
+        hint, taken = self._hint, 0
+        for key in keys:
+            if len(pool) >= capacity and key >= pool[capacity - 1]:
+                continue
+            pos = bisect_left(pool, key)
+            pool.insert(pos, key)
+            visited.insert(pos, False)
+            if pos < hint:
+                hint = pos
+            taken += 1
+        del pool[capacity:], visited[capacity:]  # the keys pushed past the bound
+        self._hint = hint
+        return taken
+
+    def insert(self, key: tuple[float, int]) -> bool:
+        """Insert the orientation-adjusted (score, id) key, the score negated
+        when larger is better, unless the pool is full and the key is no
+        better than the worst."""
+        return self.offer((key,)) == 1
 
     def pop_best_unvisited(self) -> int:
         """Mark and return the best unvisited id, or -1 when none remain."""
-        keys, visited = self._keys, self._visited
-        i = self._hint
-        while i < len(keys) and visited[i]:
-            i += 1
-        if i >= len(keys):
-            self._hint = len(keys)
+        visited = self._visited
+        try:
+            i = visited.index(False, self._hint)
+        except ValueError:
+            self._hint = len(visited)
             return -1
         visited[i] = True
         self._hint = i + 1
-        return keys[i][1]
+        return self._keys[i][1]
 
     def ids_best_first(self) -> np.ndarray:
         return np.fromiter((k[1] for k in self._keys), dtype=np.int32,
                            count=len(self._keys))
 
-    def resort(self, metric: MetricKind, raw_scores: dict[int, float]) -> None:
-        """Re-key every entry under a new metric, preserving visited flags."""
-        flags = {key[1]: vis for key, vis in zip(self._keys, self._visited)}
-        rekeyed = sorted(sort_key(metric, raw_scores[vid], vid) for vid in flags)
-        self._keys = rekeyed
-        self._visited = [flags[key[1]] for key in rekeyed]
+    def resort(self, metric: MetricKind, raw_scores: np.ndarray) -> None:
+        """Re-key every entry under a new metric from raw_scores, an array
+        of raw scores indexed by id, preserving visited flags.
+
+        One sort of (key, id, visited) triples: the (key, id) pairs are
+        distinct, so the flags never decide the order."""
+        ids = [key[1] for key in self._keys]
+        scores = raw_scores[ids].tolist()
+        if metric.larger_is_better:
+            scores = [-s for s in scores]
+        triples = sorted(zip(scores, ids, self._visited))
+        self._keys = [(s, vid) for s, vid, _ in triples]
+        self._visited = [vis for _, _, vis in triples]
         self._hint = 0
 
     def check_invariants(self) -> None:
-        if len(self._keys) > self.capacity:
+        keys, visited = self._keys, self._visited
+        if len(keys) > self.capacity:
             raise AssertionError("pool exceeded its capacity bound")
-        if any(self._keys[i] >= self._keys[i + 1] for i in range(len(self._keys) - 1)):
+        if len(visited) != len(keys):
+            raise AssertionError("pool has a visited flag count unlike its key count")
+        if not 0 <= self._hint <= len(keys):
+            raise AssertionError("pool scan hint out of range")
+        if not all(visited[:self._hint]):
+            raise AssertionError("pool has an unvisited entry below its scan hint")
+        if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
             raise AssertionError("pool keys not strictly sorted best-first")
-        ids = [k[1] for k in self._keys]
+        ids = [k[1] for k in keys]
         if len(set(ids)) != len(ids):
             raise AssertionError("pool contains duplicate ids")
 
@@ -221,29 +257,31 @@ def _seed_draws(keys: np.ndarray | np.uint64, n: int, c: int) -> np.ndarray:
     return (_mix64(keys ^ t1 * _GOLDEN) % (t1 + np.uint64(n - c))).astype(np.intp)
 
 
-def _seed_ids(n: int, params: SearchParams) -> np.ndarray:
+def _seed_ids(n: int, params: SearchParams) -> tuple[np.ndarray, np.ndarray]:
     """The query's entries: min(ls, n) distinct ids drawn from its seed, in
-    pick order.
+    pick order, and the (n,) seen mask that marks them.
 
     Floyd's step t picks draw t unless it is taken, and then n - c + t,
-    which no earlier step can reach. ``_seed_block`` picks the same ids.
+    which no earlier step can reach. The mask serves as the picked set, as
+    in ``_seed_block``, which picks the same ids.
     """
     c = min(params.ls, n)
     ids = _seed_draws(np.uint64(params._key), n, c)
-    picked: set[int] = set()
+    seen = np.zeros(n, dtype=bool)
+    picked = memoryview(seen)  # Python-speed reads and writes of the mask
     for t, d in enumerate(ids.tolist()):
-        if d in picked:
+        if picked[d]:
             ids[t] = d = n - c + t
-        picked.add(d)
-    return ids
+        picked[d] = True
+    return ids, seen
 
 
 def _euclid_scores(ips: np.ndarray, sq: np.ndarray, data: np.ndarray,
                    q: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """sq[x] - 2<x,q> for each x in ids, keeping <x,q> in ips[x]."""
-    ip = np.vecdot(data[ids], q)
+    """sq[x] - 2<x,q> for each x in the id array, keeping <x,q> in ips[x]."""
+    ip = np.vecdot(data.take(ids, axis=0), q)
     ips[ids] = ip
-    return sq[ids] - (ip + ip)  # ip + ip is 2·ip exactly
+    return sq.take(ids) - (ip + ip)  # ip + ip is 2·ip exactly
 
 
 def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
@@ -255,36 +293,40 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
     Euclidean phase: it scores through ``_euclid_scores`` and keeps every
     <x,q> in ips.
 
-    The loop calls ``np.vecdot`` itself for inner products, without
-    ``score_batch``'s per-call checks, and walks ``graph.padded``: every
-    node in the pool is seen, so its padding cells are never fresh."""
+    A hop is Python work around one kernel call. It takes the expanded
+    node's row of ``graph.padded`` as one list, filters and marks it
+    through a memoryview of the seen mask, and offers the scored fresh ids
+    to the pool in one call. Every node in the pool is seen, so its padding
+    cells are never fresh. Inner products go to ``np.vecdot`` directly,
+    without ``score_batch``'s per-call checks."""
     data, rows = dataset.data, graph.padded
     sq = None if ips is None else dataset.sq_norms
+    vecdot = np.vecdot
     flip = metric.larger_is_better
-    insert = pool.insert
-    pop = pool.pop_best_unvisited
-    done = 0
-    while max_expansions is None or done < max_expansions:
+    mask = memoryview(seen)  # the same cells, read and written at Python speed
+    pop, offer = pool.pop_best_unvisited, pool.offer
+    hops = comps = 0
+    while max_expansions is None or hops < max_expansions:
         vid = pop()
         if vid < 0:
             break
-        stats.hops += 1
-        done += 1
-        nbrs = rows[vid]
-        fresh = nbrs[~seen[nbrs]]
-        if fresh.size:
-            seen[fresh] = True
+        hops += 1
+        fresh = [u for u in rows[vid].tolist() if not mask[u]]
+        if fresh:
+            for u in fresh:
+                mask[u] = True
+            comps += len(fresh)
             if ips is not None:
-                scores = _euclid_scores(ips, sq, data, q, fresh)
+                scores = _euclid_scores(ips, sq, data, q, np.array(fresh)).tolist()
             elif flip:
-                scores = -np.vecdot(data[fresh], q)
+                scores = [-s for s in vecdot(data.take(fresh, axis=0), q).tolist()]
             else:
-                scores = score_batch(metric, q, data[fresh])
-            stats.dist_comps += fresh.size
-            for key in zip(scores.tolist(), fresh.tolist()):
-                insert(key)
+                scores = score_batch(metric, q, data.take(fresh, axis=0)).tolist()
+            offer(zip(scores, fresh))
         if debug:
             pool.check_invariants()
+    stats.hops += hops
+    stats.dist_comps += comps
 
 
 def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
@@ -315,25 +357,22 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     switch adds no distance computation."""
     qv = _check_query(graph, dataset, q, params.k)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
-    entries = _seed_ids(graph.n, params)
-    pool = CandidatePool(params.ls)
-    seen = np.zeros(graph.n, dtype=bool)
-    seen[entries] = True
+    entries, seen = _seed_ids(graph.n, params)
     if m > 0:
         ips = np.empty(graph.n, dtype=np.float32)
         scores = _euclid_scores(ips, dataset.sq_norms, dataset.data, qv, entries)
     else:
         scores = score_batch(first, qv, dataset.data[entries])
-    stats = SearchStats(dist_comps=len(entries))
+    scores = scores.tolist()
     if first.larger_is_better:
-        scores = -scores
-    for key in zip(scores.tolist(), entries.tolist()):
-        pool.insert(key)
+        scores = [-s for s in scores]
+    pool = CandidatePool(params.ls)
+    pool.fill(zip(scores, entries.tolist()))
+    stats = SearchStats(dist_comps=len(entries))
     if m > 0:
         _expand_loop(pool, graph, dataset, qv, first, seen, stats,
                      max_expansions=m, debug=debug, ips=ips)
-        ids = pool.ids_best_first()
-        pool.resort(metric, dict(zip(ids.tolist(), ips[ids].tolist())))
+        pool.resort(metric, ips)
     _expand_loop(pool, graph, dataset, qv, metric, seen, stats, debug=debug)
     return SearchResult(ids=pool.ids_best_first()[:params.k], stats=stats)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from magsearch import Dataset, MetricKind, UsageError
-from magsearch.metrics import score_batch, sort_key
+from magsearch.metrics import score_batch
+from magsearch.search import _pool_keys
 
 IP, L2 = MetricKind.INNER_PRODUCT, MetricKind.EUCLIDEAN
 
@@ -94,7 +95,9 @@ class TestKernels:
 
 
 def is_better(metric, score_a, id_a, score_b, id_b):
-    return sort_key(metric, score_a, id_a) < sort_key(metric, score_b, id_b)
+    """a before b under the search's comparator, the uint64 pool keys."""
+    a, b = _pool_keys(metric, np.float32([score_a, score_b]), np.array([id_a, id_b]))
+    return bool(a < b)
 
 
 class TestScoreAndComparator:
@@ -126,7 +129,9 @@ class TestScoreAndComparator:
                     ab = is_better(metric, a[0], a[1], b[0], b[1])
                     ba = is_better(metric, b[0], b[1], a[0], a[1])
                     assert ab != ba  # total + antisymmetric
-            ordered = sorted(items, key=lambda t: sort_key(metric, t[0], t[1]))
+            keys = _pool_keys(metric, np.float32([t[0] for t in items]),
+                              np.array([t[1] for t in items]))
+            ordered = [items[i] for i in np.argsort(keys)]
             for i in range(len(ordered) - 1):
                 assert is_better(metric, ordered[i][0], ordered[i][1],
                                  ordered[i + 1][0], ordered[i + 1][1])

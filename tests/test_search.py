@@ -12,7 +12,7 @@ from magsearch import (Dataset, MetricKind, SearchParams, UsageError,
                        compute_ground_truth, greedy_search, materialize,
                        recall_at_k)
 from magsearch.bench import run_queries
-from magsearch.metrics import score_batch, sort_key
+from magsearch.metrics import score_batch
 from magsearch.search import (CandidatePool, SearchGraph, SearchStats,
                               _expand_loop, lockstep_search,
                               verify_scaling_duality)
@@ -84,6 +84,12 @@ def counting_kernels():
         np.vecdot = real
 
 
+def sort_key(metric, score, vid):
+    """The scalar pool's key: (score, id), the score negated when larger is
+    better, so that ascending order is best-first."""
+    return (-score, vid) if metric.larger_is_better else (score, vid)
+
+
 def expansion_order(monkeypatch, search):
     """The ids that search() expands, in order, read off the pool's pops."""
     order = []
@@ -139,10 +145,79 @@ class TestCandidatePool:
         pool.insert(sort_key(MetricKind.EUCLIDEAN, 1.0, 0))
         pool.insert(sort_key(MetricKind.EUCLIDEAN, 2.0, 1))
         assert pool.pop_best_unvisited() == 0
-        pool.resort(MetricKind.INNER_PRODUCT, {0: 1.0, 1: 5.0})
+        pool.resort(MetricKind.INNER_PRODUCT, np.array([1.0, 5.0]))
         assert pool.ids_best_first().tolist() == [1, 0]
         assert pool.pop_best_unvisited() == 1  # 0 stays visited
         assert pool.pop_best_unvisited() == -1
+
+    def test_fill_below_capacity(self):
+        pool = CandidatePool(5)
+        pool.fill([(3.0, 7), (1.0, 9), (3.0, 2)])
+        assert pool.ids_best_first().tolist() == [9, 2, 7]
+        assert pool._visited == [False] * 3
+        pool.check_invariants()
+        # room left: a key worse than every entry still goes in
+        assert pool.offer([(8.0, 1), (0.5, 4)]) == 2
+        assert pool.ids_best_first().tolist() == [4, 9, 2, 7, 1]
+        pool.check_invariants()
+
+    def test_fill_keeps_the_best_capacity(self):
+        pool = CandidatePool(2)
+        pool.fill([(0.5, 5), (0.7, 6)])
+        assert pool.pop_best_unvisited() == 5
+        pool.fill([(4.0, 0), (2.0, 1), (3.0, 2)])  # replaces entries and flags
+        assert pool.ids_best_first().tolist() == [1, 2]
+        assert pool._visited == [False, False] and pool._hint == 0
+        pool.check_invariants()
+
+    def test_offer_keeps_the_bound(self):
+        pool = CandidatePool(3)
+        pool.fill([(1.0, 0), (2.0, 1), (3.0, 2)])
+        assert pool.offer([(2.5, 3), (0.5, 4), (9.0, 5)]) == 2
+        assert pool.ids_best_first().tolist() == [4, 0, 1]
+        pool.check_invariants()
+
+    def test_offer_breaks_a_tie_at_the_worst_key_by_id(self):
+        pool = CandidatePool(2)
+        pool.fill([(1.0, 3), (2.0, 5)])
+        assert pool.offer([(2.0, 6)]) == 0  # equal score, higher id
+        assert pool.offer([(2.0, 4)]) == 1  # equal score, lower id
+        assert pool.ids_best_first().tolist() == [3, 4]
+
+    def test_offer_skips_keys_no_better_than_the_worst_when_full(self):
+        pool = CandidatePool(3)
+        pool.fill([(1.0, 0), (2.0, 1), (3.0, 2)])
+        assert pool.pop_best_unvisited() == 0
+        before = (list(pool._keys), list(pool._visited), pool._hint)
+        assert pool.offer([(3.0, 9), (3.5, 7), (9.0, 8)]) == 0
+        assert (pool._keys, pool._visited, pool._hint) == before
+
+    def test_offer_before_the_hint_moves_it_back(self):
+        pool = CandidatePool(4)
+        pool.fill([(1.0, 0), (2.0, 1), (3.0, 2), (4.0, 3)])
+        assert [pool.pop_best_unvisited() for _ in range(2)] == [0, 1]
+        assert pool._hint == 2
+        assert pool.offer([(3.5, 5), (1.5, 6)]) == 2
+        assert pool._hint == 1
+        pool.check_invariants()
+        assert pool.ids_best_first().tolist() == [0, 6, 1, 2]
+        assert pool.pop_best_unvisited() == 6
+        assert pool.pop_best_unvisited() == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda pool: pool._visited.pop(),
+        lambda pool: setattr(pool, "_hint", len(pool) + 1),
+        lambda pool: setattr(pool, "_hint", -1),
+        lambda pool: setattr(pool, "_hint", 2),
+    ], ids=["flag-count", "hint-above", "hint-below", "unvisited-below-hint"])
+    def test_check_invariants_catches_a_corrupt_pool(self, corrupt):
+        pool = CandidatePool(4)
+        pool.fill([(1.0, 0), (2.0, 1), (3.0, 2)])
+        assert pool.pop_best_unvisited() == 0
+        pool.check_invariants()
+        corrupt(pool)
+        with pytest.raises(AssertionError):
+            pool.check_invariants()
 
 
 class TestGreedySearch:
@@ -204,6 +279,33 @@ class TestGreedySearch:
         greedy_search(graph, data, np.ones(8, np.float32),
                       SearchParams(ls=16, k=4, seed=2),
                       MetricKind.INNER_PRODUCT, debug=True)
+
+    def test_debug_mode_clean_l2(self, searchable):
+        data, graph = searchable
+        for seed in range(5):
+            q = np.full(8, 0.3 * seed, np.float32)
+            res = greedy_search(graph, data, q, SearchParams(ls=16, k=4, seed=seed),
+                                MetricKind.EUCLIDEAN, debug=True)
+            assert res.stats.hops > 1
+
+    def test_debug_mode_clean_with_switch(self, trap):
+        graph, data, qs, _ = trap
+        for i, q in enumerate(qs):
+            params = SearchParams(ls=48, k=10, m=16, seed=(2, i))
+            res = anms_search(graph, data, q, params, debug=True)
+            assert res.stats.hops > params.m
+            plain = anms_search(graph, data, q, params)
+            assert res.ids.tolist() == plain.ids.tolist()
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_pool_larger_than_n_is_exact_under_debug(self, searchable, m):
+        data, graph = searchable
+        q = np.linspace(-1, 1, 8).astype(np.float32)
+        res = anms_search(graph, data, q, SearchParams(ls=data.n + 50, k=10, m=m,
+                                                       seed=1), debug=True)
+        assert res.stats.dist_comps == data.n
+        oracle = brute_force_topk(data, q, 10, MetricKind.INNER_PRODUCT)
+        assert res.ids.tolist() == oracle.tolist()
 
     def test_usage_errors(self, searchable):
         data, graph = searchable
@@ -376,9 +478,10 @@ def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
             if m > 0:
                 _expand_loop(pool, graph, data, q, first, seen, stats,
                              max_expansions=m, ips=ips)
-                kept = pool.ids_best_first()
-                scores = np.vecdot(data.data[kept], q) if old_switch else ips[kept]
-                pool.resort(metric, dict(zip(kept.tolist(), scores.tolist())))
+                if old_switch:
+                    kept = pool.ids_best_first()
+                    ips[kept] = np.vecdot(data.data[kept], q)
+                pool.resort(metric, ips)
             _expand_loop(pool, graph, data, q, metric, seen, stats)
         rows.append((pool.ids_best_first().tolist(), list(pool._visited), seen,
                      counted["rows"], stats.hops))
@@ -524,7 +627,7 @@ class TestLockstep:
             data, graph = request.getfixturevalue("searchable")
             qs = request.getfixturevalue("panel").data
             entries = np.stack([search_mod._seed_ids(
-                data.n, SearchParams(ls=ls, k=10, seed=(3, i)))
+                data.n, SearchParams(ls=ls, k=10, seed=(3, i)))[0]
                 for i in range(len(qs))])
         else:
             graph, data, qs, entries = request.getfixturevalue(case)
@@ -710,8 +813,9 @@ class TestSeeding:
         words = [(3, i) for i in range(50)]
         entries, seen = search_mod._seed_block(seed_keys(words), n, min(ls, n))
         for row, mask, w in zip(entries, seen, words):
-            ids = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=w))
+            ids, own = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=w))
             assert ids.tolist() == row.tolist()
+            assert np.array_equal(own, mask)
             assert len(set(row.tolist())) == min(ls, n)
             assert 0 <= row.min() and row.max() < n
             assert np.flatnonzero(mask).tolist() == sorted(row.tolist())
@@ -736,7 +840,7 @@ class TestSeeding:
     def test_pinned_entries(self, words, want):
         """The rule decides result ids, so a change to it must show here."""
         assert search_mod._seed_ids(1000, SearchParams(ls=8, k=1, seed=words)
-                                     ).tolist() == want
+                                     )[0].tolist() == want
         entries, _ = search_mod._seed_block(seed_keys([words]), 1000, 8)
         assert entries[0].tolist() == want
 
@@ -746,7 +850,7 @@ class TestSeeding:
             words = tuple(int(w) for w in rng.integers(
                 0, 2 ** 64 - 1, size=rng.integers(1, 4), dtype=np.uint64,
                 endpoint=True))
-            got = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=words))
+            got, _ = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=words))
             assert got.tolist() == reference_entries(words, n, ls), (words, n, ls)
 
     def test_an_int_seed_is_one_word(self):
