@@ -9,8 +9,8 @@ expansions.
 """
 
 from .bench import (SyntheticSpec, bench_one, generate_synthetic,
-                    recall_at_k, run_benchmark, run_queries,
-                    run_scaling_study, verify_suite)
+                    recall_at_k, run_benchmark, run_scaling_study,
+                    verify_suite)
 from .construction import (build_exact_knn, build_exact_ndg,
                            count_strong_components, mrng_prune, ndg_select)
 from .errors import FormatError, UsageError
@@ -19,7 +19,8 @@ from .index import (MagIndex, build_mag, build_stage1, build_stage2,
 from .io import (brute_force_topk, compute_ground_truth, read_fvecs,
                  read_ivecs, write_fvecs)
 from .metrics import Dataset, MetricKind, score_batch
-from .search import SearchParams, anms_search, greedy_search
+from .search import (SearchParams, anms_search, greedy_search,
+                     run_queries)
 from .stats import (compute_stats, dominator_probability,
                     dominator_probability_mc, estimate_nn_angle,
                     expected_self_dominators, self_dominator_set, tuning_hint)

@@ -23,10 +23,11 @@ from .index import (MagIndex, build_mag, index_from_bytes, index_to_bytes,
                     materialize)
 from .io import check_ground_truth, compute_ground_truth
 from .metrics import Dataset, MetricKind
-from .search import (SearchGraph, SearchParams, SearchResult, anms_search,
-                     greedy_search, lockstep_search, verify_scaling_duality)
+from .search import (SearchGraph, SearchParams, anms_search, greedy_search,
+                     run_queries)
 from .stats import (_exact_key_blocks, best_cross_inner_product,
-                    dominator_probability, dominator_probability_mc)
+                    dominator_probability, dominator_probability_mc,
+                    verify_scaling_duality)
 
 BENCH_CSV_HEADER = "ls,alpha,m,R,recall,qps,dist_comps,hops"
 SCALE_CSV_HEADER = "n,ls,recall,dist_comps,flagged"
@@ -93,19 +94,6 @@ def recall_at_k(results: list[np.ndarray], gt: np.ndarray, k: int) -> float:
     for res, row in zip(results, gt):
         total += len(np.intersect1d(np.asarray(res), row[:k]))
     return total / (k * len(results))
-
-
-def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
-                ls: int, k: int, m: int = 0, seed: int = 0,
-                metric: MetricKind = MetricKind.INNER_PRODUCT) -> list[SearchResult]:
-    """Search the whole panel; per-query seeds derive from (seed, query id).
-
-    m > 0 uses the metric-switch search (IP target); m = 0 runs plain
-    greedy search under ``metric``. The queries run in lockstep blocks
-    (``search.lockstep_search``), with the results of one search per query.
-    """
-    return lockstep_search(graph, dataset, queries.data, ls=ls, k=k, m=m,
-                           seed=seed, metric=metric)
 
 
 @dataclass

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import bench as bench_mod
 from .bench import (SCALE_CSV_HEADER, SyntheticSpec, config_line,
                     generate_synthetic, records_to_csv, run_benchmark,
                     run_scaling_study, verify_suite)
@@ -20,6 +19,7 @@ from .index import MagIndex, build_mag, load_index, materialize, save_index
 from .io import (compute_ground_truth, read_fvecs, read_ivecs, write_fvecs,
                  write_ivecs)
 from .metrics import Dataset, MetricKind
+from .search import run_queries
 from .stats import compute_stats, tuning_hint
 
 
@@ -118,9 +118,8 @@ def cmd_search(args) -> int:
     index = _load_matching_index(args.index, data)
     queries = read_fvecs(args.queries)
     graph = materialize(index, R=args.R, alpha=args.alpha)
-    results = bench_mod.run_queries(graph, data, queries, ls=args.ls, k=args.k,
-                                    m=args.m, seed=args.seed,
-                                    metric=MetricKind(args.metric))
+    results = run_queries(graph, data, queries, ls=args.ls, k=args.k, m=args.m,
+                          seed=args.seed, metric=MetricKind(args.metric))
     lines = [config_line(_config(args)), "query,ids,dist_comps,hops"]
     for qid, res in enumerate(results):
         ids = " ".join(str(int(v)) for v in res.ids)

@@ -28,7 +28,7 @@ A query's pool starts from min(ls, n) distinct ids, a pure function of
 its seed words, n and ls. splitmix64's finaliser (Steele, Lea & Flood,
 OOPSLA 2014) folded over the words gives a 64-bit key; draws hashed from
 the key and a counter feed Floyd's sampling without replacement
-(Bentley & Floyd, CACM 1987). The lockstep engine
+(Bentley & Floyd, CACM 1987). The lockstep engine, ``run_queries``,
 evaluates the rule for a whole block in a few array operations, the
 single-query path for one query, and both pick the same ids.
 
@@ -55,7 +55,6 @@ import numpy as np
 
 from .errors import UsageError
 from .metrics import Dataset, MetricKind, score_batch
-from .stats import _exact_key_blocks
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,10 @@ class CandidatePool:
         self._hint = 0
 
     def offer(self, keys) -> int:
-        """Insert each of keys in turn, as ``insert`` would, and return how
-        many went in. While the pool is full, a key no better than the worst
-        entry is skipped with one comparison.
+        """Insert each of keys, orientation-adjusted (score, id) tuples with
+        the score negated when larger is better, in turn, and return how many
+        went in. While the pool is full, a key no better than the worst entry
+        is skipped with one comparison.
 
         Callers must not offer the same id twice per query (the traversal's
         seen-table guarantees that); an id evicted from a full pool can
@@ -161,12 +161,6 @@ class CandidatePool:
         del pool[capacity:], visited[capacity:]  # the keys pushed past the bound
         self._hint = hint
         return taken
-
-    def insert(self, key: tuple[float, int]) -> bool:
-        """Insert the orientation-adjusted (score, id) key, the score negated
-        when larger is better, unless the pool is full and the key is no
-        better than the worst."""
-        return self.offer((key,)) == 1
 
     def pop_best_unvisited(self) -> int:
         """Mark and return the best unvisited id, or -1 when none remain."""
@@ -276,11 +270,12 @@ def _seed_ids(n: int, params: SearchParams) -> tuple[np.ndarray, np.ndarray]:
     return ids, seen
 
 
-def _euclid_scores(ips: np.ndarray, sq: np.ndarray, data: np.ndarray,
-                   q: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """sq[x] - 2<x,q> for each x in the id array, keeping <x,q> in ips[x]."""
-    ip = np.vecdot(data.take(ids, axis=0), q)
-    ips[ids] = ip
+def _euclid_scores(ip: np.ndarray, sq: np.ndarray, ids: np.ndarray,
+                   store: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Both paths' Euclidean-phase scores sq[x] - 2<x,q> for each x in ids,
+    given ip, their <x,q>, which this keeps for the switch in store at cells:
+    x itself on the single-query path, x's seen cell in the engine."""
+    store[cells] = ip
     return sq.take(ids) - (ip + ip)  # ip + ip is 2·ip exactly
 
 
@@ -317,7 +312,9 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
                 mask[u] = True
             comps += len(fresh)
             if ips is not None:
-                scores = _euclid_scores(ips, sq, data, q, np.array(fresh)).tolist()
+                ids = np.array(fresh)
+                scores = _euclid_scores(vecdot(data.take(ids, axis=0), q), sq,
+                                        ids, ips, ids).tolist()
             elif flip:
                 scores = [-s for s in vecdot(data.take(fresh, axis=0), q).tolist()]
             else:
@@ -360,7 +357,8 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     entries, seen = _seed_ids(graph.n, params)
     if m > 0:
         ips = np.empty(graph.n, dtype=np.float32)
-        scores = _euclid_scores(ips, dataset.sq_norms, dataset.data, qv, entries)
+        scores = _euclid_scores(np.vecdot(dataset.data.take(entries, axis=0), qv),
+                                dataset.sq_norms, entries, ips, entries)
     else:
         scores = score_batch(first, qv, dataset.data[entries])
     scores = scores.tolist()
@@ -522,8 +520,7 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
                              np.take(rows, at // R, axis=0),
                              np.take(data, vid, axis=0))
         if ips is not None:
-            flat_ips[fresh] = scores
-            scores = np.take(sq, vid) - (scores + scores)
+            scores = _euclid_scores(scores, sq, vid, flat_ips, fresh)
         cand = np.full(nbrs.shape, _NO_KEY)
         cand.reshape(-1)[at] = _pool_keys(metric, scores, vid)
         # pools are full from seeding on: a row gains nothing unless a
@@ -564,10 +561,9 @@ def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
     scores = score_batch(metric, qs[:, None], np.take(data, entries, axis=0))
     if m > 0:
         sq = dataset.sq_norms
-        cells = entries + (np.arange(nq) * n)[:, None]
         ips = np.empty((nq, n), dtype=np.float32)
-        ips.reshape(-1)[cells] = scores
-        scores = np.take(sq, entries) - (scores + scores)
+        scores = _euclid_scores(scores, sq, entries, ips.reshape(-1),
+                                entries + (np.arange(nq) * n)[:, None])
     keys = np.sort(_pool_keys(first, scores, entries), axis=1)
     if m > 0:
         _lockstep_expand(graph.padded, data, qs, keys, seen, hops, first,
@@ -581,11 +577,11 @@ def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
     return keys, hops
 
 
-def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
-                    k: int, m: int = 0, seed: int = 0,
-                    metric: MetricKind = MetricKind.INNER_PRODUCT
-                    ) -> list[SearchResult]:
-    """Search a (nq, dim) panel; query i is seeded with the words (seed, i).
+def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
+                ls: int, k: int, m: int = 0, seed: int = 0,
+                metric: MetricKind = MetricKind.INNER_PRODUCT
+                ) -> list[SearchResult]:
+    """Search the whole panel; query i is seeded with the words (seed, i).
 
     Query i gets the ids, dist_comps and hops that ``anms_search`` (m > 0)
     or ``greedy_search`` under ``metric`` (m = 0) give it alone with
@@ -602,7 +598,7 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
     head = SearchParams(ls=ls, k=k, m=m, seed=seed)._key  # checks the arguments
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:
         raise UsageError("the metric switch targets inner product; use m=0 for l2")
-    qs = _check_query(graph, dataset, queries, k, ndim=2)
+    qs = _check_query(graph, dataset, queries.data, k, ndim=2)
     n = graph.n
     # _seed_key((seed, i)): the fold's last step, taken for every i at once
     keys = _mix64((np.uint64(head) ^ np.arange(len(qs), dtype=np.uint64))
@@ -618,41 +614,3 @@ def lockstep_search(graph: SearchGraph, dataset: Dataset, queries, ls: int,
                        for row, c, h in zip(ids, seen.sum(axis=1).tolist(),
                                             hops.tolist()))
     return results
-
-
-@dataclass
-class DualityReport:
-    """Agreement between plain MIPS and Euclidean search on the scaled query."""
-
-    nn_agreement: float          # brute-force: NN of mu*q equals the MIPS argmax
-    n_tied: int = 0              # queries excluded for a tied MIPS top-1
-
-
-def verify_scaling_duality(dataset: Dataset, queries: Dataset,
-                           mu: float | None = None) -> DualityReport:
-    """Check that scaling a query by a large mu turns MIPS into Euclidean NNS.
-
-    mu=None picks 1e6 * (max vector norm / query norm) per query. One pass
-    per block of queries takes the scaled queries' nearest neighbours in
-    difference form, and the MIPS argmax and whether its score is tied
-    from one inner-product gram.
-    """
-    if mu is not None and mu <= 0:
-        raise UsageError(f"mu must be positive, got {mu}")
-    base64 = dataset.data.astype(np.float64)
-    qs = queries.data.astype(np.float64)
-    norms = np.sqrt(np.vecdot(qs, qs))[:, None]  # the bits of np.linalg.norm
-    if (norms == 0).any():
-        raise UsageError("zero query vector has no scaling direction")
-    scale = mu if mu is not None else 1e6 * float(np.linalg.norm(base64, axis=1).max()) / norms
-
-    agree = tied = 0
-    for lo, d2 in _exact_key_blocks(base64, scale * qs, MetricKind.EUCLIDEAN):
-        ips = qs[lo:lo + len(d2)] @ base64.T
-        tie = (ips == ips.max(axis=1, keepdims=True)).sum(axis=1) > 1
-        agree += int((~tie & (ips.argmax(axis=1) == d2.argmin(axis=1))).sum())
-        tied += int(tie.sum())
-
-    considered = queries.n - tied
-    return DualityReport(nn_agreement=agree / considered if considered else 1.0,
-                         n_tied=tied)

@@ -6,7 +6,8 @@ Davies-Bouldin index under Euclidean and cosine distance (low DBI means
 strong clustering, favoring Euclidean-oriented settings), and a census of
 self-dominators — points x with <x,x> strictly greater than <x,y> for
 every other y, which are exact search answers for queries in their own
-inner-product Voronoi cell.
+inner-product Voronoi cell. The exact O(n^2) scans live here too, with the
+brute-force check of the scaling duality that runs on them.
 """
 
 from __future__ import annotations
@@ -250,6 +251,44 @@ def _exact_key_blocks(base: np.ndarray, qs: np.ndarray, metric: MetricKind):
         else:
             diff = base - qs[lo:hi, None]
             yield lo, np.einsum("bij,bij->bi", diff, diff)
+
+
+@dataclass
+class DualityReport:
+    """Agreement between plain MIPS and Euclidean search on the scaled query."""
+
+    nn_agreement: float          # brute-force: NN of mu*q equals the MIPS argmax
+    n_tied: int = 0              # queries excluded for a tied MIPS top-1
+
+
+def verify_scaling_duality(dataset: Dataset, queries: Dataset,
+                           mu: float | None = None) -> DualityReport:
+    """Check that scaling a query by a large mu turns MIPS into Euclidean NNS.
+
+    mu=None picks 1e6 * (max vector norm / query norm) per query. One pass
+    per block of queries takes the scaled queries' nearest neighbours in
+    difference form, and the MIPS argmax and whether its score is tied
+    from one inner-product gram.
+    """
+    if mu is not None and mu <= 0:
+        raise UsageError(f"mu must be positive, got {mu}")
+    base64 = dataset.data.astype(np.float64)
+    qs = queries.data.astype(np.float64)
+    norms = np.sqrt(np.vecdot(qs, qs))[:, None]  # the bits of np.linalg.norm
+    if (norms == 0).any():
+        raise UsageError("zero query vector has no scaling direction")
+    scale = mu if mu is not None else 1e6 * float(np.linalg.norm(base64, axis=1).max()) / norms
+
+    agree = tied = 0
+    for lo, d2 in _exact_key_blocks(base64, scale * qs, MetricKind.EUCLIDEAN):
+        ips = qs[lo:lo + len(d2)] @ base64.T
+        tie = (ips == ips.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        agree += int((~tie & (ips.argmax(axis=1) == d2.argmin(axis=1))).sum())
+        tied += int(tie.sum())
+
+    considered = queries.n - tied
+    return DualityReport(nn_agreement=agree / considered if considered else 1.0,
+                         n_tied=tied)
 
 
 def _chunk_best_cross(gram: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:

@@ -115,3 +115,37 @@ def test_package_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that a module of the package imports from,
+    by relative or by absolute import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "magsearch":
+                    continue
+                module = module.removeprefix("magsearch").lstrip(".")
+            # "from . import x" and "from magsearch import x" name modules
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("magsearch.")}
+    return names
+
+
+def test_finds_package_imports():
+    source = ("import numpy as np\nfrom .errors import UsageError\n"
+              "from . import stats\nimport magsearch.io\n"
+              "from magsearch.index import build_mag\n"
+              "from magsearch import bench\nfrom json import dumps\n")
+    assert package_imports(source) == {"errors", "stats", "io", "index", "bench"}
+
+
+def test_search_imports_only_errors_and_metrics():
+    """The query layer stands on the kernels alone: exact scans, builds and
+    benchmarks import it, never the other way round."""
+    source = (ROOT / "src" / "magsearch" / "search.py").read_text()
+    assert package_imports(source) <= {"errors", "metrics"}

@@ -14,8 +14,8 @@ from magsearch import (Dataset, MetricKind, SearchParams, UsageError,
 from magsearch.bench import run_queries
 from magsearch.metrics import score_batch
 from magsearch.search import (CandidatePool, SearchGraph, SearchStats,
-                              _expand_loop, lockstep_search,
-                              verify_scaling_duality)
+                              _expand_loop)
+from magsearch.stats import verify_scaling_duality
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +111,14 @@ class TestCandidatePool:
     def test_bound_and_order(self):
         pool = CandidatePool(3)
         for vid, s in [(5, 9.0), (2, 1.0), (8, 4.0), (1, 2.0)]:
-            pool.insert(sort_key(MetricKind.EUCLIDEAN, s, vid))
+            pool.offer((sort_key(MetricKind.EUCLIDEAN, s, vid),))
         assert len(pool) == 3
         assert pool.ids_best_first().tolist() == [2, 1, 8]  # 9.0 evicted
         pool.check_invariants()
 
     def test_reject_worse_when_full(self):
         pool = CandidatePool(2)
-        inserted = [pool.insert(sort_key(MetricKind.INNER_PRODUCT, s, vid))
+        inserted = [pool.offer((sort_key(MetricKind.INNER_PRODUCT, s, vid),))
                     for vid, s in [(0, 5.0), (1, 4.0), (2, 3.0), (3, 6.0)]]
         assert inserted == [True, True, False, True]
         assert pool.ids_best_first().tolist() == [3, 0]
@@ -126,24 +126,24 @@ class TestCandidatePool:
     def test_tie_breaks_by_lower_id(self):
         pool = CandidatePool(4)
         for vid in (7, 2, 5):
-            pool.insert(sort_key(MetricKind.INNER_PRODUCT, 1.0, vid))
+            pool.offer((sort_key(MetricKind.INNER_PRODUCT, 1.0, vid),))
         assert pool.ids_best_first().tolist() == [2, 5, 7]
 
     def test_pop_best_unvisited(self):
         pool = CandidatePool(4)
         for vid, s in [(3, 2.0), (1, 1.0), (4, 3.0)]:
-            pool.insert(sort_key(MetricKind.EUCLIDEAN, s, vid))
+            pool.offer((sort_key(MetricKind.EUCLIDEAN, s, vid),))
         assert pool.pop_best_unvisited() == 1
         assert pool.pop_best_unvisited() == 3
-        pool.insert(sort_key(MetricKind.EUCLIDEAN, 0.5, 9))  # best, still unvisited
+        pool.offer((sort_key(MetricKind.EUCLIDEAN, 0.5, 9),))  # best, still unvisited
         assert pool.pop_best_unvisited() == 9
         assert pool.pop_best_unvisited() == 4
         assert pool.pop_best_unvisited() == -1
 
     def test_resort_preserves_visited(self):
         pool = CandidatePool(3)
-        pool.insert(sort_key(MetricKind.EUCLIDEAN, 1.0, 0))
-        pool.insert(sort_key(MetricKind.EUCLIDEAN, 2.0, 1))
+        pool.offer((sort_key(MetricKind.EUCLIDEAN, 1.0, 0),))
+        pool.offer((sort_key(MetricKind.EUCLIDEAN, 2.0, 1),))
         assert pool.pop_best_unvisited() == 0
         pool.resort(MetricKind.INNER_PRODUCT, np.array([1.0, 5.0]))
         assert pool.ids_best_first().tolist() == [1, 0]
@@ -385,7 +385,7 @@ class TestAnms:
             res = anms_search(graph, data, q, SearchParams(ls=16, k=4, m=2,
                                                            seed=(6, 0)))
         with counting_kernels() as engine:
-            [got] = lockstep_search(graph, data, q[None], ls=16, k=4, m=2, seed=6)
+            [got] = run_queries(graph, data, Dataset(q[None]), ls=16, k=4, m=2, seed=6)
         assert res.stats.hops > 2 and res.stats.dist_comps > 16
         for counted, comps in ((scalar, res.stats.dist_comps),
                                (engine, got.stats.dist_comps)):
@@ -433,10 +433,10 @@ def random_graph(n, R, seed):
 
 def assert_matches_scalar(graph, data, queries, ls, k, m=0, seed=0,
                           metric=MetricKind.INNER_PRODUCT):
-    """lockstep_search gives each query the ids and counters of its own
+    """run_queries gives each query the ids and counters of its own
     greedy_search (m = 0) or anms_search (m > 0) call."""
-    got = lockstep_search(graph, data, queries.data, ls=ls, k=k, m=m, seed=seed,
-                          metric=metric)
+    got = run_queries(graph, data, queries, ls=ls, k=k, m=m, seed=seed,
+                      metric=metric)
     assert len(got) == queries.n
     for qid, res in enumerate(got):
         params = SearchParams(ls=ls, k=k, m=m, seed=(seed, qid))
@@ -474,7 +474,7 @@ def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
             else:
                 scores = score_batch(first, q, data.data[ids])
             for vid, score in zip(ids.tolist(), scores.tolist()):
-                pool.insert(sort_key(first, score, vid))
+                pool.offer((sort_key(first, score, vid),))
             if m > 0:
                 _expand_loop(pool, graph, data, q, first, seen, stats,
                              max_expansions=m, ips=ips)
@@ -655,7 +655,7 @@ class TestLockstep:
                             keeping(search_mod._lockstep_expand, lambda a: a[4]))
         for i, q in enumerate(qs):
             anms_search(graph, data, q, SearchParams(ls=48, k=10, m=m, seed=(2, i)))
-        lockstep_search(graph, data, qs, ls=48, k=10, m=m, seed=2)
+        run_queries(graph, data, Dataset(qs), ls=48, k=10, m=m, seed=2)
         assert len(kept) == len(qs) + 1
         scalar = kept[:-1]
         engine = list(zip(*kept[-1]))
@@ -715,7 +715,7 @@ class TestLockstep:
     def test_shared_graph_is_not_written(self, sparse):
         graph, data, queries, entries = sparse
         adjacency, counts = graph.adjacency.copy(), graph.counts.copy()
-        lockstep_search(graph, data, queries.data, ls=8, k=4, m=2, seed=16)
+        run_queries(graph, data, queries, ls=8, k=4, m=2, seed=16)
         assert_pools_match(graph, data, queries.data, entries, 8, 0,
                            MetricKind.INNER_PRODUCT)
         assert graph.adjacency.tobytes() == adjacency.tobytes()
@@ -746,7 +746,7 @@ class TestLockstep:
         whole = assert_matches_scalar(graph, data, panel, ls=24, k=10, m=m, seed=13)
         for block in (1, 2, 3, 7, panel.n - 1):
             monkeypatch.setattr(search_mod, "_block_size", lambda *_: block)
-            got = lockstep_search(graph, data, panel.data, ls=24, k=10, m=m, seed=13)
+            got = run_queries(graph, data, panel, ls=24, k=10, m=m, seed=13)
             assert [(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in got] \
                 == [(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in whole]
 
@@ -762,11 +762,11 @@ class TestLockstep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, searchable, panel, bad):
         data, graph = searchable
-        qs = panel.data.copy()
-        qs[7, 2] = bad
+        qs = Dataset(panel.data.copy())
+        qs.data[7, 2] = bad  # a Dataset checks its values only when made
         for m in (0, 3):
             with pytest.raises(UsageError, match="NaN or Inf"):
-                lockstep_search(graph, data, qs, ls=16, k=5, m=m)
+                run_queries(graph, data, qs, ls=16, k=5, m=m)
 
     def test_panel_checks(self, searchable, panel):
         data, graph = searchable
@@ -865,8 +865,8 @@ class TestSeeding:
             raise AssertionError("query seeding built a numpy Generator")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        lockstep_search(graph, data, qs, ls=16, k=5, seed=3)
-        lockstep_search(graph, data, qs, ls=16, k=5, m=4, seed=3)
+        run_queries(graph, data, Dataset(qs), ls=16, k=5, seed=3)
+        run_queries(graph, data, Dataset(qs), ls=16, k=5, m=4, seed=3)
         greedy_search(graph, data, qs[0], SearchParams(ls=16, k=5, seed=(3, 0)),
                       MetricKind.INNER_PRODUCT)
         anms_search(graph, data, qs[0], SearchParams(ls=16, k=5, m=4, seed=9))
@@ -878,13 +878,13 @@ class TestSeeding:
         with pytest.raises(UsageError, match="seed"):
             SearchParams(ls=16, k=5, seed=bad)
         with pytest.raises(UsageError, match="seed"):
-            lockstep_search(graph, data, data.data[:3], ls=16, k=5, seed=bad)
+            run_queries(graph, data, Dataset(data.data[:3]), ls=16, k=5, seed=bad)
 
     def test_edge_seed_words_accepted(self, searchable):
         data, graph = searchable
         for seed in (0, 2 ** 64 - 1, np.int64(5), (0, 2 ** 64 - 1)):
             SearchParams(ls=16, k=5, seed=seed)
-        lockstep_search(graph, data, data.data[:3], ls=16, k=5, seed=2 ** 64 - 1)
+        run_queries(graph, data, Dataset(data.data[:3]), ls=16, k=5, seed=2 ** 64 - 1)
 
 
 class TestScalingDuality:
