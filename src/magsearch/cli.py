@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 
 from .bench import (SCALE_CSV_HEADER, SyntheticSpec, config_line,
                     generate_synthetic, records_to_csv, run_benchmark,
@@ -20,7 +21,13 @@ from .io import (compute_ground_truth, read_fvecs, read_ivecs, write_fvecs,
                  write_ivecs)
 from .metrics import Dataset, MetricKind
 from .search import run_queries
-from .stats import compute_stats, tuning_hint
+from .stats import DEFAULT_DBI_CLUSTERS, compute_stats, tuning_hint
+
+
+# --workers of build and scale: both run stage 2 on one process pool
+_WORKERS_HELP = ("processes for stage 2; the index bytes do not depend on it. "
+                "Each keeps the BLAS library's default thread count, so run "
+                "workers > 1 with OPENBLAS_NUM_THREADS=1")
 
 
 def seed(text: str) -> int:
@@ -86,18 +93,13 @@ def cmd_stats(args) -> int:
     data = read_fvecs(args.data)
     report = compute_stats(data, n_clusters=args.clusters, seed=args.seed)
     if args.format == "json":
-        lines = [json.dumps({
-            "cv": report.cv, "dbi_euclidean": report.dbi_euclidean,
-            "dbi_cosine": report.dbi_cosine,
-            "self_dominator_fraction": report.self_dominator_fraction,
-            "n_clusters": report.n_clusters,
-            "hint": tuning_hint(report)}, sort_keys=True)]
+        lines = [json.dumps({**asdict(report), "hint": tuning_hint(report)},
+                            sort_keys=True)]
     else:
         lines = [config_line(_config(args)),
-                 "cv,dbi_euclidean,dbi_cosine,self_dominator_fraction,n_clusters",
-                 f"{report.cv:.6f},{report.dbi_euclidean:.6f},"
-                 f"{report.dbi_cosine:.6f},{report.self_dominator_fraction:.6f},"
-                 f"{report.n_clusters}",
+                 ",".join(f.name for f in fields(report)),
+                 ",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                          for v in astuple(report)),
                  f"# hint: {tuning_hint(report)}"]
     _write_out(args.out, "\n".join(lines) + "\n")
     return 0
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="print data-topology indicators")
     p.add_argument("--data", required=True)
-    p.add_argument("--clusters", type=int, default=16)
+    p.add_argument("--clusters", type=int, default=DEFAULT_DBI_CLUSTERS)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
@@ -209,11 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=seed, default=0,
                    help="recorded in the metadata; the build draws nothing "
                         "at random")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for stage 2; the index bytes do not "
-                        "depend on it. Each keeps the BLAS library's default "
-                        "thread count, so run workers > 1 with "
-                        "OPENBLAS_NUM_THREADS=1")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -261,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--target", type=float, default=0.95)
     p.add_argument("--seed", type=seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scale)
 

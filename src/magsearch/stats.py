@@ -8,6 +8,11 @@ self-dominators — points x with <x,x> strictly greater than <x,y> for
 every other y, which are exact search answers for queries in their own
 inner-product Voronoi cell. The exact O(n^2) scans live here too, with the
 brute-force check of the scaling duality that runs on them.
+
+Both metrics share one clustering code path. On unit vectors
+|a - b|^2 = 2 - 2 cos(a, b), so cosine k-means is Euclidean Lloyd on the
+normalized rows with each centroid projected back onto the sphere, and
+the cosine DBI's distance 1 - cos(a, b) is |a - b|^2 / 2 there.
 """
 
 from __future__ import annotations
@@ -78,8 +83,9 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
            seed: int = 0) -> Clustering:
     """Lloyd's iteration with k-means++ seeding, deterministic given seed.
 
-    Cosine mode clusters direction: points are norm-normalized and each
-    centroid is the renormalized mean of its members.
+    Cosine mode clusters direction (spherical k-means): the same iteration
+    on the norm-normalized points, each updated centroid projected back
+    onto the unit sphere.
     """
     _check_cluster_metric(metric)
     if not 1 <= n_clusters <= dataset.n:
@@ -94,11 +100,9 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
 
     rng = np.random.default_rng(seed)
     n = pts.shape[0]
+    sq = np.einsum("ij,ij->i", pts, pts)
 
     def dist_to(center: np.ndarray) -> np.ndarray:
-        if metric == "cosine":
-            c = center / np.linalg.norm(center)
-            return 1.0 - pts @ c
         diff = pts - center
         return np.einsum("ij,ij->i", diff, diff)
 
@@ -118,15 +122,9 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
 
     assignment = np.zeros(n, dtype=np.int32)
     for _ in range(KMEANS_MAX_ITER):
-        if metric == "cosine":
-            cnorm = centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
-            sims = pts @ cnorm.T
-            new_assignment = np.argmax(sims, axis=1).astype(np.int32)
-        else:
-            d2 = (np.einsum("ij,ij->i", pts, pts)[:, None]
-                  - 2.0 * pts @ centroids.T
-                  + np.einsum("ij,ij->i", centroids, centroids)[None, :])
-            new_assignment = np.argmin(d2, axis=1).astype(np.int32)
+        d2 = (sq[:, None] - 2.0 * pts @ centroids.T
+              + np.einsum("ij,ij->i", centroids, centroids)[None, :])
+        new_assignment = np.argmin(d2, axis=1).astype(np.int32)
 
         # keep every cluster non-empty: steal the point worst-served by its
         # current centroid (deterministic: max distance, ties by lower id)
@@ -142,13 +140,11 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
         converged = (new_assignment == assignment).all()
         assignment = new_assignment
         for c in range(n_clusters):
-            members = pts[assignment == c]
-            mean = members.mean(axis=0)
+            centroids[c] = pts[assignment == c].mean(axis=0)
             if metric == "cosine":
-                m = np.linalg.norm(mean)
-                centroids[c] = mean / m if m > 0 else mean
-            else:
-                centroids[c] = mean
+                norm = np.linalg.norm(centroids[c])
+                if norm > 0:  # a zero mean has no direction to project onto
+                    centroids[c] /= norm
         if converged:
             break
 
@@ -162,7 +158,8 @@ def davies_bouldin(dataset: Dataset, clustering: Clustering,
     """DBI = (1/N) sum_i max_{j != i} (sigma_i + sigma_j) / d(c_i, c_j).
 
     sigma_i is the mean distance of cluster-i members to their centroid.
-    Cosine mode uses distance 1 - cosine similarity.
+    Cosine mode uses distance 1 - cosine similarity, which on the
+    normalized points and centroids is half their squared distance.
     """
     _check_cluster_metric(metric)
     nclus = clustering.n_clusters
@@ -171,22 +168,17 @@ def davies_bouldin(dataset: Dataset, clustering: Clustering,
     pts = dataset.data.astype(np.float64)
     cents = clustering.centroids
     if metric == "cosine":
-        pts = _normalize_rows(pts)
-        cents = _normalize_rows(cents)
+        pts, cents = _normalize_rows(pts), _normalize_rows(cents)
 
-    sigma = np.empty(nclus)
-    for c in range(nclus):
-        members = pts[clustering.assignment == c]
-        if metric == "cosine":
-            sigma[c] = float(np.mean(1.0 - members @ cents[c]))
-        else:
-            sigma[c] = float(np.mean(np.linalg.norm(members - cents[c], axis=1)))
-
-    if metric == "cosine":
-        sep = 1.0 - cents @ cents.T
+        def dist(diff: np.ndarray) -> np.ndarray:
+            return 0.5 * np.einsum("...k,...k->...", diff, diff)
     else:
-        diff = cents[:, None, :] - cents[None, :, :]
-        sep = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        def dist(diff: np.ndarray) -> np.ndarray:
+            return np.sqrt(np.einsum("...k,...k->...", diff, diff))
+
+    sigma = np.array([np.mean(dist(pts[clustering.assignment == c] - cents[c]))
+                      for c in range(nclus)])
+    sep = dist(cents[:, None, :] - cents[None, :, :])
     off_diag = ~np.eye(nclus, dtype=bool)
     if (np.abs(sep[off_diag]) < 1e-300).any():
         raise ZeroDivisionError("coincident centroids make DBI undefined")

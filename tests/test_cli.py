@@ -151,6 +151,17 @@ def test_zero_workers_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "i.mag").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "scale"])
+def test_workers_help_names_the_blas_thread_variable(command):
+    # both subcommands run stage 2 on one process pool whose workers keep
+    # the BLAS library's default thread count
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a.choices, dict))
+    (workers,) = [a for a in subparsers.choices[command]._actions
+                  if a.dest == "workers"]
+    assert "OPENBLAS_NUM_THREADS" in (workers.help or "")
+
+
 @pytest.mark.parametrize("option", [["--kind", "blobs", "--clusters", "0"],
                                     ["--kind", "heavytail", "--sigma-log", "-1"]],
                          ids=["clusters", "sigma-log"])

@@ -1,4 +1,5 @@
-"""Seeded degenerate datasets at ls >= n, checked against the exact oracle.
+"""Seeded degenerate datasets, at ls >= n against the exact oracle and at
+ls < n across the two search paths.
 
 The datasets hold the cases a graph index must not get wrong: duplicate
 rows, zero vectors, collinear points, norms from 1e-3 to 1e3, and n <= ls
@@ -10,6 +11,12 @@ the metric switch at m = 1 and 4. The single-query path runs with
 ``debug=True``, which checks the pool's invariants after every hop. The
 index must also round-trip byte-identically and be the same bytes at one
 and two workers.
+
+The same mix at 297 rows, built sparse (K = 16, K1 = K2 = 8) and searched
+at ls = 8 and 32, leaves most ids outside every pool; there the
+single-query path and ``run_queries`` must still agree on ids,
+``dist_comps`` and ``hops`` under inner product at m = 0 and 4 and under
+l2, at search seeds 0-5, and the index must keep its bytes the same way.
 """
 
 import numpy as np
@@ -39,19 +46,21 @@ def panel(rng: np.random.Generator, data: np.ndarray) -> Dataset:
                               np.zeros((1, dim)), data[:1]]).astype(np.float32))
 
 
-def mixed(seed: int) -> tuple[Dataset, Dataset]:
-    """A shuffled dataset of 27 rows holding every case, and its panel."""
+def mixed(seed: int, size: int = 1) -> tuple[Dataset, Dataset]:
+    """A shuffled dataset of 27 * size rows holding every case, and its panel."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 7))
-    base = rng.standard_normal((8, dim))
+    base = rng.standard_normal((8 * size, dim))
     line = rng.standard_normal(dim)
-    spread = rng.standard_normal((8, dim))
-    spread *= (10.0 ** rng.uniform(-3, 3, 8) / np.linalg.norm(spread, axis=1))[:, None]
+    spread = rng.standard_normal((8 * size, dim))
+    spread *= (10.0 ** rng.uniform(-3, 3, 8 * size)
+               / np.linalg.norm(spread, axis=1))[:, None]
+    steps = np.outer(np.arange(1, size + 1), [-3.0, -1.0, 0.5, 2.0, 7.0]).ravel()
     rows = np.vstack([
         base,
-        base[rng.integers(0, len(base), 4)],                # duplicates
-        np.zeros((2, dim)),                                 # zero vectors
-        np.outer([-3.0, -1.0, 0.5, 2.0, 7.0], line),        # collinear
+        base[rng.integers(0, len(base), 4 * size)],         # duplicates
+        np.zeros((2 * size, dim)),                          # zero vectors
+        np.outer(steps, line),                              # collinear
         spread,                                             # norms 1e-3 .. 1e3
     ])
     data = rows[rng.permutation(len(rows))].astype(np.float32)
@@ -112,3 +121,50 @@ def test_index_round_trips_byte_identically(case, tmp_path):
 def test_worker_count_keeps_the_bytes(case):
     data, _, index, _ = case
     assert index_to_bytes(build(data, workers=2)) == index_to_bytes(index)
+
+
+SPARSE_SIZE = 11  # mixed(seed, SPARSE_SIZE) holds 297 rows
+
+
+def build_sparse(data: Dataset, workers: int = 1):
+    return build_mag(data, K=16, K1=8, K2=8, ls=32, seed=3, workers=workers)
+
+
+@pytest.fixture(scope="module", params=SEEDS, ids=lambda p: f"mixed297-seed{p}")
+def sparse_case(request):
+    """(data, queries, index) of one 297-row mixed dataset."""
+    data, queries = mixed(request.param, SPARSE_SIZE)
+    return data, queries, build_sparse(data)
+
+
+@pytest.mark.parametrize("ls", [8, 32])
+def test_both_paths_agree_below_saturation(sparse_case, ls):
+    data, queries, index = sparse_case
+    assert ls < data.n
+    k = 8
+    graph = materialize(index, R=16, alpha=0.5)
+    runs = [(MetricKind.INNER_PRODUCT, 0), (MetricKind.EUCLIDEAN, 0),
+            (MetricKind.INNER_PRODUCT, 4)]
+    for seed in SEEDS:
+        for metric, m in runs:
+            engine = run_queries(graph, data, queries, ls=ls, k=k, m=m, seed=seed,
+                                 metric=metric)
+            for i, q in enumerate(queries.data):
+                params = SearchParams(ls=ls, k=k, m=m, seed=(seed, i))
+                scalar = (anms_search(graph, data, q, params, debug=True) if m
+                          else greedy_search(graph, data, q, params, metric,
+                                             debug=True))
+                where = (seed, metric, m, i)
+                assert engine[i].ids.tolist() == scalar.ids.tolist(), where
+                assert (engine[i].stats.dist_comps, engine[i].stats.hops) == \
+                    (scalar.stats.dist_comps, scalar.stats.hops), where
+
+
+def test_sparse_index_round_trips_and_ignores_workers(sparse_case, tmp_path):
+    data, _, index = sparse_case
+    path = str(tmp_path / "index.mag")
+    save_index(index, path)
+    again = load_index(path)
+    again.validate(data)
+    assert index_to_bytes(again) == index_to_bytes(index)
+    assert index_to_bytes(build_sparse(data, workers=2)) == index_to_bytes(index)

@@ -8,7 +8,8 @@ import pytest
 from magsearch import Dataset, UsageError
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import build_exact_knn
-from magsearch.stats import (_chunk_best_cross, _gram_rows, best_cross_inner_product,
+from magsearch.stats import (KMEANS_MAX_ITER, _chunk_best_cross, _gram_rows,
+                             best_cross_inner_product,
                              coefficient_of_variation, compute_stats,
                              davies_bouldin, dominator_probability,
                              dominator_probability_mc, estimate_nn_angle,
@@ -29,6 +30,66 @@ def census_reference(dataset):
         if keep:
             out.append(i)
     return np.asarray(out, dtype=np.int32)
+
+
+def spherical_kmeans_reference(dataset, n_clusters, seed):
+    """Spherical k-means step by step in cosine terms: k-means++ seeding by
+    1 - cos to the normalized center, assignment by argmax cos to the
+    normalized centroids, each centroid the renormalized mean of its
+    members, and an empty cluster taking the movable point of least cosine
+    to its centroid. The library runs Euclidean Lloyd on the unit rows
+    instead, where |p - c|^2 = 2 - 2 cos(p, c)."""
+    pts = dataset.data.astype(np.float64)
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    n = len(pts)
+
+    def dist_to(center):
+        return 1.0 - pts @ (center / np.linalg.norm(center))
+
+    centroids = np.empty((n_clusters, pts.shape[1]))
+    centroids[0] = pts[rng.integers(n)]
+    closest = dist_to(centroids[0])
+    for c in range(1, n_clusters):
+        weights = np.maximum(closest, 0.0)
+        total = weights.sum()
+        idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=weights / total))
+        centroids[c] = pts[idx]
+        closest = np.minimum(closest, dist_to(centroids[c]))
+
+    assignment = np.zeros(n, dtype=np.int32)
+    for _ in range(KMEANS_MAX_ITER):
+        cnorm = centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
+        new_assignment = np.argmax(pts @ cnorm.T, axis=1).astype(np.int32)
+        for c in range(n_clusters):
+            if (new_assignment == c).any():
+                continue
+            gap = dist_to(centroids[c])
+            counts = np.bincount(new_assignment, minlength=n_clusters)
+            gap[counts[new_assignment] <= 1] = -np.inf
+            new_assignment[int(np.argmax(gap))] = c
+        converged = (new_assignment == assignment).all()
+        assignment = new_assignment
+        for c in range(n_clusters):
+            mean = pts[assignment == c].mean(axis=0)
+            norm = np.linalg.norm(mean)
+            centroids[c] = mean / norm if norm > 0 else mean
+        if converged:
+            break
+    return assignment, centroids
+
+
+def cosine_dbi_reference(dataset, clustering):
+    """DBI with distance 1 - cos, computed from cosines."""
+    pts = dataset.data.astype(np.float64)
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    cents = clustering.centroids / np.linalg.norm(clustering.centroids, axis=1,
+                                                  keepdims=True)
+    sigma = np.array([np.mean(1.0 - pts[clustering.assignment == c] @ cents[c])
+                      for c in range(clustering.n_clusters)])
+    sep = 1.0 - cents @ cents.T
+    np.fill_diagonal(sep, np.inf)
+    return float(np.mean(((sigma[:, None] + sigma[None, :]) / sep).max(axis=1)))
 
 
 class TestCV:
@@ -103,6 +164,27 @@ class TestKmeans:
             [0.8684053795452434, 0.4958549150476193],
             [-0.6931621758053018, -0.7207816576695468],
             [0.41977915305537916, -0.9076262791810893]]
+
+
+# (kind, sigma_log) of the panels on which cosine k-means must equal the
+# cosine-terms reference
+SPHERE_PANELS = [("gaussian", 0.5), ("heavytail", 0.5), ("heavytail", 1.0),
+                 ("blobs", 0.5)]
+
+
+@pytest.mark.parametrize("kind,sigma_log", SPHERE_PANELS,
+                         ids=[f"{k}-{s}" for k, s in SPHERE_PANELS])
+@pytest.mark.parametrize("dim", [8, 16, 64])
+@pytest.mark.parametrize("n_clusters", [4, 16])
+def test_cosine_kmeans_is_euclidean_lloyd_on_unit_rows(kind, sigma_log, dim, n_clusters):
+    ds = generate_synthetic(SyntheticSpec(kind, n=400, dim=dim, seed=dim + n_clusters,
+                                          sigma_log=sigma_log))
+    clus = kmeans(ds, n_clusters, metric="cosine", seed=n_clusters)
+    assignment, centroids = spherical_kmeans_reference(ds, n_clusters, seed=n_clusters)
+    assert np.array_equal(clus.assignment, assignment)
+    assert np.array_equal(clus.centroids, centroids)
+    assert davies_bouldin(ds, clus, metric="cosine") == pytest.approx(
+        cosine_dbi_reference(ds, clus), rel=1e-12, abs=0)
 
 
 class TestDaviesBouldin:
