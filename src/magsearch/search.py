@@ -24,13 +24,21 @@ switch re-keys the pool from those products. So the switch costs no
 distance computation, and the IP phase sees the very scores a fresh
 ``np.vecdot`` would give.
 
-A query's pool starts from min(ls, n) distinct ids, a pure function of
-its seed words, n and ls. splitmix64's finaliser (Steele, Lea & Flood,
-OOPSLA 2014) folded over the words gives a 64-bit key; draws hashed from
-the key and a counter feed Floyd's sampling without replacement
-(Bentley & Floyd, CACM 1987). The lockstep engine, ``run_queries``,
-evaluates the rule for a whole block in a few array operations, the
-single-query path for one query, and both pick the same ids.
+A query scores c = ``_entry_count(n, ls, R)`` entries before its first
+hop: every id when ls >= n, which keeps the answers exact there, and
+otherwise min(ls, R), so that seeding costs no more than one expansion.
+The pool holds up to min(ls, n) ids, and the walk fills the rest of it,
+as graph indexes do from one or a few entry points (HNSW: Malkov &
+Yashunin, TPAMI 2020). A pool that the walk cannot fill holds every id
+reachable from the entries, so a query returns fewer than k ids only when
+fewer than k are reachable.
+The c ids are a pure function of the seed words, n and c. splitmix64's
+finaliser (Steele, Lea & Flood, OOPSLA 2014) folded over the words gives
+a 64-bit key; draws hashed from the key and a counter feed Floyd's
+sampling without replacement (Bentley & Floyd, CACM 1987). The lockstep
+engine, ``run_queries``, evaluates the rule for a whole block in a few
+array operations, the single-query path for one query, and both pick the
+same ids.
 
 Scores are float32 on both paths, and the engine's pool keys hold float32
 scores. Only queries search: the build's stage 2 ranks exact inner
@@ -106,7 +114,8 @@ class SearchStats:
 
 @dataclass
 class SearchResult:
-    ids: np.ndarray  # (k,) int32 best-first
+    ids: np.ndarray  # int32 best-first: at most k ids, fewer only when
+                     # fewer are reachable
     stats: SearchStats
 
 
@@ -251,15 +260,25 @@ def _seed_draws(keys: np.ndarray | np.uint64, n: int, c: int) -> np.ndarray:
     return (_mix64(keys ^ t1 * _GOLDEN) % (t1 + np.uint64(n - c))).astype(np.intp)
 
 
-def _seed_ids(n: int, params: SearchParams) -> tuple[np.ndarray, np.ndarray]:
-    """The query's entries: min(ls, n) distinct ids drawn from its seed, in
-    pick order, and the (n,) seen mask that marks them.
+def _entry_count(n: int, ls: int, R: int) -> int:
+    """The entries a query scores before its first hop: all n when ls >= n,
+    so that the pool holds every id and the answers are exact, and
+    otherwise min(ls, R), so that seeding costs no more than one expansion
+    of a graph with out-degree cap R."""
+    return n if ls >= n else min(ls, R)
+
+
+def _seed_ids(n: int, params: SearchParams,
+              c: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The query's entries: c distinct ids drawn from its seed, in pick
+    order, and the (n,) seen mask that marks them. The search passes c =
+    ``_entry_count(n, ls, R)``; without c the draw is uncapped, min(ls, n).
 
     Floyd's step t picks draw t unless it is taken, and then n - c + t,
     which no earlier step can reach. The mask serves as the picked set, as
     in ``_seed_block``, which picks the same ids.
     """
-    c = min(params.ls, n)
+    c = min(params.ls, n) if c is None else c
     ids = _seed_draws(np.uint64(params._key), n, c)
     seen = np.zeros(n, dtype=bool)
     picked = memoryview(seen)  # Python-speed reads and writes of the mask
@@ -354,7 +373,8 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     switch adds no distance computation."""
     qv = _check_query(graph, dataset, q, params.k)
     first = MetricKind.EUCLIDEAN if m > 0 else metric
-    entries, seen = _seed_ids(graph.n, params)
+    entries, seen = _seed_ids(graph.n, params,
+                              _entry_count(graph.n, params.ls, graph.R))
     if m > 0:
         ips = np.empty(graph.n, dtype=np.float32)
         scores = _euclid_scores(np.vecdot(dataset.data.take(entries, axis=0), qv),
@@ -402,7 +422,9 @@ def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
 # derives from the shapes (_block_size), so its (B, n) seen masks stay under
 # this budget whatever the panel size.
 _BLOCK_BYTES = 1 << 24
-_NO_KEY = np.uint64(2 ** 64 - 1)  # sorts after every real pool key
+# sorts after every real pool key and reads as visited: the padding of a
+# pool that the walk has not filled
+_NO_KEY = np.uint64(2 ** 64 - 1)
 
 
 def _pool_keys(metric: MetricKind, scores: np.ndarray, ids: np.ndarray,
@@ -427,15 +449,15 @@ def _key_ids(keys: np.ndarray) -> np.ndarray:
     return ((keys & np.uint64(0xFFFFFFFF)) >> np.uint64(1)).astype(np.intp)
 
 
-def _block_size(n: int, ls: int, dim: int, m: int = 0) -> int:
+def _block_size(n: int, ls: int, c: int, dim: int, m: int = 0) -> int:
     """Queries per block. Each holds an n-byte seen mask, L = min(ls, n)
-    uint64 pool keys and, at seeding, an (L, dim) float32 gather. At m = 0
-    a query also holds the gather's L2 difference, which only an l2 search
-    makes; at m > 0 it holds instead the (n,) float32 inner products that
-    the Euclidean phase keeps."""
+    uint64 pool keys and, at seeding, a (c, dim) float32 gather of its c
+    entries. At m = 0 a query also holds the gather's L2 difference, which
+    only an l2 search makes; at m > 0 it holds instead the (n,) float32
+    inner products that the Euclidean phase keeps."""
     L = min(ls, n)
-    scratch = 4 * n if m > 0 else 4 * L * dim
-    return max(1, _BLOCK_BYTES // (n + 8 * L + 4 * L * dim + scratch))
+    scratch = 4 * n if m > 0 else 4 * c * dim
+    return max(1, _BLOCK_BYTES // (n + 8 * L + 4 * c * dim + scratch))
 
 
 def _seed_block(keys: np.ndarray, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -463,7 +485,8 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
     """``_expand_loop`` for a block of queries, one expansion each per step.
 
     adjacency is the graph's (n, R) rows padded with each row's own id
-    (``SearchGraph.padded``); keys is the (B, L) sorted pools, seen the
+    (``SearchGraph.padded``); keys is the (B, L) sorted pools, a pool that
+    is not full ending in ``_NO_KEY``, which reads as visited; seen is the
     (B, n) masks and hops the (B,) counters, all updated in place. A query
     leaves the step loop when its pool has no unvisited entry or after
     max_expansions. Given the (B, n) float32 ips and the squared norms sq,
@@ -523,8 +546,8 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
             scores = _euclid_scores(scores, sq, vid, flat_ips, fresh)
         cand = np.full(nbrs.shape, _NO_KEY)
         cand.reshape(-1)[at] = _pool_keys(metric, scores, vid)
-        # pools are full from seeding on: a row gains nothing unless a
-        # candidate beats its worst entry
+        # a row gains nothing unless a candidate beats its worst entry; a
+        # pool that is not full yet ends in _NO_KEY, which every one beats
         touched = np.flatnonzero(cand.min(axis=1, initial=_NO_KEY)
                                  < np.take(pool, starts + width - 1))
         cand = np.sort(np.take(cand, touched, axis=0), axis=1)
@@ -537,22 +560,25 @@ def _lockstep_expand(adjacency: np.ndarray, data: np.ndarray, qs: np.ndarray,
 
 
 def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
-                    entries: np.ndarray, seen: np.ndarray, m: int,
+                    entries: np.ndarray, seen: np.ndarray, ls: int, m: int,
                     metric: MetricKind) -> tuple[np.ndarray, np.ndarray]:
     """The lockstep engine from a block's entries to its final pools.
 
-    entries is the (B, L) rows of L = min(ls, n) distinct ids each that
-    ``_seed_block`` makes, and seen the (B, n) masks that mark them. Every
-    entry is scored into a full pool of L, then the rows expand as
-    ``_search`` does: when m > 0, m Euclidean expansions and the switch,
-    then ``metric`` to exhaustion. Returns the (B, L) sorted pools as
-    ``_pool_keys`` and the (B,) hops.
+    entries is the (B, c) rows of c distinct ids each that ``_seed_block``
+    makes, c <= L = min(ls, n), and seen the (B, n) masks that mark them.
+    Every entry is scored into a pool of L whose last L - c keys are
+    ``_NO_KEY``, then the rows expand as ``_search`` does: when m > 0, m
+    Euclidean expansions and the switch, then ``metric`` to exhaustion.
+    The walk fills a pool as far as the ids it reaches. Returns the (B, L)
+    sorted pools as ``_pool_keys``, each row's real keys first, and the
+    (B,) hops.
 
     At m > 0 a (B, n) float32 array keeps each <x,q> of the Euclidean
-    phase at x's seen cell, and the switch re-keys the pools from it under
-    ``metric``, which is inner product there. Every scored id is marked
-    seen exactly once, so a row's comps is its mask's count. The steps
-    walk ``graph.padded``; ``graph`` itself stays as it is.
+    phase at x's seen cell, and the switch re-keys the real entries of the
+    pools from it under ``metric``, which is inner product there; the
+    padding stays ``_NO_KEY``. Every scored id is marked seen exactly
+    once, so a row's comps is its mask's count. The steps walk
+    ``graph.padded``; ``graph`` itself stays as it is.
     """
     nq, n, data = len(entries), graph.n, dataset.data
     hops = np.zeros(nq, dtype=np.int64)
@@ -564,15 +590,20 @@ def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
         ips = np.empty((nq, n), dtype=np.float32)
         scores = _euclid_scores(scores, sq, entries, ips.reshape(-1),
                                 entries + (np.arange(nq) * n)[:, None])
-    keys = np.sort(_pool_keys(first, scores, entries), axis=1)
+    keys = np.full((nq, min(ls, n)), _NO_KEY)
+    keys[:, :entries.shape[1]] = np.sort(_pool_keys(first, scores, entries),
+                                         axis=1)
     if m > 0:
         _lockstep_expand(graph.padded, data, qs, keys, seen, hops, first,
                          max_expansions=m, ips=ips, sq=sq)
+        pad = keys == _NO_KEY
         ids = _key_ids(keys)
+        ids[pad] = 0  # a cell in range; the padding's keys are put back below
         scores = np.take(ips, ids + (np.arange(nq) * n)[:, None])
         del ips
-        keys = np.sort(_pool_keys(metric, scores, ids, keys & np.uint64(1)),
-                       axis=1)
+        keys = _pool_keys(metric, scores, ids, keys & np.uint64(1))
+        keys[pad] = _NO_KEY
+        keys.sort(axis=1)
     _lockstep_expand(graph.padded, data, qs, keys, seen, hops, metric)
     return keys, hops
 
@@ -585,7 +616,9 @@ def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
 
     Query i gets the ids, dist_comps and hops that ``anms_search`` (m > 0)
     or ``greedy_search`` under ``metric`` (m = 0) give it alone with
-    ``SearchParams(ls, k, m, seed=(seed, i))``. Blocks of ``_block_size``
+    ``SearchParams(ls, k, m, seed=(seed, i))``: ``_entry_count(n, ls, R)``
+    entries, a pool of min(ls, n) that the walk fills, and at most k ids,
+    fewer only when fewer are reachable. Blocks of ``_block_size``
     queries are seeded by ``_seed_block`` and run by ``_lockstep_pools``:
     they advance in lockstep, one expansion per open query per step, over
     a compact array of the open queries' pools held as ``_pool_keys``
@@ -593,7 +626,9 @@ def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
     one flat seen-mask read and write, one ``score_batch`` call, and a
     merge of each touched pool with its sorted candidates. The switch
     re-keys the pools from the Euclidean phase's kept inner products.
-    dist_comps is read off the seen masks when the block ends.
+    dist_comps is read off the seen masks when the block ends, and each
+    row's ids stop at the ``_NO_KEY`` padding of a pool the walk did not
+    fill.
     """
     head = SearchParams(ls=ls, k=k, m=m, seed=seed)._key  # checks the arguments
     if m > 0 and metric is not MetricKind.INNER_PRODUCT:
@@ -603,14 +638,18 @@ def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
     # _seed_key((seed, i)): the fold's last step, taken for every i at once
     keys = _mix64((np.uint64(head) ^ np.arange(len(qs), dtype=np.uint64))
                   + _GOLDEN & _MASK64)
-    block = _block_size(n, ls, dataset.dim, m)
+    c = _entry_count(n, ls, graph.R)
+    block = _block_size(n, ls, c, dataset.dim, m)
     results: list[SearchResult] = []
     for lo in range(0, len(qs), block):
-        entries, seen = _seed_block(keys[lo:lo + block], n, min(ls, n))
+        entries, seen = _seed_block(keys[lo:lo + block], n, c)
         pools, hops = _lockstep_pools(graph, dataset, qs[lo:lo + block],
-                                      entries, seen, m, metric)
-        ids = _key_ids(pools[:, :k]).astype(np.int32)
-        results.extend(SearchResult(ids=row, stats=SearchStats(dist_comps=c, hops=h))
-                       for row, c, h in zip(ids, seen.sum(axis=1).tolist(),
-                                            hops.tolist()))
+                                      entries, seen, ls, m, metric)
+        top = pools[:, :k]
+        ids = _key_ids(top).astype(np.int32)
+        results.extend(SearchResult(ids=row[:real],
+                                    stats=SearchStats(dist_comps=comps, hops=h))
+                       for row, real, comps, h in zip(
+                           ids, (top != _NO_KEY).sum(axis=1).tolist(),
+                           seen.sum(axis=1).tolist(), hops.tolist()))
     return results

@@ -202,11 +202,13 @@ def test_c06_metric_switch_rescue(trap):
     Euclidean-first switch at the best m of 16, 32 and 64 keeps the panel
     mean >= 0.95 at the same ls.
 
-    The mixed edges do the rescue, not the switch. At search seeds 11, 0
-    and 1, alpha=0.5 reaches recall 0.990 at m=0 with 820-822 distance
-    computations per query, and the same 0.990 at m=16/32/64 with 875-924.
-    At alpha=1 every m gives the same recall and computations, because the
-    search expands its whole reachable set."""
+    The mixed edges do most of the rescue. A query scores min(ls, R) = 16
+    entries and the walk fills its pool. At search seeds 11, 0 and 1,
+    alpha=0.5 reaches recall 0.990 at m=0 with 684-701 distance
+    computations per query; the same 0.990 costs 677-684 at m=16, and
+    702-713 at m=32 and 729-749 at m=64. Pure IP strands 23-27 of the 30
+    queries at recall 0. At alpha=1 every m gives the same recall and
+    computations, because the search expands its whole reachable set."""
     data, queries, gt, index = trap
     pure = materialize(index, R=16, alpha=1.0)
     res = run_queries(pure, data, queries, ls=200, k=100, m=0, seed=11)

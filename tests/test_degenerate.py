@@ -17,6 +17,10 @@ at ls = 8 and 32, leaves most ids outside every pool; there the
 single-query path and ``run_queries`` must still agree on ids,
 ``dist_comps`` and ``hops`` under inner product at m = 0 and 4 and under
 l2, at search seeds 0-5, and the index must keep its bytes the same way.
+A query at ls < n scores min(ls, R) entries and the walk fills its pool,
+so at R = 4 < k = 8 the duplicates and zero vectors reach the pool from
+the walk alone; the two paths must agree there too, with ``k`` ids in
+every row and none outside the data.
 """
 
 import numpy as np
@@ -158,6 +162,30 @@ def test_both_paths_agree_below_saturation(sparse_case, ls):
                 assert engine[i].ids.tolist() == scalar.ids.tolist(), where
                 assert (engine[i].stats.dist_comps, engine[i].stats.hops) == \
                     (scalar.stats.dist_comps, scalar.stats.hops), where
+
+
+@pytest.mark.parametrize("ls", [8, 32])
+def test_both_paths_agree_when_the_walk_fills_the_pool(sparse_case, ls):
+    data, queries, index = sparse_case
+    k, R = 8, 4
+    graph = materialize(index, R=R, alpha=0.5)
+    runs = [(MetricKind.INNER_PRODUCT, 0), (MetricKind.EUCLIDEAN, 0),
+            (MetricKind.INNER_PRODUCT, 1), (MetricKind.INNER_PRODUCT, 4)]
+    for seed in SEEDS:
+        for metric, m in runs:
+            engine = run_queries(graph, data, queries, ls=ls, k=k, m=m, seed=seed,
+                                 metric=metric)
+            for i, q in enumerate(queries.data):
+                params = SearchParams(ls=ls, k=k, m=m, seed=(seed, i))
+                scalar = (anms_search(graph, data, q, params, debug=True) if m
+                          else greedy_search(graph, data, q, params, metric,
+                                             debug=True))
+                where = (seed, metric, m, i)
+                assert engine[i].ids.tolist() == scalar.ids.tolist(), where
+                assert (engine[i].stats.dist_comps, engine[i].stats.hops) == \
+                    (scalar.stats.dist_comps, scalar.stats.hops), where
+                assert len(scalar.ids) == k, where
+                assert 0 <= scalar.ids.min() and scalar.ids.max() < data.n, where
 
 
 def test_sparse_index_round_trips_and_ignores_workers(sparse_case, tmp_path):

@@ -432,21 +432,29 @@ def random_graph(n, R, seed):
 
 
 def assert_matches_scalar(graph, data, queries, ls, k, m=0, seed=0,
-                          metric=MetricKind.INNER_PRODUCT):
+                          metric=MetricKind.INNER_PRODUCT, debug=False):
     """run_queries gives each query the ids and counters of its own
-    greedy_search (m = 0) or anms_search (m > 0) call."""
+    greedy_search (m = 0) or anms_search (m > 0) call, which checks its
+    pool after every hop when debug is set."""
     got = run_queries(graph, data, queries, ls=ls, k=k, m=m, seed=seed,
                       metric=metric)
     assert len(got) == queries.n
     for qid, res in enumerate(got):
         params = SearchParams(ls=ls, k=k, m=m, seed=(seed, qid))
         q = queries.vector(qid)
-        want = (anms_search(graph, data, q, params) if m
-                else greedy_search(graph, data, q, params, metric))
+        want = (anms_search(graph, data, q, params, debug=debug) if m
+                else greedy_search(graph, data, q, params, metric, debug=debug))
         assert res.ids.tolist() == want.ids.tolist(), qid
         assert (res.stats.dist_comps, res.stats.hops) == \
             (want.stats.dist_comps, want.stats.hops), qid
     return got
+
+
+def entry_rows(graph, ls, seed, nq):
+    """The (nq, c) entries that run_queries draws for its nq queries."""
+    c = search_mod._entry_count(graph.n, ls, graph.R)
+    return np.stack([search_mod._seed_ids(
+        graph.n, SearchParams(ls=ls, k=1, seed=(seed, i)), c)[0] for i in range(nq)])
 
 
 def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
@@ -491,19 +499,23 @@ def scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch=False):
 def assert_pools_match(graph, data, qs, entries, ls, m, metric, old_switch=False):
     """Every row's whole final pool, visited bits, seen mask and counters
     from one ``_lockstep_pools`` call equal the scalar replay's; a row's
-    comps is its seen mask's count. Against the old switch's replay the
-    replay's comps are min(ls, n) higher at m > 0. Returns the hops."""
+    comps is its seen mask's count, and a pool the walk did not fill ends
+    in ``_NO_KEY`` padding. Against the old switch's replay the replay's
+    comps are min(ls, n) higher at m > 0. Returns the hops."""
     seen = np.zeros((len(entries), graph.n), dtype=bool)
     for mask, row in zip(seen, entries):
         mask[row] = True
-    keys, hops = search_mod._lockstep_pools(graph, data, qs, entries, seen, m,
-                                            metric)
+    keys, hops = search_mod._lockstep_pools(graph, data, qs, entries, seen, ls,
+                                            m, metric)
+    assert keys.shape == (len(entries), min(ls, graph.n))
     comps = seen.sum(axis=1)
     extra = min(ls, graph.n) if old_switch and m > 0 else 0
     want = scalar_pools(graph, data, qs, entries, ls, m, metric, old_switch)
     for i, (ids, visited, mask, dist_comps, n_hops) in enumerate(want):
-        assert search_mod._key_ids(keys[i]).tolist() == ids, i
-        assert ((keys[i] & np.uint64(1)) == 1).tolist() == visited, i
+        real, pad = keys[i, :len(ids)], keys[i, len(ids):]
+        assert search_mod._key_ids(real).tolist() == ids, i
+        assert (pad == search_mod._NO_KEY).all(), i
+        assert ((real & np.uint64(1)) == 1).tolist() == visited, i
         assert np.array_equal(seen[i], mask), i
         assert (comps[i] + extra, hops[i]) == (dist_comps, n_hops), i
     return hops
@@ -721,6 +733,73 @@ class TestLockstep:
         assert graph.adjacency.tobytes() == adjacency.tobytes()
         assert graph.counts.tobytes() == counts.tobytes()
 
+    @pytest.fixture(scope="class")
+    def narrow(self):
+        """A graph of out-degree R = 4 < k = 10 with queries: a query at
+        ls = 32 scores 4 entries, the walk fills the rest of its pool, and
+        at m = 1 or 3 the pool is still partial at the switch, since m
+        expansions reach at most 4 + 4m ids."""
+        rng = np.random.default_rng(91)
+        data = Dataset(rng.standard_normal((400, 8)).astype(np.float32))
+        graph = materialize(build_mag(data, K=16, K1=8, K2=8, ls=32, seed=3),
+                            R=4, alpha=0.5)
+        queries = Dataset(rng.standard_normal((30, 8)).astype(np.float32))
+        return graph, data, queries
+
+    @pytest.mark.parametrize("m,metric", [(0, MetricKind.INNER_PRODUCT),
+                                          (0, MetricKind.EUCLIDEAN),
+                                          (1, MetricKind.INNER_PRODUCT),
+                                          (3, MetricKind.INNER_PRODUCT),
+                                          (8, MetricKind.INNER_PRODUCT)])
+    def test_pools_that_the_walk_fills(self, narrow, m, metric):
+        graph, data, queries = narrow
+        ls, k, seed = 32, 10, 17
+        assert graph.R < k
+        got = assert_matches_scalar(graph, data, queries, ls=ls, k=k, m=m,
+                                    seed=seed, metric=metric, debug=True)
+        assert all(len(r.ids) == k for r in got)
+        entries = entry_rows(graph, ls, seed, queries.n)
+        assert entries.shape == (queries.n, graph.R)
+        hops = assert_pools_match(graph, data, queries.data, entries, ls, m,
+                                  metric)
+        assert hops.min() >= ls
+
+    @pytest.fixture(scope="class")
+    def islands(self):
+        """Two rings of 6 nodes, each node linked to its two ring
+        neighbours, searched at ls = 10 < n = 12 with R = 2: a query scores
+        two entries, and when both lie on one ring it reaches that ring's 6
+        ids only, fewer than k = 8."""
+        n, R = 12, 2
+        adj = np.array([[6 * (i // 6) + (i - 1) % 6, 6 * (i // 6) + (i + 1) % 6]
+                        for i in range(n)], dtype=np.int32)
+        graph = SearchGraph(R=R, alpha=0.0, adjacency=adj,
+                            counts=np.full(n, R, dtype=np.int32))
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.standard_normal((n, 3)).astype(np.float32))
+        queries = Dataset(rng.standard_normal((40, 3)).astype(np.float32))
+        return graph, data, queries
+
+    @pytest.mark.parametrize("m,metric", [(0, MetricKind.INNER_PRODUCT),
+                                          (0, MetricKind.EUCLIDEAN),
+                                          (1, MetricKind.INNER_PRODUCT),
+                                          (3, MetricKind.INNER_PRODUCT)])
+    def test_short_rows_when_few_ids_are_reachable(self, islands, m, metric):
+        graph, data, queries = islands
+        ls, k, seed = 10, 8, 19
+        got = assert_matches_scalar(graph, data, queries, ls=ls, k=k, m=m,
+                                    seed=seed, metric=metric, debug=True)
+        assert {len(r.ids) for r in got} == {6, k}
+        for r in got:
+            # no padding id (2**31 - 1) reaches a result
+            assert r.ids.dtype == np.int32 and 0 <= r.ids.min() <= r.ids.max() < graph.n
+            if len(r.ids) < k:
+                ring = 6 * (r.ids[0] // 6) + np.arange(6)
+                assert sorted(r.ids.tolist()) == ring.tolist()
+                assert r.stats.dist_comps == 6
+        entries = entry_rows(graph, ls, seed, queries.n)
+        assert_pools_match(graph, data, queries.data, entries, ls, m, metric)
+
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_duplicate_vectors_tie_by_id(self, rng, metric):
         unique = rng.standard_normal((20, 5)).astype(np.float32)
@@ -742,7 +821,8 @@ class TestLockstep:
     @pytest.mark.parametrize("m", [0, 6])
     def test_any_block_size(self, searchable, panel, monkeypatch, m):
         data, graph = searchable
-        assert search_mod._block_size(data.n, 24, data.dim) >= panel.n
+        c = search_mod._entry_count(data.n, 24, graph.R)
+        assert search_mod._block_size(data.n, 24, c, data.dim) >= panel.n
         whole = assert_matches_scalar(graph, data, panel, ls=24, k=10, m=m, seed=13)
         for block in (1, 2, 3, 7, panel.n - 1):
             monkeypatch.setattr(search_mod, "_block_size", lambda *_: block)
@@ -755,7 +835,7 @@ class TestLockstep:
         # at m > 0 a query also keeps n float32 inner products
         for n in (10, 1200, 64_000, 10 ** 8):
             for m, per_query in ((0, n), (3, 5 * n)):
-                block = search_mod._block_size(n, 128, 16, m)
+                block = search_mod._block_size(n, 128, min(128, n), 16, m)
                 assert block >= 1
                 assert block * per_query <= max(search_mod._BLOCK_BYTES, per_query)
 
@@ -781,9 +861,10 @@ class TestLockstep:
                         metric=MetricKind.EUCLIDEAN)
 
 
-def reference_entries(words, n, ls):
+def reference_entries(words, n, ls, R):
     """The seeding rule on Python ints: splitmix64 folded over the words,
-    counter-hashed draws, Floyd's sampling."""
+    counter-hashed draws, Floyd's sampling of every id when ls >= n and
+    else of min(ls, R)."""
     def mix(z):
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
@@ -792,7 +873,7 @@ def reference_entries(words, n, ls):
     h = 0
     for w in words:
         h = mix(((h ^ w) + golden) % 2 ** 64)
-    c = min(ls, n)
+    c = n if ls >= n else min(ls, R)
     picked = []
     for t in range(c):
         d = mix(h ^ (t + 1) * golden % 2 ** 64) % (n - c + t + 1)
@@ -800,27 +881,61 @@ def reference_entries(words, n, ls):
     return picked
 
 
+RS = (1, 5, 16, 32)  # the out-degree caps that TestSeeding draws entries for
+
+
 def seed_keys(words_list):
     return np.array([search_mod._seed_key(w) for w in words_list], dtype=np.uint64)
 
 
 class TestSeeding:
-    """The rule that picks a query's entries from its seed words."""
+    """The rule that picks a query's entries from its seed words, and how
+    many: every id when ls >= n, else min(ls, R)."""
 
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 1200])
     def test_distinct_ids_on_both_paths(self, n):
         ls = 16
         words = [(3, i) for i in range(50)]
-        entries, seen = search_mod._seed_block(seed_keys(words), n, min(ls, n))
-        for row, mask, w in zip(entries, seen, words):
-            ids, own = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=w))
-            assert ids.tolist() == row.tolist()
-            assert np.array_equal(own, mask)
-            assert len(set(row.tolist())) == min(ls, n)
-            assert 0 <= row.min() and row.max() < n
-            assert np.flatnonzero(mask).tolist() == sorted(row.tolist())
-            if n <= ls:
-                assert sorted(row.tolist()) == list(range(n))
+        for R in (None, *RS):  # None: the uncapped draw, min(ls, n)
+            c = min(ls, n) if R is None else search_mod._entry_count(n, ls, R)
+            assert c == (n if ls >= n else min(ls, R or ls))
+            entries, seen = search_mod._seed_block(seed_keys(words), n, c)
+            for row, mask, w in zip(entries, seen, words):
+                params = SearchParams(ls=ls, k=1, seed=w)
+                ids, own = (search_mod._seed_ids(n, params) if R is None
+                            else search_mod._seed_ids(n, params, c))
+                assert ids.tolist() == row.tolist()
+                assert np.array_equal(own, mask)
+                assert len(set(row.tolist())) == c
+                assert 0 <= row.min() and row.max() < n
+                assert np.flatnonzero(mask).tolist() == sorted(row.tolist())
+                if n <= ls:
+                    assert sorted(row.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("R", RS)
+    @pytest.mark.parametrize("ls", [3, 16, 60, 61])
+    def test_entry_count_on_both_search_paths(self, R, ls):
+        # on a graph with no edges a search scores and expands its entries
+        # and nothing else: every id of the 60 when ls >= n, else min(ls, R)
+        rng = np.random.default_rng(R)
+        n, k = 60, 3
+        data = Dataset(rng.standard_normal((n, 4)).astype(np.float32))
+        queries = Dataset(rng.standard_normal((8, 4)).astype(np.float32))
+        graph = SearchGraph(R=R, alpha=0.0,
+                            adjacency=np.full((n, R), -1, dtype=np.int32),
+                            counts=np.zeros(n, dtype=np.int32))
+        c = n if ls >= n else min(ls, R)
+        for m in (0, 2):
+            got = assert_matches_scalar(graph, data, queries, ls=ls, k=k, m=m,
+                                        seed=R, debug=True)
+            for qid, res in enumerate(got):
+                entries, _ = search_mod._seed_ids(
+                    n, SearchParams(ls=ls, k=k, seed=(R, qid)), c)
+                want = brute_force_topk(Dataset(data.data[entries]),
+                                        queries.vector(qid), min(k, c),
+                                        MetricKind.INNER_PRODUCT)
+                assert (res.stats.dist_comps, res.stats.hops) == (c, c)
+                assert res.ids.tolist() == entries[want].tolist()
 
     def test_inclusion_is_uniform(self):
         n, ls, nq = 1000, 16, 20_000
@@ -850,8 +965,14 @@ class TestSeeding:
             words = tuple(int(w) for w in rng.integers(
                 0, 2 ** 64 - 1, size=rng.integers(1, 4), dtype=np.uint64,
                 endpoint=True))
-            got, _ = search_mod._seed_ids(n, SearchParams(ls=ls, k=1, seed=words))
-            assert got.tolist() == reference_entries(words, n, ls), (words, n, ls)
+            params = SearchParams(ls=ls, k=1, seed=words)
+            got, _ = search_mod._seed_ids(n, params)
+            assert got.tolist() == reference_entries(words, n, ls, ls), (words, n, ls)
+            for R in RS:
+                got, _ = search_mod._seed_ids(
+                    n, params, search_mod._entry_count(n, ls, R))
+                assert got.tolist() == reference_entries(words, n, ls, R), \
+                    (words, n, ls, R)
 
     def test_an_int_seed_is_one_word(self):
         assert search_mod._seed_key(7) == search_mod._seed_key((7,))
