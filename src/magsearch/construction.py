@@ -163,24 +163,33 @@ def mrng_prune(owners: np.ndarray, ids: np.ndarray, d2: np.ndarray,
 
     Returns the (B, W) kept mask. A row keeps p iff p is neither padding
     nor the owner and d2(owner, p) < d2(p, r) for every r it kept before p,
-    up to K1 keeps (None: no cap). ``base`` is the float64 dataset.
+    up to K1 keeps (None: no cap). ``base`` is the float64 dataset. Each
+    row holds the vectors it has kept, so a candidate is measured against
+    those alone, at most K1 of them, in the difference form |r - p|^2.
     """
     kept = np.zeros(ids.shape, dtype=bool)
     width = ids.shape[1]
-    cap = width if K1 is None else K1
+    cap = width if K1 is None else min(K1, width)
     rows = max(1, _PRUNE_BYTES // max(1, 8 * width * base.shape[1]))
     for lo in range(0, len(ids), rows):
         block, dists, kept_block = ids[lo:lo + rows], d2[lo:lo + rows], kept[lo:lo + rows]
-        vecs = base[block]
+        vecs = base[block.T]  # (W, B, dim): candidate j of every row is vecs[j]
         open_ = (block >= 0) & (block != owners[lo:lo + rows, None])
+        # row b's kept vectors fill held[:keeps[b], b]; the next candidate
+        # goes to held[keeps[b], b] and stays there only if it is kept
+        held = np.zeros((cap + 1, len(block), base.shape[1]))
         keeps = np.zeros(len(block), dtype=np.int64)
+        every = np.arange(len(block))
         for j in range(width):
             take = open_[:, j] & (keeps < cap)
-            if j:
-                diff = vecs[:, :j] - vecs[:, j, None]
-                near = dists[:, j, None] >= np.einsum("bjd,bjd->bj", diff, diff)
-                take &= ~(kept_block[:, :j] & near).any(axis=1)
+            most = keeps.max()
+            if most:
+                diff = held[:most] - vecs[j]
+                near = dists[:, j] >= np.einsum("kbd,kbd->kb", diff, diff)
+                near &= np.arange(most)[:, None] < keeps
+                take &= ~near.any(axis=0)
             kept_block[:, j] = take
+            held[keeps, every] = vecs[j]
             keeps += take
     return kept
 
@@ -194,22 +203,44 @@ def ndg_select(owners: np.ndarray, ids: np.ndarray, base: np.ndarray,
     It keeps its first candidate (the potential out-dominator), and a later
     candidate y iff <y,y> >= <y,z> for every other z of the row and for the
     owner, up to K2 keeps (None: no cap). ``base`` is the float64 dataset.
+
+    Candidate y's verdict reads only y's gram row against the row's
+    candidates and owner. So the first 2 * K2 columns are decided first,
+    and only the rows that have not kept K2 by then pay for the gram rows
+    of the columns after them.
     """
     width = ids.shape[1]
-    cap = width if K2 is None else K2
+    cap = width if K2 is None else min(K2, width)
     kept = np.zeros(ids.shape, dtype=bool)
-    rows = max(1, _PRUNE_BYTES // (8 * (width + 1) * (width + 1 + base.shape[1])))
+    if cap == 0:
+        return kept
+    head = min(width, 2 * cap)
+    # a row holds its width + 1 vectors and the gram rows of one pass
+    rows = max(1, _PRUNE_BYTES // (8 * (width + 1)
+                                   * (max(head, width - head) + base.shape[1])))
     for lo in range(0, len(ids), rows):
         block, own = ids[lo:lo + rows], owners[lo:lo + rows, None]
         open_ = (block >= 0) & (block != own)
         # the owner fills the last column and stands in for the padding and
         # for its own column: a repeated <y, owner> cannot change a maximum
         vecs = base[np.concatenate((np.where(open_, block, own), own), axis=1)]
-        self_dots, best_cross = _chunk_best_cross(vecs @ vecs.transpose(0, 2, 1), 0)
-        take = open_ & ((self_dots >= best_cross)[:, :-1]
-                        | (np.cumsum(open_, axis=1) == 1))
+        take = open_ & (np.cumsum(open_, axis=1) == 1)
+        take[:, :head] |= open_[:, :head] & _weak_self_dominators(vecs, 0, head)
+        short = np.flatnonzero(np.count_nonzero(take, axis=1) < cap)
+        if head < width and len(short):
+            take[short, head:] |= (open_[short, head:]
+                                   & _weak_self_dominators(vecs[short], head, width))
         kept[lo:lo + rows] = take & (np.cumsum(take, axis=1) <= cap)
     return kept
+
+
+def _weak_self_dominators(vecs: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """(B, stop - start): whether <y,y> >= <y,z> for every other z of its
+    row of vecs, for the y in columns [start, stop) of the (B, W, dim)
+    stack, from one product of those gram rows against the whole row."""
+    gram = vecs[:, start:stop] @ vecs.transpose(0, 2, 1)
+    self_dots, best_cross = _chunk_best_cross(gram, start)
+    return self_dots >= best_cross
 
 
 def build_exact_ndg(dataset: Dataset) -> CsrEdges:

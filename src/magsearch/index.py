@@ -8,8 +8,11 @@ id, itself included. It filters each pool through dominator selection and
 stores at most K2 IP-oriented edges alongside. Both stages step over the
 same gram blocks, whose rows ``stats._gram_rows`` works out from n alone;
 a node range of whole blocks (``_stage2_rows``) hands back (source,
-target) arrays. Ranges run in-process, or on one process pool per build
-when workers > 1, and carry only the dataset. At query time
+target) arrays. With workers > 1, one pool of workers - 1 processes per
+build takes ranges from the front while the calling process runs ranges
+from the back (``_run_ranges``); a pool task carries only the dataset.
+Ranges run in range order into the result, so the bytes do not depend
+on which process ran them. At query time
 ``materialize`` loads ceil(alpha * R) IP edges first and fills the
 remaining out-degree budget with Euclidean edges.
 
@@ -27,7 +30,6 @@ metadata byte length; UTF-8 JSON metadata.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -172,6 +174,24 @@ def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
     return start + np.nonzero(kept)[0], pools[kept]
 
 
+def _run_ranges(task, ranges: list[tuple[int, int]], workers: int) -> list:
+    """task(r) for every node range r, in range order. With workers > 1, a
+    pool of workers - 1 processes takes the ranges from the front while
+    the calling process takes them from the back, each range once: it runs
+    a range itself when it can still cancel that range's pool task."""
+    if workers == 1:
+        return [task(r) for r in ranges]
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(task, r) for r in ranges]
+        mine = {}
+        for i in reversed(range(len(ranges))):
+            if not futures[i].cancel():
+                break
+            mine[i] = task(ranges[i])
+        return [mine[i] if i in mine else futures[i].result()
+                for i in range(len(ranges))]
+
+
 def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
                  seed: int = 0, workers: int = 1,
                  passes: int | None = None) -> MagIndex:
@@ -188,11 +208,15 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     random: ``seed`` is only validated and recorded. ``passes`` is ignored;
     it remains for callers written against the search-based stage 2.
     Results are independent of ``workers``, which must be >= 1: node ranges
-    are whole gram blocks, whose bounds depend on n alone.
+    are whole gram blocks, whose bounds depend on n alone, and the calling
+    process is one of the workers. ``ls`` must be >= 1 at every K2, since
+    it goes into the metadata.
     """
     stage1.check_shape(dataset, "stage-1 index")
     if K2 < 0:
         raise UsageError(f"K2 must be >= 0, got {K2}")
+    if ls < 1:
+        raise UsageError(f"candidate pool ls must be >= 1, got {ls}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     if workers < 1:
@@ -208,11 +232,8 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
         if ls < K2:
             raise UsageError(f"candidate pool ls={ls} must be >= K2={K2}")
         task = functools.partial(_stage2_rows, dataset=dataset, K2=K2, ls=ls)
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-              else contextlib.nullcontext()) as pool:
-            parts = (pool.map if pool else map)(task, _stage2_ranges(n, workers))
-            # one statement, so that no task's (source, target) arrays outlive it
-            src, dst = map(np.concatenate, zip(*parts))
+        src, dst = map(np.concatenate, zip(*_run_ranges(task, _stage2_ranges(n, workers),
+                                                        workers)))
         # the result is not bi-directional: the K2 cap drops most reverse
         # copies. On heavy-tailed norms the edges point at a few high-norm
         # hubs, so most nodes keep no IP in-edge (9,029 of 10,000 on the

@@ -151,10 +151,19 @@ def test_zero_workers_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "i.mag").exists()
 
 
+def test_zero_ls_is_a_usage_error_without_ip_edges(tmp_path, capsys):
+    base, index = str(tmp_path / "b.fvecs"), str(tmp_path / "i.mag")
+    assert main(["gen", "--n", "60", "--dim", "4", "--out", base]) == 0
+    assert main(["build", "--data", base, "--K", "8", "--K1", "4", "--K2", "0",
+                 "--ls", "0", "--out", index]) == 2
+    assert "ls must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "i.mag").exists()
+
+
 @pytest.mark.parametrize("command", ["build", "scale"])
 def test_workers_help_names_the_blas_thread_variable(command):
-    # both subcommands run stage 2 on one process pool whose workers keep
-    # the BLAS library's default thread count
+    # both subcommands run stage 2 in the calling process and a process
+    # pool, and each of them keeps the BLAS library's default thread count
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a.choices, dict))
     (workers,) = [a for a in subparsers.choices[command]._actions

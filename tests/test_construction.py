@@ -9,7 +9,8 @@ from magsearch import (Dataset, MetricKind, UsageError, brute_force_topk,
 from magsearch import construction, index as index_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
-from magsearch.stats import best_cross_inner_product
+from magsearch.io import compute_ground_truth
+from magsearch.stats import _chunk_best_cross, best_cross_inner_product
 
 
 def f64(ds):
@@ -276,6 +277,114 @@ def select_panel():
     return np.arange(n), ids, base, lengths
 
 
+def two_pass_select_panel():
+    """(owners, -1 padded candidate rows, float64 base) for the two passes
+    of ``ndg_select``. The points have small integer coordinates: many lie
+    on a few rays, so a candidate is often dominated by a longer one on its
+    ray, and many pairs tie exactly, <y,y> == <y,z>. Rows hold 20 columns
+    in random order, padding and the owner among them; every third row
+    opens with 2 to 6 columns of padding and owner copies, so that its
+    first open column lies past the first pass at small K2."""
+    rng = np.random.default_rng(11)
+    rays = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 1], [0, 1, 1],
+                     [-1, 0, 1], [2, 1, 0]], float)
+    base = np.concatenate([rays * t for t in (1, 2, 3)]
+                          + [rng.integers(-2, 3, (20, 3)).astype(float)])
+    n, width = len(base), 20
+    owners = rng.integers(0, n, 90)
+    ids = np.empty((len(owners), width), dtype=np.int64)
+    for r, node in enumerate(owners):
+        row = rng.choice(np.delete(np.arange(n), node), size=width, replace=False)
+        filler = np.where(rng.random(width) < 0.5, -1, node)
+        row = np.where(rng.random(width) < 0.2, filler, row)
+        if r % 3 == 0:
+            row[:2 + r % 5] = filler[:2 + r % 5]
+        ids[r] = row
+    return owners, ids, base
+
+
+def orthogonal_prune_panel():
+    """(owners, -1 padded candidate rows sorted by d2, their d2, float64
+    base) whose kept counts differ widely within every block of three or
+    more rows. Rows cycle through four kinds: candidates on the axes
+    around the owner, which keep all of them; candidates on one line from
+    the owner, which keep only the nearest; only padding and the owner,
+    which keep nothing; and Gaussian candidates."""
+    rng = np.random.default_rng(5)
+    dim, width = 8, 16
+    points, rows = [], []
+
+    def add(vecs):
+        points.extend(vecs)
+        return list(range(len(points) - len(vecs), len(points)))
+
+    for r in range(40):
+        (owner,) = add([rng.standard_normal(dim)])
+        centre = points[owner]
+        kind = r % 4
+        if kind == 0:
+            axes = np.concatenate((np.eye(dim), -np.eye(dim)))
+            row = add(list(centre + axes * (1 + 0.01 * np.arange(2 * dim))[:, None]))
+        elif kind == 1:
+            row = add([centre + t * np.eye(dim)[0] for t in range(1, width + 1)])
+        elif kind == 2:
+            row = [owner] if r % 8 == 2 else []
+        else:
+            row = add(list(centre + rng.standard_normal((width, dim))))
+            row[3] = owner
+        rows.append((owner, row))
+    base = np.array(points)
+    ids = np.full((len(rows), 2 * dim), -1)
+    d2s = np.full(ids.shape, np.inf)
+    for r, (owner, row) in enumerate(rows):
+        row = np.array(row, dtype=np.int64)
+        dd = ((base[row] - base[owner]) ** 2).sum(axis=1)
+        order = np.lexsort((row, dd))
+        ids[r, :len(row)], d2s[r, :len(row)] = row[order], dd[order]
+    return np.array([owner for owner, _ in rows]), ids, d2s, base
+
+
+def prune_blocks_before(owners, ids, d2, base, K1):
+    """``mrng_prune`` as it was when every candidate was measured against
+    every earlier candidate of its row, kept or not."""
+    kept = np.zeros(ids.shape, dtype=bool)
+    width = ids.shape[1]
+    cap = width if K1 is None else K1
+    rows = max(1, (1 << 19) // max(1, 8 * width * base.shape[1]))
+    for lo in range(0, len(ids), rows):
+        block, dists, kept_block = ids[lo:lo + rows], d2[lo:lo + rows], kept[lo:lo + rows]
+        vecs = base[block]
+        open_ = (block >= 0) & (block != owners[lo:lo + rows, None])
+        keeps = np.zeros(len(block), dtype=np.int64)
+        for j in range(width):
+            take = open_[:, j] & (keeps < cap)
+            if j:
+                diff = vecs[:, :j] - vecs[:, j, None]
+                near = dists[:, j, None] >= np.einsum("bjd,bjd->bj", diff, diff)
+                take &= ~(kept_block[:, :j] & near).any(axis=1)
+            kept_block[:, j] = take
+            keeps += take
+    return kept
+
+
+def select_blocks_before(owners, ids, base, K2):
+    """``ndg_select`` as it was when every row multiplied its whole
+    (W + 1) x (W + 1) gram."""
+    width = ids.shape[1]
+    cap = width if K2 is None else K2
+    kept = np.zeros(ids.shape, dtype=bool)
+    rows = max(1, (1 << 19) // (8 * (width + 1) * (width + 1 + base.shape[1])))
+    for lo in range(0, len(ids), rows):
+        block, own = ids[lo:lo + rows], owners[lo:lo + rows, None]
+        open_ = (block >= 0) & (block != own)
+        vecs = base[np.concatenate((np.where(open_, block, own), own), axis=1)]
+        self_dots, best_cross = _chunk_best_cross(vecs @ vecs.transpose(0, 2, 1), 0)
+        take = open_ & ((self_dots >= best_cross)[:, :-1]
+                        | (np.cumsum(open_, axis=1) == 1))
+        kept[lo:lo + rows] = take & (np.cumsum(take, axis=1) <= cap)
+    return kept
+
+
 def rule_data(kind):
     if kind == "duplicates":
         pts = np.random.default_rng(9).standard_normal((150, 6)).astype(np.float32)
@@ -323,6 +432,71 @@ class TestBlockRulesMatchPerRow:
         assert not kept[ids == owners[:, None]].any()
         for node, row, keep, length in zip(owners, ids, kept, lengths):
             assert row[keep].tolist() == select_reference(node, row[:length], base, K2)
+
+    @pytest.mark.parametrize("K2", [None, 0, 1, 2, 3, 20])
+    @pytest.mark.parametrize("slice_rows", [1, 7, None])
+    def test_ndg_select_two_passes(self, K2, slice_rows, monkeypatch):
+        owners, ids, base = two_pass_select_panel()
+        width = ids.shape[1]
+        if slice_rows is not None:
+            monkeypatch.setattr(construction, "_PRUNE_BYTES",
+                                slice_rows * 8 * (width + 1) * (width + 1 + base.shape[1]))
+        kept = ndg_select(owners, ids, base, K2)
+        head = width if K2 is None else min(width, 2 * K2)
+        late_fill = late_first = straddle = 0
+        for node, row, keep in zip(owners, ids, kept):
+            expected = select_reference(node, row[row >= 0], base, K2)
+            assert row[keep].tolist() == expected
+            cols = np.flatnonzero(keep)
+            late_fill += bool(K2) and len(cols) == K2 and cols[-1] >= head
+            open_cols = np.flatnonzero((row >= 0) & (row != node))
+            late_first += len(open_cols) > 0 and open_cols[0] >= head
+            # an exact tie <y,y> == <y,z> with y and z on either side of
+            # the first pass
+            cand = base[np.where(row >= 0, row, node)]
+            gram = cand @ cand.T
+            tie = gram == np.diag(gram)[:, None]
+            np.fill_diagonal(tie, False)
+            straddle += bool(tie[:head, head:].any() or tie[head:, :head].any())
+        if K2 in (1, 2, 3):
+            # the panel reaches the cases the second pass exists for
+            assert late_fill and late_first and straddle
+
+    @pytest.mark.parametrize("K1", [None, 1, 3, 16])
+    @pytest.mark.parametrize("slice_rows", [1, 3, 7, None])
+    def test_mrng_prune_kept_counts_differ(self, K1, slice_rows, monkeypatch):
+        owners, ids, d2, base = orthogonal_prune_panel()
+        if slice_rows is not None:
+            monkeypatch.setattr(construction, "_PRUNE_BYTES",
+                                slice_rows * 8 * ids.shape[1] * base.shape[1])
+        kept = mrng_prune(owners, ids, d2, base, K1)
+        counts = kept.sum(axis=1)
+        for node, row, dd, keep in zip(owners, ids, d2, kept):
+            length = int((row >= 0).sum())
+            expected = prune_reference(node, row[:length], dd[:length], base, K1)
+            assert row[keep].tolist() == expected
+        cap = ids.shape[1] if K1 is None else K1
+        # every four rows in a row hold one at the cap and one that keeps
+        # nothing, so every block of three or more rows mixes them
+        for lo in range(0, len(ids) - 3):
+            assert counts[lo:lo + 4].max() == cap and counts[lo:lo + 4].min() == 0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heavytail"])
+    def test_perfbench_size_panel_matches_the_full_products(self, kind):
+        # n = 1,200, d = 16 and the perfbench build (K = 32, K1 = 16,
+        # K2 = 16, ls = 64): the block rules give the masks of the versions
+        # that measured every pair, bit for bit
+        ds = generate_synthetic(SyntheticSpec(kind, n=1200, dim=16, seed=3,
+                                              sigma_log=0.5))
+        base = ds.data.astype(np.float64)
+        owners = np.arange(ds.n)
+        knn = build_exact_knn(ds, 32)
+        assert np.array_equal(mrng_prune(owners, knn.neighbors, knn.dists, base, 16),
+                              prune_blocks_before(owners, knn.neighbors, knn.dists,
+                                                  base, 16))
+        pools = compute_ground_truth(ds, ds, 64, MetricKind.INNER_PRODUCT)
+        assert np.array_equal(ndg_select(owners, pools, base, 16),
+                              select_blocks_before(owners, pools, base, 16))
 
     @pytest.mark.parametrize("kind", ["gaussian", "heavytail", "duplicates"])
     def test_mirror_euclid(self, kind):

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +131,17 @@ class TestStage2:
         assert sum(owners, []) == list(range(ds.n))
         assert all(len(rows) * 8 * ds.n <= 150_000 for rows in owners)
 
+    @pytest.mark.parametrize("K2", [0, 4])
+    @pytest.mark.parametrize("ls", [0, -3])
+    def test_ls_below_one_rejected(self, rng, K2, ls):
+        # at K2 = 0 no pool is drawn, but ls still goes into the metadata
+        ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
+        stage1 = build_stage1(ds, K=8, K1=4)
+        with pytest.raises(UsageError, match=f"ls must be >= 1, got {ls}"):
+            build_stage2(stage1, ds, K2=K2, ls=ls)
+        with pytest.raises(UsageError, match="ls must be >= 1"):
+            build_mag(ds, K=8, K1=4, K2=K2, ls=ls)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, rng, workers):
         ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
@@ -225,8 +238,26 @@ class TestStage2:
             made.clear()
             blobs.append(index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24,
                                                      workers=workers)))
-            assert made == ([] if workers == 1 else [workers])
+            # the calling process is one of the workers
+            assert made == ([] if workers == 1 else [workers - 1])
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_parent_and_children_cover_every_node_once(self, workers):
+        # at n = 1,200 and three workers, 11 node ranges: the pool takes
+        # them from the front and the calling process from the back, and
+        # each runs once
+        ranges = index_mod._stage2_ranges(1200, 3)
+        ran = index_mod._run_ranges(pid_after_a_pause, ranges, workers)
+        assert [bounds for _, bounds in ran] == ranges
+        nodes = np.concatenate([np.arange(lo, hi) for _, (lo, hi) in ran])
+        assert np.array_equal(nodes, np.arange(1200))
+        pids = [pid for pid, _ in ran]
+        mine = pids.count(os.getpid())
+        # a pause per range keeps the pool from reaching the last range
+        # before the calling process does
+        assert mine >= 1 and pids[len(pids) - mine:] == [os.getpid()] * mine
+        assert len(set(pids)) <= workers
 
     def test_node_ranges_differ_but_bytes_do_not(self):
         # at n = 1,200 the gram blocks are 109 rows, and the lone 1,200th
@@ -249,6 +280,12 @@ class TestStage2:
         census[self_dominator_set(data)] = True
         assert np.array_equal(index.self_dominator, census)
         index.validate(data)
+
+
+def pid_after_a_pause(bounds):
+    """The id of the process that ran a node range, and the range."""
+    time.sleep(0.02)
+    return os.getpid(), bounds
 
 
 def bytes_reference(index):
