@@ -6,10 +6,11 @@ cluster of huge-norm points wins every intermediate inner-product
 comparison. Edges selected under inner product all point at the bait, so
 a search over IP edges alone (alpha=1) climbs into it and stalls; a
 Euclidean-first start (m > 0) cannot help there, because the search
-already expands everything it can reach. Mixing Euclidean edges into the
-graph (alpha=0.5) is what rescues the panel: plain inner-product search
-(m=0) on the mixed graph reaches recall 1.000 at ls=200. The switch only
-adds distance computations here, and at ls=100 m=64 drops to 0.934.
+already expands everything it can reach: 18 of the 20 queries find none
+of their answers. Mixing Euclidean edges into the graph (alpha=0.5) is
+what rescues the panel: at ls=200, plain inner-product search (m=0)
+reaches recall 1.000 with 605 distance computations per query, and the
+switch keeps 1.000 for 609 at m=16 and 671 at m=64.
 """
 
 import numpy as np
@@ -55,4 +56,6 @@ mixed_graph = ms.materialize(index, R=16, alpha=0.5)
 for m in (0, 16, 64):
     res = run_queries(mixed_graph, data, queries, ls=200, k=100, m=m, seed=11)
     rec = recall_at_k([r.ids for r in res], gt, 100)
-    print(f"  m={m:3d}: panel recall@100 = {rec:.3f}")
+    comps = np.mean([r.stats.dist_comps for r in res])
+    print(f"  m={m:3d}: panel recall@100 = {rec:.3f}, "
+          f"{comps:.0f} distance computations per query")

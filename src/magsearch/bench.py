@@ -129,8 +129,8 @@ def bench_one(graph: SearchGraph, dataset: Dataset, queries: Dataset,
     recall = recall_at_k([r.ids for r in results], gt, k)
     qps = queries.n / (sum(times) / len(times))
     return BenchRecord(
-        ls=ls, alpha=graph.alpha, m=m, R=graph.R, recall=recall, qps=qps,
-        dist_comps=float(np.mean([r.stats.dist_comps for r in results])),
+        ls=ls, alpha=graph.alpha, m=m, R=graph.adjacency.shape[1], recall=recall,
+        qps=qps, dist_comps=float(np.mean([r.stats.dist_comps for r in results])),
         hops=float(np.mean([r.stats.hops for r in results])))
 
 
@@ -167,13 +167,11 @@ def config_line(config: dict) -> str:
     return "# " + json.dumps(config, sort_keys=True, default=str)
 
 
-def records_to_csv(records: list, config: dict | None = None,
+def records_to_csv(records: list, config: dict,
                    header: str = BENCH_CSV_HEADER) -> str:
-    """CSV text: the config line when given, the header, one row per record."""
-    lines = [] if config is None else [config_line(config)]
-    lines.append(header)
-    lines.extend(r.csv_row() for r in records)
-    return "\n".join(lines) + "\n"
+    """CSV text: the config line, the header, one row per record."""
+    return "\n".join([config_line(config), header,
+                      *(r.csv_row() for r in records)]) + "\n"
 
 
 DEFAULT_LS_SCHEDULE = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768,

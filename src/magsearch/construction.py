@@ -44,26 +44,6 @@ class KnnGraph:
     dists: np.ndarray      # (n, k) float64 squared distances
     self_dominator: np.ndarray  # (n,) bool strict census from the same gram pass
 
-    @property
-    def n(self) -> int:
-        return self.neighbors.shape[0]
-
-    def validate(self) -> None:
-        """Raise for the first node with a self-loop, a repeated neighbour or
-        a row out of (distance, id) order, naming the first rule it breaks."""
-        ids, d = self.neighbors, self.dists
-        ordered = np.sort(ids, axis=1)
-        descending = (d[:, 1:] < d[:, :-1]) | ((d[:, 1:] == d[:, :-1])
-                                               & (ids[:, 1:] < ids[:, :-1]))
-        checks = (((ids == np.arange(self.n)[:, None]).any(axis=1), "has a self-loop"),
-                  ((ordered[:, 1:] == ordered[:, :-1]).any(axis=1),
-                   "has duplicate neighbors"),
-                  (descending.any(axis=1), "row not sorted by (distance, id)"))
-        bad = np.array([rows for rows, _ in checks])
-        if bad.any():
-            node = int(bad.any(axis=0).argmax())
-            raise UsageError(f"node {node} {checks[int(bad[:, node].argmax())][1]}")
-
 
 @dataclass(frozen=True)
 class CsrEdges:
@@ -157,19 +137,19 @@ def build_exact_knn(dataset: Dataset, K: int) -> KnnGraph:
 
 
 def mrng_prune(owners: np.ndarray, ids: np.ndarray, d2: np.ndarray,
-               base: np.ndarray, K1: int | None) -> np.ndarray:
+               base: np.ndarray, K1: int) -> np.ndarray:
     """Euclidean occlusion pruning of (B, W) candidate rows, each sorted
     ascending by distance ``d2`` to its owner and padded with -1.
 
     Returns the (B, W) kept mask. A row keeps p iff p is neither padding
     nor the owner and d2(owner, p) < d2(p, r) for every r it kept before p,
-    up to K1 keeps (None: no cap). ``base`` is the float64 dataset. Each
-    row holds the vectors it has kept, so a candidate is measured against
-    those alone, at most K1 of them, in the difference form |r - p|^2.
+    up to K1 keeps. ``base`` is the float64 dataset. Each row holds the
+    vectors it has kept, so a candidate is measured against those alone,
+    at most K1 of them, in the difference form |r - p|^2.
     """
     kept = np.zeros(ids.shape, dtype=bool)
     width = ids.shape[1]
-    cap = width if K1 is None else min(K1, width)
+    cap = min(K1, width)
     rows = max(1, _PRUNE_BYTES // max(1, 8 * width * base.shape[1]))
     for lo in range(0, len(ids), rows):
         block, dists, kept_block = ids[lo:lo + rows], d2[lo:lo + rows], kept[lo:lo + rows]

@@ -380,5 +380,4 @@ def materialize(index: MagIndex, R: int, alpha: float) -> SearchGraph:
     col = n_ip[src] + np.arange(len(src)) - np.searchsorted(src, src)
     take = col < R
     adjacency[src[take], col[take]] = ids[take]
-    counts = (n_ip + np.bincount(src[take], minlength=n)).astype(np.int32)
-    return SearchGraph(R=R, alpha=alpha, adjacency=adjacency, counts=counts)
+    return SearchGraph(alpha=alpha, adjacency=adjacency)

@@ -12,6 +12,7 @@ vector id, which makes every comparator a strict total order.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +71,13 @@ class Dataset:
         """(n,) float32 squared norms, each row's ``np.vecdot`` with itself;
         made on first use and kept."""
         return np.vecdot(self.data, self.data)
+
+    @cached_property
+    def max_norm(self) -> float:
+        """The largest row norm, from float64 squares, which do not
+        overflow where float32 ones may; made on first use and kept."""
+        return math.sqrt(float(np.einsum("ij,ij->i", self.data, self.data,
+                                         dtype=np.float64).max()))
 
 
 def score_batch(metric: MetricKind, q: np.ndarray, block: np.ndarray) -> np.ndarray:

@@ -41,8 +41,9 @@ array operations, the single-query path for one query, and both pick the
 same ids.
 
 Scores are float32 on both paths, and the engine's pool keys hold float32
-scores. Only queries search: the build's stage 2 ranks exact inner
-products from gram rows and runs no search.
+scores, so a query whose scores could overflow float32 is refused
+(``_check_query``). Only queries search: the build's stage 2 ranks exact
+inner products from gram rows and runs no search.
 
 The engine's step is array bookkeeping around one ``score_batch`` call,
 so it keeps that bookkeeping small. It gathers with ``np.take``, which
@@ -55,6 +56,7 @@ masks at the end, since every scored id is marked seen exactly once.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,24 +71,22 @@ from .metrics import Dataset, MetricKind, score_batch
 class SearchGraph:
     """Immutable runtime adjacency under a fixed out-degree cap and IP-edge ratio."""
 
-    R: int
     alpha: float
-    adjacency: np.ndarray  # (n, <=R) int32, padded with -1
-    counts: np.ndarray     # (n,) int32 valid neighbors per row
+    adjacency: np.ndarray  # (n, R) int32; a -1 cell is padding, wherever it sits
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self.adjacency[i, :self.counts[i]]
+        row = self.adjacency[i]
+        return row[row >= 0]
 
     @cached_property
     def padded(self) -> np.ndarray:
         """The adjacency with each padding cell holding its row's own id,
-        made on first use and kept; the lockstep engine walks it."""
-        return np.where(np.arange(self.adjacency.shape[1]) < self.counts[:, None],
-                        self.adjacency,
+        made on first use and kept; both search paths walk it."""
+        return np.where(self.adjacency >= 0, self.adjacency,
                         np.arange(self.n, dtype=self.adjacency.dtype)[:, None])
 
 
@@ -268,17 +268,15 @@ def _entry_count(n: int, ls: int, R: int) -> int:
     return n if ls >= n else min(ls, R)
 
 
-def _seed_ids(n: int, params: SearchParams,
-              c: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _seed_ids(n: int, params: SearchParams, c: int) -> tuple[np.ndarray, np.ndarray]:
     """The query's entries: c distinct ids drawn from its seed, in pick
     order, and the (n,) seen mask that marks them. The search passes c =
-    ``_entry_count(n, ls, R)``; without c the draw is uncapped, min(ls, n).
+    ``_entry_count(n, ls, R)``.
 
     Floyd's step t picks draw t unless it is taken, and then n - c + t,
     which no earlier step can reach. The mask serves as the picked set, as
     in ``_seed_block``, which picks the same ids.
     """
-    c = min(params.ls, n) if c is None else c
     ids = _seed_draws(np.uint64(params._key), n, c)
     seen = np.zeros(n, dtype=bool)
     picked = memoryview(seen)  # Python-speed reads and writes of the mask
@@ -345,9 +343,18 @@ def _expand_loop(pool: CandidatePool, graph: SearchGraph, dataset: Dataset,
     stats.dist_comps += comps
 
 
+_SCORE_LIMIT = float(np.finfo(np.float32).max) / 2  # see _check_query
+
+
 def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
                  ndim: int = 1) -> np.ndarray:
-    """q as float32 with ndim axes: one query (1) or a panel (2)."""
+    """q as float32 with ndim axes: one query (1) or a panel (2).
+
+    Both paths score in float32, so a query is refused when a score could
+    overflow: (max|x| + max|q|)^2, with the norms in float64, bounds
+    |<x,q>|, the Euclidean split |x|^2 - 2<x,q> and the difference form
+    |x - q|^2, and it must stay below half of FLT_MAX, the rest being room
+    for rounding."""
     if graph.n == 0:
         raise UsageError("empty graph")
     if graph.n != dataset.n:
@@ -355,16 +362,25 @@ def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
     qv = np.asarray(q, dtype=np.float32)
     if qv.ndim != ndim or qv.shape[-1] != dataset.dim:
         raise UsageError(f"query shape {qv.shape} does not match dim {dataset.dim}")
-    if not np.isfinite(qv).all():
+    # float64 norms of float32 rows cannot overflow, so a norm that is not
+    # finite comes from a NaN or Inf value. One query's norm costs less in
+    # Python floats than in numpy calls; a panel's norms take one einsum
+    norms = ([math.hypot(*qv.tolist())] if ndim == 1 else
+             np.sqrt(np.einsum("ij,ij->i", qv, qv, dtype=np.float64)).tolist())
+    if not math.isfinite(sum(norms)):
         raise UsageError("query contains NaN or Inf values")
+    q_norm = max(norms)
+    if (dataset.max_norm + q_norm) ** 2 > _SCORE_LIMIT:
+        raise UsageError(f"query norm {q_norm:.3g} with data norms up to "
+                         f"{dataset.max_norm:.3g} overflows float32 scores")
     if k > dataset.n:
         raise UsageError(f"k={k} exceeds n={dataset.n}")
     return qv
 
 
 def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
-            metric: MetricKind, m: int, debug: bool) -> SearchResult:
-    """One query: m expansions under Euclidean distance (none when m = 0),
+            metric: MetricKind, debug: bool) -> SearchResult:
+    """One query: params.m expansions under Euclidean distance (none when 0),
     the switch of the surviving pool to ``metric`` with visited flags
     kept, then expansion to pool exhaustion under ``metric``.
 
@@ -372,9 +388,10 @@ def _search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     beside the seen mask, and the switch re-keys the pool from it, so the
     switch adds no distance computation."""
     qv = _check_query(graph, dataset, q, params.k)
+    m = params.m
     first = MetricKind.EUCLIDEAN if m > 0 else metric
     entries, seen = _seed_ids(graph.n, params,
-                              _entry_count(graph.n, params.ls, graph.R))
+                              _entry_count(graph.n, params.ls, graph.adjacency.shape[1]))
     if m > 0:
         ips = np.empty(graph.n, dtype=np.float32)
         scores = _euclid_scores(np.vecdot(dataset.data.take(entries, axis=0), qv),
@@ -403,7 +420,7 @@ def greedy_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     if params.m > 0:
         raise UsageError(f"greedy_search runs no metric switch, got m={params.m}; "
                          "use anms_search")
-    return _search(graph, dataset, q, params, metric, 0, debug)
+    return _search(graph, dataset, q, params, metric, debug)
 
 
 def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
@@ -414,8 +431,7 @@ def anms_search(graph: SearchGraph, dataset: Dataset, q, params: SearchParams,
     Euclidean phase kept, so it adds no distance computation. m = 0 is
     plain inner-product search. Returns the top k by inner product.
     """
-    return _search(graph, dataset, q, params, MetricKind.INNER_PRODUCT,
-                   params.m, debug)
+    return _search(graph, dataset, q, params, MetricKind.INNER_PRODUCT, debug)
 
 
 # Bytes that one block of the lockstep engine may hold. The block size
@@ -449,7 +465,7 @@ def _key_ids(keys: np.ndarray) -> np.ndarray:
     return ((keys & np.uint64(0xFFFFFFFF)) >> np.uint64(1)).astype(np.intp)
 
 
-def _block_size(n: int, ls: int, c: int, dim: int, m: int = 0) -> int:
+def _block_size(n: int, ls: int, c: int, dim: int, m: int) -> int:
     """Queries per block. Each holds an n-byte seen mask, L = min(ls, n)
     uint64 pool keys and, at seeding, a (c, dim) float32 gather of its c
     entries. At m = 0 a query also holds the gather's L2 difference, which
@@ -638,7 +654,7 @@ def run_queries(graph: SearchGraph, dataset: Dataset, queries: Dataset,
     # _seed_key((seed, i)): the fold's last step, taken for every i at once
     keys = _mix64((np.uint64(head) ^ np.arange(len(qs), dtype=np.uint64))
                   + _GOLDEN & _MASK64)
-    c = _entry_count(n, ls, graph.R)
+    c = _entry_count(n, ls, graph.adjacency.shape[1])
     block = _block_size(n, ls, c, dataset.dim, m)
     results: list[SearchResult] = []
     for lo in range(0, len(qs), block):

@@ -35,14 +35,14 @@ _GRAM_MIN_ROWS = 32  # rows of the thinnest gemm call that pays for its set-up
 
 @dataclass
 class Clustering:
-    n_clusters: int
     assignment: np.ndarray  # (n,) int32 cluster ids
     centroids: np.ndarray   # (n_clusters, dim) float64
 
     def validate(self) -> None:
-        if self.assignment.min() < 0 or self.assignment.max() >= self.n_clusters:
+        nclus = len(self.centroids)
+        if self.assignment.min() < 0 or self.assignment.max() >= nclus:
             raise UsageError("cluster assignment ids out of range")
-        counts = np.bincount(self.assignment, minlength=self.n_clusters)
+        counts = np.bincount(self.assignment, minlength=nclus)
         if (counts == 0).any():
             raise UsageError("clustering has an empty cluster")
 
@@ -148,7 +148,7 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
         if converged:
             break
 
-    out = Clustering(n_clusters=n_clusters, assignment=assignment, centroids=centroids.copy())
+    out = Clustering(assignment=assignment, centroids=centroids.copy())
     out.validate()
     return out
 
@@ -162,7 +162,7 @@ def davies_bouldin(dataset: Dataset, clustering: Clustering,
     normalized points and centroids is half their squared distance.
     """
     _check_cluster_metric(metric)
-    nclus = clustering.n_clusters
+    nclus = len(clustering.centroids)
     if nclus < 2:
         raise UsageError("DBI needs at least 2 clusters")
     pts = dataset.data.astype(np.float64)
@@ -253,23 +253,20 @@ class DualityReport:
     n_tied: int = 0              # queries excluded for a tied MIPS top-1
 
 
-def verify_scaling_duality(dataset: Dataset, queries: Dataset,
-                           mu: float | None = None) -> DualityReport:
+def verify_scaling_duality(dataset: Dataset, queries: Dataset) -> DualityReport:
     """Check that scaling a query by a large mu turns MIPS into Euclidean NNS.
 
-    mu=None picks 1e6 * (max vector norm / query norm) per query. One pass
+    mu is 1e6 * (max vector norm / query norm) per query. One pass
     per block of queries takes the scaled queries' nearest neighbours in
     difference form, and the MIPS argmax and whether its score is tied
     from one inner-product gram.
     """
-    if mu is not None and mu <= 0:
-        raise UsageError(f"mu must be positive, got {mu}")
     base64 = dataset.data.astype(np.float64)
     qs = queries.data.astype(np.float64)
     norms = np.sqrt(np.vecdot(qs, qs))[:, None]  # the bits of np.linalg.norm
     if (norms == 0).any():
         raise UsageError("zero query vector has no scaling direction")
-    scale = mu if mu is not None else 1e6 * float(np.linalg.norm(base64, axis=1).max()) / norms
+    scale = 1e6 * dataset.max_norm / norms
 
     agree = tied = 0
     for lo, d2 in _exact_key_blocks(base64, scale * qs, MetricKind.EUCLIDEAN):

@@ -204,7 +204,7 @@ def test_c06_metric_switch_rescue(trap):
 
     The mixed edges do most of the rescue. A query scores min(ls, R) = 16
     entries and the walk fills its pool. At search seeds 11, 0 and 1,
-    alpha=0.5 reaches recall 0.990 at m=0 with 684-701 distance
+    alpha=0.5 reaches recall 0.990 at m=0 with 684-700 distance
     computations per query; the same 0.990 costs 677-684 at m=16, and
     702-713 at m=32 and 729-749 at m=64. Pure IP strands 23-27 of the 30
     queries at recall 0. At alpha=1 every m gives the same recall and

@@ -3,10 +3,12 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from magsearch import Dataset
 from magsearch.cli import build_parser, int_list, main, seed as cli_seed
-from magsearch.io import read_ivecs
+from magsearch.io import read_ivecs, write_fvecs
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,24 @@ def test_search_rejects_m_with_l2(workspace, capsys):
                  "--k", "5", "--m", "3", "--metric", "l2"]) == 2
     assert ("the metric switch targets inner product; use m=0 for l2"
             in capsys.readouterr().err)
+
+
+def test_search_refuses_a_query_whose_scores_overflow(tmp_path, capsys):
+    # finite float32 data and query whose inner products pass FLT_MAX
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((300, 8)).astype(np.float32)
+    pts[:2] = 0.0
+    pts[0, 0], pts[1, 0] = 2e19, 4e19
+    q = np.zeros((1, 8), dtype=np.float32)
+    q[0, 0] = 2e19
+    base, queries, index = (str(tmp_path / f) for f in ("b.fvecs", "q.fvecs", "i.mag"))
+    write_fvecs(Dataset(pts), base)
+    write_fvecs(Dataset(q), queries)
+    assert main(["build", "--data", base, "--K", "12", "--K1", "6", "--K2", "6",
+                 "--ls", "24", "--out", index]) == 0
+    assert main(["search", "--index", index, "--data", base, "--queries", queries,
+                 "--R", "10", "--alpha", "0.5", "--ls", "300", "--k", "2"]) == 2
+    assert "overflows float32 scores" in capsys.readouterr().err
 
 
 def test_index_must_match_the_data(tmp_path, capsys):

@@ -596,9 +596,10 @@ class TestMaterialize:
             for i, row in enumerate(want):
                 padded[i, :len(row)] = row
             g = materialize(idx, R=r, alpha=alpha)
-            assert g.adjacency.dtype == np.int32 and g.counts.dtype == np.int32
+            assert g.adjacency.dtype == np.int32
             assert np.array_equal(g.adjacency, padded)
-            assert g.counts.tolist() == [len(row) for row in want]
+            # the row lengths, read off the -1 cells
+            assert (g.adjacency >= 0).sum(axis=1).tolist() == [len(row) for row in want]
 
     def test_quota_arithmetic(self):
         assert ip_quota(0.3, 10) == 3

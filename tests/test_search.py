@@ -56,8 +56,7 @@ def complete_graph(n):
     adj = np.zeros((n, n - 1), dtype=np.int32)
     for i in range(n):
         adj[i] = [j for j in range(n) if j != i]
-    return SearchGraph(R=n - 1, alpha=0.0, adjacency=adj,
-                       counts=np.full(n, n - 1, dtype=np.int32))
+    return SearchGraph(alpha=0.0, adjacency=adj)
 
 
 @contextlib.contextmanager
@@ -421,14 +420,14 @@ def random_graph(n, R, seed):
     a neighbour of every third node, so a padded row also lists node 0."""
     rng = np.random.default_rng(seed)
     adj = np.full((n, R), -1, dtype=np.int32)
-    counts = rng.integers(1, R + 1, size=n).astype(np.int32)
+    counts = rng.integers(1, R + 1, size=n)
     for i in range(n):
         others = np.delete(np.arange(n), i)
         row = rng.choice(others, size=counts[i], replace=False)
         if i % 3 == 1 and 0 not in row:
             row[-1] = 0
         adj[i, :counts[i]] = row
-    return SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
+    return SearchGraph(alpha=0.0, adjacency=adj)
 
 
 def assert_matches_scalar(graph, data, queries, ls, k, m=0, seed=0,
@@ -452,7 +451,7 @@ def assert_matches_scalar(graph, data, queries, ls, k, m=0, seed=0,
 
 def entry_rows(graph, ls, seed, nq):
     """The (nq, c) entries that run_queries draws for its nq queries."""
-    c = search_mod._entry_count(graph.n, ls, graph.R)
+    c = search_mod._entry_count(graph.n, ls, graph.adjacency.shape[1])
     return np.stack([search_mod._seed_ids(
         graph.n, SearchParams(ls=ls, k=1, seed=(seed, i)), c)[0] for i in range(nq)])
 
@@ -538,12 +537,10 @@ class TestLockstep:
         data = Dataset(np.stack([x, 0.01 * rng.standard_normal(n)], axis=1)
                        .astype(np.float32))
         adj = np.full((n, R), -1, dtype=np.int32)
-        counts = np.zeros(n, dtype=np.int32)
         for i in range(n):
             row = [j for j in (i - 2, i - 1, i + 1, i + 2) if 0 <= j < n]
             adj[i, :len(row)] = row
-            counts[i] = len(row)
-        graph = SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
+        graph = SearchGraph(alpha=0.0, adjacency=adj)
         nq = 45
         qs = np.stack([rng.uniform(-2.0, 22.0, nq), rng.standard_normal(nq)],
                       axis=1).astype(np.float32)
@@ -639,7 +636,7 @@ class TestLockstep:
             data, graph = request.getfixturevalue("searchable")
             qs = request.getfixturevalue("panel").data
             entries = np.stack([search_mod._seed_ids(
-                data.n, SearchParams(ls=ls, k=10, seed=(3, i)))[0]
+                data.n, SearchParams(ls=ls, k=10, seed=(3, i)), ls)[0]
                 for i in range(len(qs))])
         else:
             graph, data, qs, entries = request.getfixturevalue(case)
@@ -689,8 +686,31 @@ class TestLockstep:
         data = Dataset(rng.standard_normal((90, 6)).astype(np.float32))
         queries = Dataset(rng.standard_normal((60, 6)).astype(np.float32))
         graph = random_graph(90, 7, seed=8)
-        assert (graph.counts < 7).any() and (graph.adjacency == 0).any()
+        assert (graph.adjacency < 0).any() and (graph.adjacency == 0).any()
         assert_matches_scalar(graph, data, queries, ls=6, k=4, m=m, seed=9)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_padding_between_neighbours(self, rng, m):
+        # a -1 cell is padding wherever it sits: rows such as
+        # [3, -1, 5, 8, 2, -1] search as their left-packed twins do
+        n, R = 90, 9
+        data = Dataset(rng.standard_normal((n, 6)).astype(np.float32))
+        queries = Dataset(rng.standard_normal((40, 6)).astype(np.float32))
+        packed = np.full((n, R), -1, dtype=np.int32)
+        packed[:, :R - 3] = random_graph(n, R - 3, seed=10).adjacency
+        gapped = np.full((n, R), -1, dtype=np.int32)
+        for i, row in enumerate(packed):
+            row = row[row >= 0]
+            gapped[i, np.sort(rng.choice(R, len(row), replace=False))] = row
+        # a -1 cell before a neighbour in most rows
+        assert ((gapped[:, :-1] < 0) & (gapped[:, 1:] >= 0)).any(axis=1).mean() > 0.5
+        twins = [SearchGraph(alpha=0.0, adjacency=adj) for adj in (packed, gapped)]
+        for i in range(n):
+            assert twins[0].neighbors(i).tolist() == twins[1].neighbors(i).tolist()
+        got = [assert_matches_scalar(g, data, queries, ls=8, k=5, m=m, seed=11)
+               for g in twins]
+        assert [(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in got[0]] \
+            == [(r.ids.tolist(), r.stats.dist_comps, r.stats.hops) for r in got[1]]
 
     @pytest.fixture
     def sparse(self):
@@ -704,10 +724,8 @@ class TestLockstep:
         graph = random_graph(n, R - 1, seed=14)
         adj = np.full((n, R), -1, dtype=np.int32)
         adj[:, :R - 1] = graph.adjacency
-        counts = graph.counts.copy()
         adj[::5] = -1
-        counts[::5] = 0
-        graph = SearchGraph(R=R, alpha=0.0, adjacency=adj, counts=counts)
+        graph = SearchGraph(alpha=0.0, adjacency=adj)
         data = Dataset(rng.standard_normal((n, 5)).astype(np.float32))
         queries = Dataset(rng.standard_normal((30, 5)).astype(np.float32))
         entries = np.stack([rng.choice(n, 8, replace=False)
@@ -717,7 +735,7 @@ class TestLockstep:
     @pytest.mark.parametrize("m", [0, 3])
     def test_rows_with_no_out_edges(self, sparse, m):
         graph, data, queries, entries = sparse
-        empty = set(np.flatnonzero(graph.counts == 0).tolist())
+        empty = set(np.flatnonzero((graph.adjacency < 0).all(axis=1)).tolist())
         got = assert_matches_scalar(graph, data, queries, ls=8, k=8, m=m, seed=15)
         # every id of an exhausted pool was expanded, empty rows included
         assert any(empty & set(r.ids.tolist()) for r in got)
@@ -726,12 +744,11 @@ class TestLockstep:
 
     def test_shared_graph_is_not_written(self, sparse):
         graph, data, queries, entries = sparse
-        adjacency, counts = graph.adjacency.copy(), graph.counts.copy()
+        adjacency = graph.adjacency.copy()
         run_queries(graph, data, queries, ls=8, k=4, m=2, seed=16)
         assert_pools_match(graph, data, queries.data, entries, 8, 0,
                            MetricKind.INNER_PRODUCT)
         assert graph.adjacency.tobytes() == adjacency.tobytes()
-        assert graph.counts.tobytes() == counts.tobytes()
 
     @pytest.fixture(scope="class")
     def narrow(self):
@@ -754,12 +771,12 @@ class TestLockstep:
     def test_pools_that_the_walk_fills(self, narrow, m, metric):
         graph, data, queries = narrow
         ls, k, seed = 32, 10, 17
-        assert graph.R < k
+        assert graph.adjacency.shape[1] < k
         got = assert_matches_scalar(graph, data, queries, ls=ls, k=k, m=m,
                                     seed=seed, metric=metric, debug=True)
         assert all(len(r.ids) == k for r in got)
         entries = entry_rows(graph, ls, seed, queries.n)
-        assert entries.shape == (queries.n, graph.R)
+        assert entries.shape == (queries.n, graph.adjacency.shape[1])
         hops = assert_pools_match(graph, data, queries.data, entries, ls, m,
                                   metric)
         assert hops.min() >= ls
@@ -773,8 +790,7 @@ class TestLockstep:
         n, R = 12, 2
         adj = np.array([[6 * (i // 6) + (i - 1) % 6, 6 * (i // 6) + (i + 1) % 6]
                         for i in range(n)], dtype=np.int32)
-        graph = SearchGraph(R=R, alpha=0.0, adjacency=adj,
-                            counts=np.full(n, R, dtype=np.int32))
+        graph = SearchGraph(alpha=0.0, adjacency=adj)
         rng = np.random.default_rng(5)
         data = Dataset(rng.standard_normal((n, 3)).astype(np.float32))
         queries = Dataset(rng.standard_normal((40, 3)).astype(np.float32))
@@ -821,8 +837,8 @@ class TestLockstep:
     @pytest.mark.parametrize("m", [0, 6])
     def test_any_block_size(self, searchable, panel, monkeypatch, m):
         data, graph = searchable
-        c = search_mod._entry_count(data.n, 24, graph.R)
-        assert search_mod._block_size(data.n, 24, c, data.dim) >= panel.n
+        c = search_mod._entry_count(data.n, 24, graph.adjacency.shape[1])
+        assert search_mod._block_size(data.n, 24, c, data.dim, m) >= panel.n
         whole = assert_matches_scalar(graph, data, panel, ls=24, k=10, m=m, seed=13)
         for block in (1, 2, 3, 7, panel.n - 1):
             monkeypatch.setattr(search_mod, "_block_size", lambda *_: block)
@@ -902,8 +918,7 @@ class TestSeeding:
             entries, seen = search_mod._seed_block(seed_keys(words), n, c)
             for row, mask, w in zip(entries, seen, words):
                 params = SearchParams(ls=ls, k=1, seed=w)
-                ids, own = (search_mod._seed_ids(n, params) if R is None
-                            else search_mod._seed_ids(n, params, c))
+                ids, own = search_mod._seed_ids(n, params, c)
                 assert ids.tolist() == row.tolist()
                 assert np.array_equal(own, mask)
                 assert len(set(row.tolist())) == c
@@ -921,9 +936,7 @@ class TestSeeding:
         n, k = 60, 3
         data = Dataset(rng.standard_normal((n, 4)).astype(np.float32))
         queries = Dataset(rng.standard_normal((8, 4)).astype(np.float32))
-        graph = SearchGraph(R=R, alpha=0.0,
-                            adjacency=np.full((n, R), -1, dtype=np.int32),
-                            counts=np.zeros(n, dtype=np.int32))
+        graph = SearchGraph(alpha=0.0, adjacency=np.full((n, R), -1, dtype=np.int32))
         c = n if ls >= n else min(ls, R)
         for m in (0, 2):
             got = assert_matches_scalar(graph, data, queries, ls=ls, k=k, m=m,
@@ -954,8 +967,8 @@ class TestSeeding:
     ])
     def test_pinned_entries(self, words, want):
         """The rule decides result ids, so a change to it must show here."""
-        assert search_mod._seed_ids(1000, SearchParams(ls=8, k=1, seed=words)
-                                     )[0].tolist() == want
+        assert search_mod._seed_ids(1000, SearchParams(ls=8, k=1, seed=words),
+                                    8)[0].tolist() == want
         entries, _ = search_mod._seed_block(seed_keys([words]), 1000, 8)
         assert entries[0].tolist() == want
 
@@ -966,7 +979,7 @@ class TestSeeding:
                 0, 2 ** 64 - 1, size=rng.integers(1, 4), dtype=np.uint64,
                 endpoint=True))
             params = SearchParams(ls=ls, k=1, seed=words)
-            got, _ = search_mod._seed_ids(n, params)
+            got, _ = search_mod._seed_ids(n, params, min(ls, n))
             assert got.tolist() == reference_entries(words, n, ls, ls), (words, n, ls)
             for R in RS:
                 got, _ = search_mod._seed_ids(
@@ -1012,7 +1025,7 @@ class TestScalingDuality:
     def test_hand_example(self):
         data = Dataset.from_array([[2, 0], [0, 1]])
         queries = Dataset.from_array([[1, 1]])
-        rep = verify_scaling_duality(data, queries, mu=100.0)
+        rep = verify_scaling_duality(data, queries)
         assert rep.nn_agreement == 1.0
 
     def test_full_agreement_with_auto_mu(self, rng):
@@ -1056,8 +1069,51 @@ class TestScalingDuality:
                 MetricKind.EUCLIDEAN))
             assert ip and ip == nn
 
-    def test_mu_must_be_positive(self, searchable):
-        data, _ = searchable
-        queries = Dataset.from_array([[1.0] * 8])
-        with pytest.raises(UsageError):
-            verify_scaling_duality(data, queries, mu=0.0)
+
+def overflow_case(x_norm, q_norm):
+    """300 Gaussian rows of d = 8 with row 0 = (x_norm / 2) e0 and row 1 =
+    x_norm e0, a graph built on them, and the query q_norm e0, whose top
+    two by inner product are [1, 0]."""
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((300, 8)).astype(np.float32)
+    pts[:2] = 0.0
+    pts[0, 0], pts[1, 0] = x_norm / 2, x_norm
+    data = Dataset(pts)
+    graph = materialize(build_mag(data, K=12, K1=6, K2=6, ls=24), R=10, alpha=0.5)
+    q = np.zeros(8, dtype=np.float32)
+    q[0] = q_norm
+    return graph, data, q
+
+
+class TestScoreOverflow:
+    """Queries score in float32: a query whose scores could overflow it is
+    refused, one just inside the bound is answered exactly."""
+
+    RUNS = [(0, MetricKind.INNER_PRODUCT), (4, MetricKind.INNER_PRODUCT),
+            (0, MetricKind.EUCLIDEAN)]
+
+    @pytest.mark.parametrize("m,metric", RUNS)
+    def test_overflowing_query_is_refused(self, m, metric):
+        # (4e19 + 2e19)^2 = 3.6e39 > FLT_MAX / 2; without the check both
+        # paths ranked [0, 1] at ls = n, where the oracle gives [1, 0]
+        graph, data, q = overflow_case(4e19, 2e19)
+        assert brute_force_topk(data, q, 2, MetricKind.INNER_PRODUCT).tolist() == [1, 0]
+        params = SearchParams(ls=data.n, k=2, m=m)
+        with pytest.raises(UsageError, match="overflows float32 scores"):
+            run_queries(graph, data, Dataset(q[None]), ls=data.n, k=2, m=m,
+                        metric=metric)
+        with pytest.raises(UsageError, match="overflows float32 scores"):
+            if m:
+                anms_search(graph, data, q, params)
+            else:
+                greedy_search(graph, data, q, params, metric)
+
+    @pytest.mark.parametrize("m,metric", RUNS)
+    def test_query_inside_the_bound_is_exact(self, m, metric):
+        # (4e18 + 2.8e18)^2 = 4.6e37 < FLT_MAX / 2 = 1.7e38
+        graph, data, q = overflow_case(4e18, 2.8e18)
+        want = brute_force_topk(data, q, 10, metric).tolist()
+        assert want[:2] == ([1, 0] if metric.larger_is_better else [0, 1])
+        got = assert_matches_scalar(graph, data, Dataset(q[None]), ls=data.n,
+                                    k=10, m=m, metric=metric)
+        assert got[0].ids.tolist() == want

@@ -86,7 +86,7 @@ def cosine_dbi_reference(dataset, clustering):
     cents = clustering.centroids / np.linalg.norm(clustering.centroids, axis=1,
                                                   keepdims=True)
     sigma = np.array([np.mean(1.0 - pts[clustering.assignment == c] @ cents[c])
-                      for c in range(clustering.n_clusters)])
+                      for c in range(len(clustering.centroids))])
     sep = 1.0 - cents @ cents.T
     np.fill_diagonal(sep, np.inf)
     return float(np.mean(((sigma[:, None] + sigma[None, :]) / sep).max(axis=1)))
@@ -222,8 +222,7 @@ class TestDaviesBouldin:
     def test_coincident_centroids_rejected(self):
         from magsearch.stats import Clustering
         ds = Dataset.from_array([[0, 0], [1, 1], [0, 0], [1, 1]])
-        clus = Clustering(n_clusters=2,
-                          assignment=np.array([0, 0, 1, 1], dtype=np.int32),
+        clus = Clustering(assignment=np.array([0, 0, 1, 1], dtype=np.int32),
                           centroids=np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ZeroDivisionError):
             davies_bouldin(ds, clus)
