@@ -24,12 +24,12 @@ from .search import run_queries
 from .stats import DEFAULT_DBI_CLUSTERS, compute_stats, tuning_hint
 
 
-# --workers of build and scale: both run stage 2 in the calling process and
-# a pool of workers - 1 more
-_WORKERS_HELP = ("processes for stage 2, the calling one included; the index "
-                "bytes do not depend on it. Each keeps the BLAS library's "
-                "default thread count, so run workers > 1 with "
-                "OPENBLAS_NUM_THREADS=1")
+# --workers of build and scale: both run stage 2 on at most workers processes,
+# the calling one included, and on fewer when n spans fewer gram blocks
+_WORKERS_HELP = ("stage 2 runs on at most this many processes, the calling "
+                "one included; the index bytes do not depend on it. Each "
+                "keeps the BLAS library's default thread count, so run "
+                "workers > 1 with OPENBLAS_NUM_THREADS=1")
 
 
 def seed(text: str) -> int:

@@ -8,11 +8,11 @@ id, itself included. It filters each pool through dominator selection and
 stores at most K2 IP-oriented edges alongside. Both stages step over the
 same gram blocks, whose rows ``stats._gram_rows`` works out from n alone;
 a node range of whole blocks (``_stage2_rows``) hands back (source,
-target) arrays. With workers > 1, one pool of workers - 1 processes per
-build takes ranges from the front while the calling process runs ranges
-from the back (``_run_ranges``); a pool task carries only the dataset.
-Ranges run in range order into the result, so the bytes do not depend
-on which process ran them. At query time
+target) arrays. Stage 2 splits the nodes once into at most ``workers``
+such ranges, fewer when n spans fewer gram blocks (``_stage2_ranges``):
+the calling process runs the first, and one pool of a process per other
+range runs the rest, one pickled task each (``_run_ranges``). The ranges
+join in range order, so the bytes do not depend on the split. At query time
 ``materialize`` loads ceil(alpha * R) IP edges first and fills the
 remaining out-degree budget with Euclidean edges.
 
@@ -153,10 +153,12 @@ def build_stage1(dataset: Dataset, K: int, K1: int, seed: int = 0) -> MagIndex:
 
 
 def _stage2_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    """Node ranges of whole gram blocks, about four per worker; as in every
-    gram scan, a lone last row joins the range before it."""
+    """At most ``workers`` contiguous node ranges of whole gram blocks, each
+    ceil(blocks / workers) blocks but the last: the fewest ranges whose
+    longest is that short. As in every gram scan, a lone last row joins
+    the range before it."""
     block = _gram_rows(n)
-    return _row_blocks(n, block * math.ceil(math.ceil(n / block) / (4 * workers)))
+    return _row_blocks(n, block * math.ceil(math.ceil(n / block) / workers))
 
 
 def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
@@ -174,22 +176,26 @@ def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
     return start + np.nonzero(kept)[0], pools[kept]
 
 
-def _run_ranges(task, ranges: list[tuple[int, int]], workers: int) -> list:
-    """task(r) for every node range r, in range order. With workers > 1, a
-    pool of workers - 1 processes takes the ranges from the front while
-    the calling process takes them from the back, each range once: it runs
-    a range itself when it can still cancel that range's pool task."""
-    if workers == 1:
-        return [task(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(task, r) for r in ranges]
-        mine = {}
-        for i in reversed(range(len(ranges))):
-            if not futures[i].cancel():
-                break
-            mine[i] = task(ranges[i])
-        return [mine[i] if i in mine else futures[i].result()
-                for i in range(len(ranges))]
+def _run_ranges(task, ranges: list[tuple[int, int]]) -> list:
+    """task(r) for every node range r, in range order. The calling process
+    runs the first range and a pool of one process per other range the
+    rest, so a single range opens no pool; a range's exception propagates."""
+    if len(ranges) == 1:
+        return [task(ranges[0])]
+    with ProcessPoolExecutor(max_workers=len(ranges) - 1) as pool:
+        rest = pool.map(task, ranges[1:])
+        return [task(ranges[0]), *rest]
+
+
+def _check_stage2_args(K2: int, ls: int, seed: int, workers: int) -> None:
+    """Raise ``UsageError`` on a bad stage-2 argument, before any work."""
+    for bad, what in ((K2 < 0, f"K2 must be >= 0, got {K2}"),
+                      (ls < 1, f"candidate pool ls must be >= 1, got {ls}"),
+                      (seed < 0, f"seed must be >= 0, got {seed}"),
+                      (workers < 1, f"workers must be >= 1, got {workers}"),
+                      (ls < K2, f"candidate pool ls={ls} must be >= K2={K2}")):
+        if bad:
+            raise UsageError(what)
 
 
 def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
@@ -213,14 +219,7 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     it goes into the metadata.
     """
     stage1.check_shape(dataset, "stage-1 index")
-    if K2 < 0:
-        raise UsageError(f"K2 must be >= 0, got {K2}")
-    if ls < 1:
-        raise UsageError(f"candidate pool ls must be >= 1, got {ls}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
+    _check_stage2_args(K2, ls, seed, workers)
     meta = dict(stage1.metadata)
     # "mirror" stays in the metadata, so the index bytes equal those of
     # earlier versions, which could also skip the reverse copies
@@ -229,11 +228,9 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     n = stage1.n
     ip = CsrEdges.empty(n)
     if K2 > 0:
-        if ls < K2:
-            raise UsageError(f"candidate pool ls={ls} must be >= K2={K2}")
         task = functools.partial(_stage2_rows, dataset=dataset, K2=K2, ls=ls)
-        src, dst = map(np.concatenate, zip(*_run_ranges(task, _stage2_ranges(n, workers),
-                                                        workers)))
+        ranges = _stage2_ranges(n, workers)
+        src, dst = map(np.concatenate, zip(*_run_ranges(task, ranges)))
         # the result is not bi-directional: the K2 cap drops most reverse
         # copies. On heavy-tailed norms the edges point at a few high-norm
         # hubs, so most nodes keep no IP in-edge (9,029 of 10,000 on the
@@ -248,7 +245,8 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
 
 def build_mag(dataset: Dataset, K: int, K1: int, K2: int, ls: int,
               seed: int = 0, workers: int = 1) -> MagIndex:
-    """Convenience wrapper: stage 1 then stage 2."""
+    """Stage 1 then stage 2, with stage 2's arguments checked first."""
+    _check_stage2_args(K2, ls, seed, workers)
     stage1 = build_stage1(dataset, K, K1, seed=seed)
     return build_stage2(stage1, dataset, K2, ls, seed=seed, workers=workers)
 

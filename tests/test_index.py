@@ -1,10 +1,11 @@
 """Two-stage construction, persistence, and runtime edge loading."""
 
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
-import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,20 @@ from magsearch import stats as stats_mod
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import CsrEdges
 from magsearch.index import MagIndex, index_from_bytes, index_to_bytes, ip_quota
+
+
+@pytest.fixture
+def pools_made(monkeypatch):
+    """The max_workers of every process pool that stage 2 opens."""
+    made = []
+
+    class Counting(index_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(index_mod, "ProcessPoolExecutor", Counting)
+    return made
 
 
 @pytest.fixture(scope="module")
@@ -220,52 +235,65 @@ class TestStage2:
         b = build_mag(ds, K=12, K1=6, K2=6, ls=24, seed=5, workers=4)
         assert index_to_bytes(a) == index_to_bytes(b)
 
-    def test_one_pool_per_build(self, monkeypatch):
-        made = []
-
-        class Counting(index_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(index_mod, "ProcessPoolExecutor", Counting)
-        # n = 700 is four gram blocks, one node range each, at every
-        # worker count here
+    def test_one_pool_per_build(self, pools_made):
+        # n = 700 is four gram blocks: one worker runs them as one node
+        # range, and two or three workers as two ranges of two blocks, so
+        # the calling process runs the first and a pool of one the second
         ds = generate_synthetic(SyntheticSpec("gaussian", n=700, dim=6, seed=4))
         stage1 = build_stage1(ds, K=12, K1=6)
         blobs = []
-        for workers in (1, 2, 3):
-            made.clear()
+        for workers, pools in ((1, []), (2, [1]), (3, [1])):
+            pools_made.clear()
             blobs.append(index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24,
                                                      workers=workers)))
-            # the calling process is one of the workers
-            assert made == ([] if workers == 1 else [workers - 1])
+            assert pools_made == pools
+            ranges = index_mod._stage2_ranges(ds.n, workers)
+            assert pools_made == ([len(ranges) - 1] if len(ranges) > 1 else [])
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_one_gram_block_opens_no_pool(self, pools_made):
+        # n = 300 is one gram block, so four workers run one node range,
+        # in the calling process
+        ds = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=6, seed=4))
+        assert index_mod._stage2_ranges(ds.n, 4) == [(0, ds.n)]
+        build_mag(ds, K=12, K1=6, K2=6, ls=24, workers=4)
+        assert pools_made == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_parent_and_children_cover_every_node_once(self, workers):
-        # at n = 1,200 and three workers, 11 node ranges: the pool takes
-        # them from the front and the calling process from the back, and
-        # each runs once
-        ranges = index_mod._stage2_ranges(1200, 3)
-        ran = index_mod._run_ranges(pid_after_a_pause, ranges, workers)
+        # at n = 1,200 the calling process runs the first node range and
+        # every other range runs in a pool child of its own: the children
+        # meet at a barrier, which a child holding two ranges never passes
+        ranges = index_mod._stage2_ranges(1200, workers)
+        with multiprocessing.Manager() as manager:
+            barrier = manager.Barrier(max(1, len(ranges) - 1))
+            ran = index_mod._run_ranges(functools.partial(
+                pid_in_step, parent=os.getpid(), barrier=barrier), ranges)
         assert [bounds for _, bounds in ran] == ranges
         nodes = np.concatenate([np.arange(lo, hi) for _, (lo, hi) in ran])
         assert np.array_equal(nodes, np.arange(1200))
         pids = [pid for pid, _ in ran]
-        mine = pids.count(os.getpid())
-        # a pause per range keeps the pool from reaching the last range
-        # before the calling process does
-        assert mine >= 1 and pids[len(pids) - mine:] == [os.getpid()] * mine
-        assert len(set(pids)) <= workers
+        assert pids[0] == os.getpid() and os.getpid() not in pids[1:]
+        assert len(set(pids)) == len(ranges) == workers
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_a_failing_range_raises_and_leaves_no_process(self, failing):
+        # range 0 fails in the calling process and range 2 in a pool
+        # child; either way the exception leaves _run_ranges, and the
+        # pool's processes have ended
+        ranges = [(0, 10), (10, 20), (20, 30)]
+        with pytest.raises(ValueError, match=f"range from node {ranges[failing][0]}"):
+            index_mod._run_ranges(functools.partial(fail_at, bad=ranges[failing]),
+                                  ranges)
+        assert multiprocessing.active_children() == []
 
     def test_node_ranges_differ_but_bytes_do_not(self):
         # at n = 1,200 the gram blocks are 109 rows, and the lone 1,200th
         # row joins the 11th; 1, 2, 3 and 4 workers split the 11 blocks
-        # into 4, 6, 11 and 11 node ranges, none of them a single row
+        # into 1, 2, 3 and 4 node ranges, none of them a single row
         ds = generate_synthetic(SyntheticSpec("gaussian", n=1200, dim=8, seed=3))
         ranges = [index_mod._stage2_ranges(ds.n, w) for w in (1, 2, 3, 4)]
-        assert [len(r) for r in ranges] == [4, 6, 11, 11]
+        assert [len(r) for r in ranges] == [1, 2, 3, 4]
         block = stats_mod._gram_rows(ds.n)
         assert all(lo % block == 0 and hi - lo > 1 for r in ranges for lo, hi in r)
         assert all(r[-1][1] == ds.n for r in ranges)
@@ -273,6 +301,21 @@ class TestStage2:
         blobs = {index_to_bytes(build_stage2(stage1, ds, K2=6, ls=24, workers=w))
                  for w in (1, 2, 3, 4)}
         assert len(blobs) == 1
+
+    @pytest.mark.parametrize("bad", [{"K2": -1}, {"ls": 0}, {"ls": 4},
+                                     {"seed": -1}, {"workers": 0}])
+    def test_build_mag_checks_stage2_arguments_first(self, rng, monkeypatch, bad):
+        # a bad stage-2 argument fails before stage 1 builds its K-NN graph
+        def no_knn(*args, **kwargs):
+            raise AssertionError("stage 1 ran")
+
+        monkeypatch.setattr(index_mod, "build_exact_knn", no_knn)
+        ds = Dataset(rng.standard_normal((80, 4)).astype(np.float32))
+        args = {"K": 8, "K1": 4, "K2": 6, "ls": 8, "seed": 0, "workers": 1}
+        with pytest.raises(AssertionError, match="stage 1 ran"):
+            build_mag(ds, **args)
+        with pytest.raises(UsageError):
+            build_mag(ds, **{**args, **bad})
 
     def test_flags_match_census_gate(self, built):
         data, index = built
@@ -282,10 +325,18 @@ class TestStage2:
         index.validate(data)
 
 
-def pid_after_a_pause(bounds):
-    """The id of the process that ran a node range, and the range."""
-    time.sleep(0.02)
+def pid_in_step(bounds, parent, barrier):
+    """The id of the process that ran a node range, and the range; a pool
+    child first waits at the barrier for the other children."""
+    if os.getpid() != parent:
+        barrier.wait(timeout=20)
     return os.getpid(), bounds
+
+
+def fail_at(bounds, bad):
+    if bounds == bad:
+        raise ValueError(f"range from node {bounds[0]}")
+    return bounds
 
 
 def bytes_reference(index):
