@@ -10,9 +10,9 @@ same gram blocks, whose rows ``stats._gram_rows`` works out from n alone;
 a node range of whole blocks (``_stage2_rows``) hands back (source,
 target) arrays. Stage 2 splits the nodes once into at most ``workers``
 such ranges, fewer when n spans fewer gram blocks (``_stage2_ranges``):
-the calling process runs the first, and one pool of a process per other
-range runs the rest, one pickled task each (``_run_ranges``). The ranges
-join in range order, so the bytes do not depend on the split. At query time
+the calling thread runs the first and a pool thread each of the rest,
+all threads of the calling process (``_run_ranges``). The ranges join in
+range order, so the bytes do not depend on the split. At query time
 ``materialize`` loads ceil(alpha * R) IP edges first and fills the
 remaining out-degree budget with Euclidean edges.
 
@@ -30,11 +30,10 @@ metadata byte length; UTF-8 JSON metadata.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,27 +161,27 @@ def _stage2_ranges(n: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _stage2_rows(bounds: tuple[int, int], dataset: Dataset, K2: int,
-                 ls: int) -> tuple[np.ndarray, np.ndarray]:
+                 ls: int, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dominator edges of the nodes in [start, stop) as (source, target)
     arrays, grouped by ascending source. A node's pool is its
     ``compute_ground_truth`` row as an inner-product query: its exact top
     min(ls, n) ids by (-IP, id), itself included. Dominator selection runs
-    over the range's pools."""
+    over the range's pools, on ``base``, the float64 dataset."""
     start, stop = bounds
     pools = compute_ground_truth(dataset, Dataset(dataset.data[start:stop]),
                                  min(ls, dataset.n), MetricKind.INNER_PRODUCT)
-    kept = ndg_select(np.arange(start, stop), pools,
-                      dataset.data.astype(np.float64), K2)
+    kept = ndg_select(np.arange(start, stop), pools, base, K2)
     return start + np.nonzero(kept)[0], pools[kept]
 
 
 def _run_ranges(task, ranges: list[tuple[int, int]]) -> list:
-    """task(r) for every node range r, in range order. The calling process
-    runs the first range and a pool of one process per other range the
-    rest, so a single range opens no pool; a range's exception propagates."""
+    """task(r) for every node range r, in range order, on threads of the
+    calling process: the calling thread runs the first range and a pool of
+    one thread per other range the rest, so a single range opens no pool;
+    a range's exception propagates."""
     if len(ranges) == 1:
         return [task(ranges[0])]
-    with ProcessPoolExecutor(max_workers=len(ranges) - 1) as pool:
+    with ThreadPoolExecutor(max_workers=len(ranges) - 1) as pool:
         rest = pool.map(task, ranges[1:])
         return [task(ranges[0]), *rest]
 
@@ -214,9 +213,10 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     random: ``seed`` is only validated and recorded. ``passes`` is ignored;
     it remains for callers written against the search-based stage 2.
     Results are independent of ``workers``, which must be >= 1: node ranges
-    are whole gram blocks, whose bounds depend on n alone, and the calling
-    process is one of the workers. ``ls`` must be >= 1 at every K2, since
-    it goes into the metadata.
+    are whole gram blocks, whose bounds depend on n alone, run on threads
+    of the calling process that share its one BLAS thread count (with
+    ``workers > 1`` set it to 1; see the README). ``ls`` must be >= 1 at
+    every K2, since it goes into the metadata.
     """
     stage1.check_shape(dataset, "stage-1 index")
     _check_stage2_args(K2, ls, seed, workers)
@@ -228,15 +228,15 @@ def build_stage2(stage1: MagIndex, dataset: Dataset, K2: int, ls: int,
     n = stage1.n
     ip = CsrEdges.empty(n)
     if K2 > 0:
-        task = functools.partial(_stage2_rows, dataset=dataset, K2=K2, ls=ls)
-        ranges = _stage2_ranges(n, workers)
-        src, dst = map(np.concatenate, zip(*_run_ranges(task, ranges)))
+        base = dataset.data.astype(np.float64)
+        rows = _run_ranges(lambda r: _stage2_rows(r, dataset, K2, ls, base),
+                           _stage2_ranges(n, workers))
+        src, dst = map(np.concatenate, zip(*rows))
         # the result is not bi-directional: the K2 cap drops most reverse
         # copies. On heavy-tailed norms the edges point at a few high-norm
         # hubs, so most nodes keep no IP in-edge (9,029 of 10,000 on the
         # acceptance c07 panel)
-        src, dst, _ = _mirror_pairs(src, dst, dataset.data.astype(np.float64),
-                                    MetricKind.INNER_PRODUCT, K2)
+        src, dst, _ = _mirror_pairs(src, dst, base, MetricKind.INNER_PRODUCT, K2)
         ip = CsrEdges.from_pairs(src, dst, n)
     return MagIndex(n=n, dim=stage1.dim, K1=stage1.K1, K2=K2,
                     euclid=stage1.euclid.copy(), ip=ip,

@@ -3,9 +3,8 @@
 import functools
 import hashlib
 import json
-import multiprocessing
-import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -23,15 +22,15 @@ from magsearch.index import MagIndex, index_from_bytes, index_to_bytes, ip_quota
 
 @pytest.fixture
 def pools_made(monkeypatch):
-    """The max_workers of every process pool that stage 2 opens."""
+    """The max_workers of every thread pool that stage 2 opens."""
     made = []
 
-    class Counting(index_mod.ProcessPoolExecutor):
+    class Counting(index_mod.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(index_mod, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(index_mod, "ThreadPoolExecutor", Counting)
     return made
 
 
@@ -117,7 +116,7 @@ class TestStage2:
             monkeypatch.setattr(stats_mod, "_GRAM_BYTES", block_rows * 8 * ds.n)
             assert stats_mod._gram_rows(ds.n) == block_rows
         base = ds.data.astype(np.float64)
-        src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls)
+        src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls, base)
         got = CsrEdges.from_pairs(src, dst, ds.n)
         for i in range(ds.n):
             want = select_row(i, pool_reference(i, base, ls), base, K2)
@@ -173,9 +172,9 @@ class TestStage2:
                                   (tied_points(rng, 120), 5, 120, False),
                                   (tied_points(rng, 120), 5, 9, True)):
             ds = Dataset(np.asarray(pts, dtype=np.float32))
-            src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls)
-            ip = CsrEdges.from_pairs(src, dst, ds.n)
             base = ds.data.astype(np.float64)
+            src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls, base)
+            ip = CsrEdges.from_pairs(src, dst, ds.n)
             ties = 0
             for i in range(ds.n):
                 pool = pool_reference(i, base, ls)
@@ -238,7 +237,7 @@ class TestStage2:
     def test_one_pool_per_build(self, pools_made):
         # n = 700 is four gram blocks: one worker runs them as one node
         # range, and two or three workers as two ranges of two blocks, so
-        # the calling process runs the first and a pool of one the second
+        # the calling thread runs the first and a pool of one the second
         ds = generate_synthetic(SyntheticSpec("gaussian", n=700, dim=6, seed=4))
         stage1 = build_stage1(ds, K=12, K1=6)
         blobs = []
@@ -253,7 +252,7 @@ class TestStage2:
 
     def test_one_gram_block_opens_no_pool(self, pools_made):
         # n = 300 is one gram block, so four workers run one node range,
-        # in the calling process
+        # on the calling thread
         ds = generate_synthetic(SyntheticSpec("gaussian", n=300, dim=6, seed=4))
         assert index_mod._stage2_ranges(ds.n, 4) == [(0, ds.n)]
         build_mag(ds, K=12, K1=6, K2=6, ls=24, workers=4)
@@ -261,31 +260,33 @@ class TestStage2:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_parent_and_children_cover_every_node_once(self, workers):
-        # at n = 1,200 the calling process runs the first node range and
-        # every other range runs in a pool child of its own: the children
-        # meet at a barrier, which a child holding two ranges never passes
+        # at n = 1,200 the calling thread runs the first node range and
+        # every other range runs on a pool thread of its own: the pool
+        # threads meet at a barrier, which a thread holding two ranges
+        # never passes
         ranges = index_mod._stage2_ranges(1200, workers)
-        with multiprocessing.Manager() as manager:
-            barrier = manager.Barrier(max(1, len(ranges) - 1))
-            ran = index_mod._run_ranges(functools.partial(
-                pid_in_step, parent=os.getpid(), barrier=barrier), ranges)
+        barrier = threading.Barrier(max(1, len(ranges) - 1))
+        caller = threading.get_ident()
+        ran = index_mod._run_ranges(functools.partial(
+            thread_in_step, caller=caller, barrier=barrier), ranges)
         assert [bounds for _, bounds in ran] == ranges
         nodes = np.concatenate([np.arange(lo, hi) for _, (lo, hi) in ran])
         assert np.array_equal(nodes, np.arange(1200))
-        pids = [pid for pid, _ in ran]
-        assert pids[0] == os.getpid() and os.getpid() not in pids[1:]
-        assert len(set(pids)) == len(ranges) == workers
+        threads = [thread for thread, _ in ran]
+        assert threads[0] == caller and caller not in threads[1:]
+        assert len(set(threads)) == len(ranges) == workers
 
     @pytest.mark.parametrize("failing", [0, 2])
     def test_a_failing_range_raises_and_leaves_no_process(self, failing):
-        # range 0 fails in the calling process and range 2 in a pool
-        # child; either way the exception leaves _run_ranges, and the
-        # pool's processes have ended
+        # range 0 fails on the calling thread and range 2 on a pool
+        # thread; either way the exception leaves _run_ranges, and the
+        # pool's threads have ended
         ranges = [(0, 10), (10, 20), (20, 30)]
+        before = threading.enumerate()
         with pytest.raises(ValueError, match=f"range from node {ranges[failing][0]}"):
             index_mod._run_ranges(functools.partial(fail_at, bad=ranges[failing]),
                                   ranges)
-        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == before
 
     def test_node_ranges_differ_but_bytes_do_not(self):
         # at n = 1,200 the gram blocks are 109 rows, and the lone 1,200th
@@ -325,12 +326,12 @@ class TestStage2:
         index.validate(data)
 
 
-def pid_in_step(bounds, parent, barrier):
-    """The id of the process that ran a node range, and the range; a pool
-    child first waits at the barrier for the other children."""
-    if os.getpid() != parent:
+def thread_in_step(bounds, caller, barrier):
+    """The id of the thread that ran a node range, and the range; a pool
+    thread first waits at the barrier for the other pool threads."""
+    if threading.get_ident() != caller:
         barrier.wait(timeout=20)
-    return os.getpid(), bounds
+    return threading.get_ident(), bounds
 
 
 def fail_at(bounds, bad):
