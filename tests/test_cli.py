@@ -182,8 +182,8 @@ def test_zero_ls_is_a_usage_error_without_ip_edges(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["build", "scale"])
 def test_workers_help_names_the_blas_thread_variable(command):
-    # both subcommands run stage 2 in the calling process and a process
-    # pool, and each of them keeps the BLAS library's default thread count
+    # both subcommands run stage 2 on threads of the calling process, and
+    # each of them keeps the BLAS library's default thread count
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a.choices, dict))
     (workers,) = [a for a in subparsers.choices[command]._actions

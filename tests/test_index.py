@@ -103,8 +103,9 @@ class TestStage2:
     @pytest.mark.parametrize("block_rows", [1, 3, None])
     def test_block_sweep_matches_per_node_search(self, case, block_rows,
                                                  monkeypatch):
-        # the gram-block sweep of a node range gives every node the edges of
-        # dominator selection over its own exact pool, whatever the block size
+        # the gram-block sweep of a node range gives every node its own exact
+        # pool, whatever the block size, and dominator selection over the
+        # pools keeps every node's edges of selection over its pool alone
         rng = np.random.default_rng(11)
         if case == "duplicates":
             ds, K2, ls = Dataset(tied_points(rng, 100)), 5, 12
@@ -116,11 +117,11 @@ class TestStage2:
             monkeypatch.setattr(stats_mod, "_GRAM_BYTES", block_rows * 8 * ds.n)
             assert stats_mod._gram_rows(ds.n) == block_rows
         base = ds.data.astype(np.float64)
-        src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls, base)
-        got = CsrEdges.from_pairs(src, dst, ds.n)
+        pools, kept = stage2_pools_and_kept(ds, base, K2, ls)
         for i in range(ds.n):
-            want = select_row(i, pool_reference(i, base, ls), base, K2)
-            assert got[i].tolist() == want.tolist()
+            pool = pool_reference(i, base, ls)
+            assert pools[i].tolist() == pool.tolist()
+            assert pools[i][kept[i]].tolist() == select_row(i, pool, base, K2).tolist()
 
     def test_blocks_fit_the_byte_budget(self, monkeypatch):
         # every gram block of stage 2 holds at most _GRAM_BYTES of float64
@@ -164,21 +165,22 @@ class TestStage2:
             build_stage2(stage1, ds, K2=4, ls=8, workers=workers)
 
     def test_exhaustive_pool_matches_exact_selection(self, rng):
-        # before mirroring, stage 2's edges equal dominator selection over
-        # each node's brute-force (-IP, id) pool, at ls = n and at ls < n;
-        # the integer data puts duplicates and exact ties at the pool boundary
+        # stage 2's pools equal each node's brute-force (-IP, id) pool, and
+        # before mirroring its edges equal dominator selection over that
+        # pool, at ls = n and at ls < n; the integer data puts duplicates
+        # and exact ties at the pool boundary
         for pts, K2, ls, tied in ((rng.standard_normal((300, 8)), 6, 300, False),
                                   (rng.standard_normal((300, 8)), 6, 20, False),
                                   (tied_points(rng, 120), 5, 120, False),
                                   (tied_points(rng, 120), 5, 9, True)):
             ds = Dataset(np.asarray(pts, dtype=np.float32))
             base = ds.data.astype(np.float64)
-            src, dst = index_mod._stage2_rows((0, ds.n), ds, K2, ls, base)
-            ip = CsrEdges.from_pairs(src, dst, ds.n)
+            pools, kept = stage2_pools_and_kept(ds, base, K2, ls)
             ties = 0
             for i in range(ds.n):
                 pool = pool_reference(i, base, ls)
-                assert ip[i].tolist() == select_row(i, pool, base, K2).tolist()
+                assert pools[i].tolist() == pool.tolist()
+                assert pools[i][kept[i]].tolist() == select_row(i, pool, base, K2).tolist()
                 if tied:
                     ranked = np.sort(base @ base[i])[::-1]
                     ties += ranked[ls - 1] == ranked[ls]
@@ -276,6 +278,31 @@ class TestStage2:
         assert threads[0] == caller and caller not in threads[1:]
         assert len(set(threads)) == len(ranges) == workers
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_selection_and_mirror_run_once_on_the_calling_thread(
+            self, monkeypatch, workers):
+        # the node ranges only scan: dominator selection sees all 1,200
+        # owners in one call, and the reverse-edge merge runs once, both on
+        # the thread that called build_stage2
+        ds = generate_synthetic(SyntheticSpec("gaussian", n=1200, dim=8, seed=3))
+        stage1 = build_stage1(ds, K=12, K1=6)
+        calls = []
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, threading.get_ident(), args[0]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("ndg_select", "_mirror_pairs"):
+            monkeypatch.setattr(index_mod, name,
+                                recording(name, getattr(index_mod, name)))
+        build_stage2(stage1, ds, K2=6, ls=24, workers=workers)
+        assert len(index_mod._stage2_ranges(ds.n, workers)) == workers
+        assert [name for name, _, _ in calls] == ["ndg_select", "_mirror_pairs"]
+        assert {thread for _, thread, _ in calls} == {threading.get_ident()}
+        assert np.array_equal(calls[0][2], np.arange(ds.n))
+
     @pytest.mark.parametrize("failing", [0, 2])
     def test_a_failing_range_raises_and_leaves_no_process(self, failing):
         # range 0 fails on the calling thread and range 2 on a pool
@@ -324,6 +351,13 @@ class TestStage2:
         census[self_dominator_set(data)] = True
         assert np.array_equal(index.self_dominator, census)
         index.validate(data)
+
+
+def stage2_pools_and_kept(ds, base, K2, ls):
+    """Stage 2's candidate pools of every node, as one node range, and the
+    mask that dominator selection keeps of them."""
+    pools = index_mod._stage2_rows((0, ds.n), ds, min(ls, ds.n))
+    return pools, ndg_select(np.arange(ds.n), pools, base, K2)
 
 
 def thread_in_step(bounds, caller, barrier):

@@ -7,6 +7,10 @@ from magsearch import Dataset, MetricKind, UsageError
 from magsearch.metrics import score_batch
 from magsearch.search import _pool_keys
 
+# a float32 query kernel that overflows only prints a RuntimeWarning; in
+# these tests it fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 IP, L2 = MetricKind.INNER_PRODUCT, MetricKind.EUCLIDEAN
 
 

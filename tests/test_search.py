@@ -17,6 +17,10 @@ from magsearch.search import (CandidatePool, SearchGraph, SearchStats,
                               _expand_loop)
 from magsearch.stats import verify_scaling_duality
 
+# a float32 query kernel that overflows only prints a RuntimeWarning; in
+# these tests it fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def searchable():
