@@ -53,13 +53,6 @@ class CsrEdges:
     ids: np.ndarray      # (offsets[-1],) int32
 
     @classmethod
-    def from_rows(cls, rows: list[np.ndarray]) -> CsrEdges:
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=offsets[1:])
-        ids = np.concatenate([np.empty(0, dtype=np.int32), *rows]).astype(np.int32)
-        return cls(offsets=offsets, ids=ids)
-
-    @classmethod
     def from_pairs(cls, src: np.ndarray, dst: np.ndarray, n: int) -> CsrEdges:
         """Rows from (source, target) pairs grouped by ascending source."""
         return cls(np.searchsorted(src, np.arange(n + 1)), dst.astype(np.int32))

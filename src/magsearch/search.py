@@ -78,10 +78,6 @@ class SearchGraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def neighbors(self, i: int) -> np.ndarray:
-        row = self.adjacency[i]
-        return row[row >= 0]
-
     @cached_property
     def padded(self) -> np.ndarray:
         """The adjacency with each padding cell holding its row's own id,
@@ -129,15 +125,10 @@ class CandidatePool:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise UsageError(f"pool capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._keys: list[tuple[float, int]] = []
         self._visited: list[bool] = []
         self._hint = 0
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
     def fill(self, keys) -> None:
         """Replace the entries by the best ``capacity`` of keys, orientation-
@@ -355,8 +346,6 @@ def _check_query(graph: SearchGraph, dataset: Dataset, q, k: int,
     |<x,q>|, the Euclidean split |x|^2 - 2<x,q> and the difference form
     |x - q|^2, and it must stay below half of FLT_MAX, the rest being room
     for rounding."""
-    if graph.n == 0:
-        raise UsageError("empty graph")
     if graph.n != dataset.n:
         raise UsageError(f"graph has {graph.n} nodes but dataset has {dataset.n}")
     qv = np.asarray(q, dtype=np.float32)
@@ -589,11 +578,11 @@ def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
     sorted pools as ``_pool_keys``, each row's real keys first, and the
     (B,) hops.
 
-    At m > 0 a (B, n) float32 array keeps each <x,q> of the Euclidean
-    phase at x's seen cell, and the switch re-keys the real entries of the
-    pools from it under ``metric``, which is inner product there; the
-    padding stays ``_NO_KEY``. Every scored id is marked seen exactly
-    once, so a row's comps is its mask's count. The steps walk
+    At m > 0 a zeroed (B, n) float32 array keeps each <x,q> of the
+    Euclidean phase at x's seen cell, and the switch re-keys the real
+    entries of the pools from it under ``metric``, which is inner product
+    there; the padding stays ``_NO_KEY``. Every scored id is marked seen
+    exactly once, so a row's comps is its mask's count. The steps walk
     ``graph.padded``; ``graph`` itself stays as it is.
     """
     nq, n, data = len(entries), graph.n, dataset.data
@@ -603,7 +592,7 @@ def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
     scores = score_batch(metric, qs[:, None], np.take(data, entries, axis=0))
     if m > 0:
         sq = dataset.sq_norms
-        ips = np.empty((nq, n), dtype=np.float32)
+        ips = np.zeros((nq, n), dtype=np.float32)
         scores = _euclid_scores(scores, sq, entries, ips.reshape(-1),
                                 entries + (np.arange(nq) * n)[:, None])
     keys = np.full((nq, min(ls, n)), _NO_KEY)
@@ -614,7 +603,7 @@ def _lockstep_pools(graph: SearchGraph, dataset: Dataset, qs: np.ndarray,
                          max_expansions=m, ips=ips, sq=sq)
         pad = keys == _NO_KEY
         ids = _key_ids(keys)
-        ids[pad] = 0  # a cell in range; the padding's keys are put back below
+        ids[pad] = 0  # a zeroed cell if unscored, not NaN; keys put back below
         scores = np.take(ips, ids + (np.arange(nq) * n)[:, None])
         del ips
         keys = _pool_keys(metric, scores, ids, keys & np.uint64(1))

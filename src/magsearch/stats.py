@@ -38,8 +38,14 @@ class Clustering:
     assignment: np.ndarray  # (n,) int32 cluster ids
     centroids: np.ndarray   # (n_clusters, dim) float64
 
-    def validate(self) -> None:
+    def validate(self, dataset: Dataset) -> None:
+        """Raise unless this clusters dataset: one id per row, centroids of
+        its dim, and every id in range with at least one member."""
         nclus = len(self.centroids)
+        if (self.assignment.shape != (dataset.n,)
+                or self.centroids.shape[1:] != (dataset.dim,)):
+            raise UsageError(f"clustering does not fit {dataset.n} vectors of "
+                             f"dim {dataset.dim}")
         if self.assignment.min() < 0 or self.assignment.max() >= nclus:
             raise UsageError("cluster assignment ids out of range")
         counts = np.bincount(self.assignment, minlength=nclus)
@@ -106,18 +112,14 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
         diff = pts - center
         return np.einsum("ij,ij->i", diff, diff)
 
-    # k-means++ seeding
+    # k-means++ seeding. Each pick lands on a point at a positive distance
+    # from every centroid so far, so while fewer than n_distinct are picked
+    # some distance stays positive and the weights have a positive sum
     centroids = np.empty((n_clusters, pts.shape[1]))
     centroids[0] = pts[rng.integers(n)]
     closest = dist_to(centroids[0])
     for c in range(1, n_clusters):
-        weights = np.maximum(closest, 0.0)
-        total = weights.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=weights / total))
-        centroids[c] = pts[idx]
+        centroids[c] = pts[int(rng.choice(n, p=closest / closest.sum()))]
         closest = np.minimum(closest, dist_to(centroids[c]))
 
     assignment = np.zeros(n, dtype=np.int32)
@@ -148,9 +150,7 @@ def kmeans(dataset: Dataset, n_clusters: int, metric: str = "euclidean",
         if converged:
             break
 
-    out = Clustering(assignment=assignment, centroids=centroids.copy())
-    out.validate()
-    return out
+    return Clustering(assignment=assignment, centroids=centroids.copy())
 
 
 def davies_bouldin(dataset: Dataset, clustering: Clustering,
@@ -162,6 +162,7 @@ def davies_bouldin(dataset: Dataset, clustering: Clustering,
     normalized points and centroids is half their squared distance.
     """
     _check_cluster_metric(metric)
+    clustering.validate(dataset)
     nclus = len(clustering.centroids)
     if nclus < 2:
         raise UsageError("DBI needs at least 2 clusters")

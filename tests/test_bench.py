@@ -8,7 +8,10 @@ import pytest
 from magsearch import (Dataset, MetricKind, UsageError, build_mag,
                        compute_ground_truth, generate_synthetic, recall_at_k,
                        run_benchmark, verify_suite)
-from magsearch.bench import BENCH_CSV_HEADER, SyntheticSpec, records_to_csv
+from magsearch import bench as bench_mod
+from magsearch.bench import (BENCH_CSV_HEADER, SyntheticSpec, records_to_csv,
+                             run_scaling_study)
+from magsearch.search import CandidatePool
 from magsearch.stats import coefficient_of_variation, davies_bouldin, kmeans
 
 
@@ -29,6 +32,12 @@ class TestRecallAtK:
         gt = np.array([[1, 2]], dtype=np.int32)
         with pytest.raises(UsageError):
             recall_at_k([np.array([1, 2, 3])], gt, 3)
+
+    def test_row_count_mismatch_rejected(self):
+        # zip would otherwise score the first row alone
+        gt = np.array([[1, 2], [3, 4]], dtype=np.int32)
+        with pytest.raises(UsageError, match="1 result rows vs 2"):
+            recall_at_k([np.array([1, 2])], gt, 2)
 
 
 class TestSynthetic:
@@ -58,10 +67,12 @@ class TestSynthetic:
             SyntheticSpec("uniform", n=10, dim=2)
 
     @pytest.mark.parametrize("kind,field,value", [("blobs", "n_clusters", 0),
-                                                  ("heavytail", "sigma_log", -1.0)])
+                                                  ("heavytail", "sigma_log", -1.0),
+                                                  ("gaussian", "n", 0),
+                                                  ("gaussian", "dim", 0)])
     def test_out_of_range_parameter_rejected(self, kind, field, value):
-        with pytest.raises(UsageError, match=field):
-            SyntheticSpec(kind, n=10, dim=2, **{field: value})
+        with pytest.raises(UsageError, match=rf"\b{field} >="):
+            SyntheticSpec(**{"kind": kind, "n": 10, "dim": 2, field: value})
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +114,19 @@ class TestBenchmark:
             run_benchmark(index, data, queries, shifted, ls_list=[16], R=12,
                           alpha=0.5, m=0, k=10, seed=1, reps=1)
 
+    @pytest.mark.parametrize("bad", ["query-dim", "gt-rows"])
+    def test_queries_and_ground_truth_must_match(self, bench_setup, bad):
+        data, queries, gt, index = bench_setup
+        if bad == "query-dim":
+            queries = Dataset(np.ascontiguousarray(queries.data[:, :4]))
+            match = "query dimension does not match"
+        else:
+            gt = gt[:-1]
+            match = "does not cover the query panel"
+        with pytest.raises(UsageError, match=match):
+            run_benchmark(index, data, queries, gt, ls_list=[16], R=12,
+                          alpha=0.5, m=0, k=10, seed=1, reps=1)
+
     def test_zero_reps_rejected(self, bench_setup):
         # reps=0 used to time one rep while the config echoed 0
         data, queries, gt, index = bench_setup
@@ -117,6 +141,24 @@ class TestBenchmark:
         rec = records[0]
         assert rec.qps > 0
         assert rec.dist_comps > 0 and rec.hops > 0
+
+
+def test_scaling_study_flags_a_size_the_schedule_cannot_serve(monkeypatch):
+    # at R = 1 the graph has one edge per node, so at n = 20 the schedule's
+    # ls = 16 misses the target; the walk then stops, since the next ls,
+    # 24 > n, would make the search exact
+    tried = []
+
+    def recording(*args, ls, **kwargs):
+        tried.append(ls)
+        return real(*args, ls=ls, **kwargs)
+
+    real = bench_mod.bench_one
+    monkeypatch.setattr(bench_mod, "bench_one", recording)
+    records = run_scaling_study([20], dim=4, K=4, K1=2, K2=2, build_ls=8, R=1,
+                                alpha=0.0, k=10, n_queries=5, target=0.95)
+    assert tried == [16]
+    assert [r.csv_row() for r in records] == ["20,0,0.000000,0.00,1"]
 
 
 @pytest.mark.parametrize("module,name", [
@@ -167,6 +209,20 @@ class TestVerifySuite:
             "index has 300 vectors of dim 8, but the data has 400 of dim 8")
         assert "pool-invariants" not in rows
         assert not report.passed
+
+    def test_pool_invariant_failure_is_reported(self, monkeypatch):
+        def broken(pool):
+            raise AssertionError("pool keys not strictly sorted best-first")
+
+        monkeypatch.setattr(CandidatePool, "check_invariants", broken)
+        report = verify_suite(
+            generate_synthetic(SyntheticSpec("gaussian", n=300, dim=8, seed=1)),
+            max_n_exact=0)
+        rows = {c.name: c for c in report.checks}
+        assert not rows["pool-invariants"].passed
+        assert rows["pool-invariants"].detail == (
+            "pool keys not strictly sorted best-first")
+        assert rows["index-invariants"].passed and not report.passed
 
     def test_duplicated_points_pass(self):
         # census is empty under strict domination; the suite's tie-tolerant

